@@ -23,7 +23,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .cone import assemble_cone, find_supporting_covector
+from .cone import ConeError, assemble_cone, find_supporting_covector
 from .expr import ExprError, parse_expression
 from .fields import DivergenceError, FieldError
 from .mech import ConnectionSpec, MechError, build_acc_system, connection_spec, generator_families
@@ -771,6 +771,10 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.scenario)
         log.info("loaded scenario %s (%s)", scenario.name, scenario.digest)
         code, payload = run_command(args.command, scenario, args)
+    # the verdicts subclass FieldError and OcpError, so they are caught first
+    except (DivergenceError, DegenerateMomentumError) as exc:
+        print(f"geocon: verdict: {exc}", file=sys.stderr)
+        return 2
     except (
         ScenarioError,
         ExprError,
@@ -779,12 +783,10 @@ def main(argv=None) -> int:
         PcaError,
         MechError,
         VariationError,
+        ConeError,
     ) as exc:
         print(f"geocon: error: {exc}", file=sys.stderr)
         return 1
-    except (DivergenceError, DegenerateMomentumError) as exc:
-        print(f"geocon: verdict: {exc}", file=sys.stderr)
-        return 2
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload)

@@ -4,14 +4,20 @@ supporting-covector queries.
 A cone is a deduplicated list of tangent vectors at one base point; support
 queries over the generators equal support queries over their closed convex
 conic hull, which is all the necessary-condition audit consumes.  The
-feasibility problems are tiny, so they are solved by a dense two-phase
-simplex over exact rationals (Bland's rule, no external solver); answers are
-exact for the given floating-point generators and ties break to the
-lexicographically maximal covector.
+linear programs are tiny and every one goes through `solve_lp_max`: a dense
+two-phase float64 simplex (numpy, no external solver) finds a basis, and
+exact rational arithmetic certifies it optimal with one small square solve
+for the primal point and one for the dual multipliers.  When the
+certificate fails (near-degenerate data, a basis the float pass could not
+finish), the exact two-phase simplex over Fractions (Bland's rule) solves
+the program from scratch and a DEBUG line on the ``geocon.cone`` logger
+says why.  Either way answers are exact for the given floating-point
+generators, and ties break to the lexicographically maximal covector.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -20,6 +26,8 @@ import numpy as np
 
 from .fields import Covector, Point, TangentVector
 from .variations import sample_perturbation_set
+
+log = logging.getLogger(__name__)
 
 SUPPORT_REL_TOL = 1e-9
 PARALLEL_COS_TOL = 1e-12
@@ -94,11 +102,6 @@ def _dedupe(vectors, provenance):
     return kept_v, kept_p
 
 
-def cone_from_vectors(base: Point, time: float, vectors, provenance) -> Cone:
-    vs, ps = _dedupe(vectors, provenance)
-    return Cone(base, time, tuple(vs), tuple(ps))
-
-
 def assemble_cone(
     system,
     reference,
@@ -147,10 +150,19 @@ def assemble_cone(
 
 
 # ---------------------------------------------------------------------------
-# Exact two-phase simplex (maximization, Bland's rule) over Fractions.
+# Support LPs: a float64 two-phase simplex finds a basis, exact rationals
+# certify it (the verify step of Applegate, Cook, Dash & Espinoza, "Exact
+# solutions to linear programming problems", Oper. Res. Lett. 35, 2007), and
+# the exact two-phase simplex (maximization, Bland's rule) over Fractions
+# runs only when the certificate fails.
 # ---------------------------------------------------------------------------
 
 F = Fraction
+
+# float-pass tolerances; they only steer the search for a basis, never the
+# answer, which the exact certificate (or the exact simplex) decides
+_FLOAT_TOL = 1e-9
+_FLOAT_PIVOT_TOL = 1e-11
 
 
 def _pivot(T, basis, row, col):
@@ -187,11 +199,8 @@ def _run_simplex(T, basis, obj, allowed):
         _pivot(T, basis, leave, enter)
 
 
-def solve_lp_max(c: Sequence[Fraction], A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]):
-    """max c.x subject to A x <= b, x >= 0, exactly.
-
-    Returns (feasible, x, value) with Fraction entries.
-    """
+def _solve_exact(c, A, b):
+    """max c.x subject to A x <= b, x >= 0 by the exact two-phase simplex."""
     m, n = len(A), len(c)
     art_of_row = {}
     n_art = 0
@@ -239,6 +248,150 @@ def solve_lp_max(c: Sequence[Fraction], A: Sequence[Sequence[Fraction]], b: Sequ
             x[basis[i]] = T[i][-1]
     value = sum(obj2[basis[i]] * T[i][-1] for i in range(m))
     return True, x, value
+
+
+class _NoCertificate(Exception):
+    """The float pass gave no basis, or its basis failed the exact proof."""
+
+
+def _float_pivot(T, basis, row, col):
+    prow = T[row] / T[row, col]
+    T -= np.outer(T[:, col], prow)
+    T[row] = prow
+    basis[row] = col
+
+
+def _float_simplex(T, basis, obj, n_cols, limit):
+    """Dense float64 simplex on tableau T (rows = constraints, last column
+    the right-hand side) over columns < n_cols, in place, to optimality.
+    Bland's rule, as in `_run_simplex`: the first improving column enters,
+    the smallest ratio leaves, ties to the smallest basic index."""
+    for _ in range(limit):
+        reduced = obj[:n_cols] - obj[basis] @ T[:, :n_cols]
+        improving = np.flatnonzero(reduced > _FLOAT_TOL)
+        if improving.size == 0:
+            return
+        enter = int(improving[0])
+        col = T[:, enter]
+        rows = np.flatnonzero(col > _FLOAT_PIVOT_TOL)
+        if rows.size == 0:
+            raise _NoCertificate("unbounded in float64")
+        ratios = np.maximum(T[rows, -1], 0.0) / col[rows]
+        best = ratios.min()
+        ties = rows[ratios <= best + 1e-12 * (1.0 + best)]
+        leave = int(ties[np.argmin(basis[ties])])
+        _float_pivot(T, basis, leave, enter)
+    raise _NoCertificate("float64 iteration cap")
+
+
+def _float_basis(c, A, b) -> list[int]:
+    """Final basis of the float64 two-phase simplex on the standard form
+    `_solve_exact` builds (slacks, then artificials for b < 0): the basic
+    column of each row."""
+    m, n = len(A), len(c)
+    negative = [i for i in range(m) if b[i] < 0]
+    total = n + m + len(negative)
+    T = np.zeros((m, total + 1))
+    T[:, :n] = np.asarray(A, dtype=float).reshape(m, n)
+    T[:, n : n + m] = np.eye(m)
+    T[:, -1] = [float(v) for v in b]
+    basis = np.arange(n, n + m)
+    limit = 50 * (m + total + 1)
+    if negative:
+        arts = np.arange(n + m, total)
+        T[negative] *= -1.0
+        T[negative, arts] = 1.0
+        basis[negative] = arts
+        obj1 = np.zeros(total)
+        obj1[n + m :] = -1.0
+        _float_simplex(T, basis, obj1, total, limit)
+        if obj1[basis] @ T[:, -1] < -_FLOAT_TOL * (1.0 + float(np.max(np.abs(T[:, -1])))):
+            raise _NoCertificate("infeasible in float64")
+        for i in np.flatnonzero(basis >= n + m):
+            nonzero = np.flatnonzero(np.abs(T[i, : n + m]) > _FLOAT_PIVOT_TOL)
+            if nonzero.size == 0:
+                raise _NoCertificate("artificial left in the basis")
+            _float_pivot(T, basis, i, int(nonzero[0]))
+    obj2 = np.zeros(total)
+    obj2[:n] = [float(v) for v in c]
+    _float_simplex(T, basis, obj2, n + m, limit)
+    return [int(j) for j in basis]
+
+
+def _solve_square(M, rhs):
+    """x with M x = rhs by exact Gauss-Jordan elimination."""
+    k = len(M)
+    T = [list(row) + [v] for row, v in zip(M, rhs)]
+    owner = [-1] * k
+    for col in range(k):
+        row = next((i for i in range(k) if owner[i] < 0 and T[i][col] != 0), None)
+        if row is None:
+            raise _NoCertificate("singular basis matrix")
+        _pivot(T, owner, row, col)
+    x = [F(0)] * k
+    for i, col in enumerate(owner):
+        x[col] = T[i][-1]
+    return x
+
+
+def _certify(c, A, b, basis):
+    """Exact optimality proof for a basis of max c.x, A x <= b, x >= 0.
+
+    S are the basic structural columns and L the rows whose slack is
+    nonbasic.  The basis is optimal when x_S solving A[L,S] x_S = b[L] is
+    primal feasible (x_S >= 0 and every other row's slack >= 0) and y
+    solving A[L,S]^T y = c_S is dual feasible (y >= 0 and every nonbasic
+    structural column has reduced cost c_j - y.A[L,j] <= 0).  Returns the
+    optimal vertex x and its value.
+    """
+    m, n = len(A), len(c)
+    S = sorted(j for j in basis if j < n)
+    basic_slack = {j - n for j in basis if n <= j < n + m}
+    L = [i for i in range(m) if i not in basic_slack]
+    if len(S) != len(L):
+        raise _NoCertificate(f"{len(S)} basic columns for {len(L)} tight rows")
+    rows = [[F(v) for v in A[i]] for i in range(m)]
+    M = [[rows[i][j] for j in S] for i in L]
+    x_S = _solve_square(M, [F(b[i]) for i in L])
+    if any(v < 0 for v in x_S):
+        raise _NoCertificate("negative basic variable")
+    for i in sorted(basic_slack):
+        lhs = sum((rows[i][j] * v for j, v in zip(S, x_S) if rows[i][j]), F(0))
+        if lhs > F(b[i]):
+            raise _NoCertificate(f"row {i} violated")
+    y = _solve_square([list(col) for col in zip(*M)], [F(c[j]) for j in S])
+    if any(v < 0 for v in y):
+        raise _NoCertificate("negative dual multiplier")
+    for j in sorted(set(range(n)) - set(S)):
+        priced = sum((yl * rows[i][j] for yl, i in zip(y, L) if yl and rows[i][j]), F(0))
+        if F(c[j]) > priced:
+            raise _NoCertificate(f"column {j} has positive reduced cost")
+    x = [F(0)] * n
+    for j, v in zip(S, x_S):
+        x[j] = v
+    return x, sum((F(c[j]) * v for j, v in zip(S, x_S)), F(0))
+
+
+def solve_lp_max(c: Sequence[Fraction], A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]):
+    """max c.x subject to A x <= b, x >= 0, exactly.
+
+    Returns (feasible, x, value) with Fraction entries.  A float64 simplex
+    proposes the optimal basis and `_certify` proves it in exact
+    rationals; when no basis comes out or the proof fails, the exact
+    simplex decides.  The optimal value is unique, so it is the same
+    Fraction either way; x is an exact optimal vertex.
+    """
+    try:
+        x, value = _certify(c, A, b, _float_basis(c, A, b))
+        return True, x, value
+    except _NoCertificate as exc:
+        log.debug(
+            "LP with %d rows x %d columns: exact certificate failed (%s); running the exact simplex",
+            len(A),
+            len(c),
+            exc,
+        )
+    return _solve_exact(c, A, b)
 
 
 def _lambda_lp(gen_rows, m, objective, extra_rows=()):

@@ -200,11 +200,6 @@ def negate_field(vf: VectorField) -> VectorField:
     return VectorField(vf.variables, tuple(neg(c) for c in vf.components))
 
 
-def scale_field(vf: VectorField, factor: float) -> VectorField:
-    f = const(factor)
-    return VectorField(vf.variables, tuple(mul(f, c) for c in vf.components))
-
-
 def combine_fields(base: VectorField, addends: Sequence[VectorField], coefficients) -> VectorField:
     """base + sum_c coefficients[c] * addends[c], folded symbolically."""
     comps = []

@@ -755,8 +755,6 @@ def search_normal_lift(
     times = np.linspace(a, b, sample_count)
     snapshots = []  # (t, x_ext, Psi)
 
-    t_cursor = a
-    snap_idx = 0
     recorded: list[tuple[float, list]] = [(a, list(state))]
 
     def record(t, s):
@@ -765,7 +763,6 @@ def search_normal_lift(
     for t0, t1 in schedule.segments((a, b)):
         uvals = [float(u) for u in schedule.value_at(0.5 * (t0 + t1))]
         state = rk4_path(make_rhs(uvals), state, t0, t1 - t0, step, record=record)
-    del t_cursor, snap_idx
 
     rts = np.asarray([t for t, _ in recorded])
     for t in times:

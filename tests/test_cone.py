@@ -1,9 +1,17 @@
+import logging
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import geocon.cone as cone_module
 from geocon.cone import (
     Cone,
     ConeError,
@@ -11,6 +19,7 @@ from geocon.cone import (
     assemble_cone,
     find_supporting_covector,
     is_supporting,
+    solve_lp_max,
 )
 from geocon.fields import Covector, TangentVector, as_point
 
@@ -218,3 +227,108 @@ def test_lp_never_misses_a_brute_force_direction(seed):
     if report.feasible:
         pairings = gens @ report.covector.components
         assert float(np.max(pairings)) <= 1e-9 * float(np.max(np.abs(gens)))
+
+
+# -- the float-first support LPs against the exact simplex -------------------
+
+
+def recorded_lps(cone, direction=None):
+    """Every (c, A, b) that find_supporting_covector hands to solve_lp_max."""
+    lps = []
+    real = cone_module.solve_lp_max
+
+    def record(c, A, b):
+        lps.append((c, A, b))
+        return real(c, A, b)
+
+    with mock.patch.object(cone_module, "solve_lp_max", record):
+        find_supporting_covector(cone, direction)
+    return lps
+
+
+def assert_attains(c, A, b, result):
+    """`result` is a feasible LP answer whose x is exactly feasible and
+    exactly attains the reported value."""
+    feasible, x, value = result
+    assert feasible
+    assert isinstance(value, Fraction)
+    assert all(isinstance(v, Fraction) and v >= 0 for v in x)
+    for row, rhs in zip(A, b):
+        assert sum(a * v for a, v in zip(row, x)) <= rhs
+    assert sum(cj * v for cj, v in zip(c, x)) == value
+
+
+def assert_matches_exact_simplex(c, A, b):
+    result = solve_lp_max(c, A, b)
+    assert_attains(c, A, b, result)
+    assert result[2] == cone_module._solve_exact(c, A, b)[2]
+
+
+def random_generators(rng, m, n, rounded, antiparallel):
+    gens = rng.normal(size=(n, m)) * rng.uniform(0.01, 100.0, size=(n, 1))
+    if rounded:  # small integers: many ties, degenerate vertices
+        gens = np.round(gens)
+    if antiparallel and n >= 2:
+        gens[1] = -gens[0] * (1.0 + 2.0**-52)
+    return gens[np.any(gens != 0.0, axis=1)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(0, 40),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+def test_certified_lp_matches_exact_simplex(seed, m, n, rounded, antiparallel, with_direction, pick):
+    # Every LP of the support query (feasibility, margin, and the lex
+    # passes with their pin rows) must come back exactly feasible and
+    # attain its value; one of them, drawn by hypothesis, is re-solved by
+    # the exact simplex alone (at m = 6 with 40 generators that takes about
+    # a second, so the whole list would not fit the suite's budget).
+    rng = np.random.default_rng(seed)
+    cone = make_cone(random_generators(rng, m, n, rounded, antiparallel), dim=m)
+    direction = TangentVector(cone.base, rng.normal(size=m)) if with_direction else None
+    lps = recorded_lps(cone, direction)
+    for lp in lps:
+        assert_attains(*lp, solve_lp_max(*lp))
+    assert_matches_exact_simplex(*lps[pick % len(lps)])
+
+
+def test_certificate_holds_on_generic_cone(caplog):
+    # no fallback: the float basis is certified on every LP of the query
+    rng = np.random.default_rng(5)
+    cone = make_cone(rng.normal(size=(8, 3)))
+    direction = TangentVector(cone.base, rng.normal(size=3))
+    with caplog.at_level(logging.DEBUG, logger="geocon.cone"):
+        lps = recorded_lps(cone, direction)
+    assert lps and not caplog.records
+    for lp in lps:
+        assert_matches_exact_simplex(*lp)
+
+
+def test_near_antiparallel_pair_falls_back_to_exact_simplex(caplog):
+    # g and -g(1 + 2^-52) pin <g, lambda> to zero; float64 cannot see the
+    # 2^-52, so the float basis violates a generator row exactly and the
+    # exact simplex has to decide
+    g = np.array([1.0, 0.3, -0.7])
+    cone = make_cone([g, -g * (1.0 + 2.0**-52)])
+    with caplog.at_level(logging.DEBUG, logger="geocon.cone"):
+        lps = recorded_lps(cone)
+    fallbacks = [r.getMessage() for r in caplog.records if r.name == "geocon.cone"]
+    assert fallbacks and all("exact certificate failed" in msg for msg in fallbacks)
+    for lp in lps:
+        assert_matches_exact_simplex(*lp)
+
+
+def test_fallback_log_stays_out_of_the_report():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, GEOCON_LOG="DEBUG", PYTHONPATH=str(root / "src"))
+    argv = [sys.executable, "-m", "geocon.cli", "cone", str(root / "scenarios" / "polar_connection.json")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert "DEBUG:geocon.cone:" in done.stderr and "exact certificate failed" in done.stderr
+    assert "certificate" not in done.stdout

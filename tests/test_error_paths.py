@@ -1,5 +1,8 @@
 """Contract checks for the documented error conditions."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,8 @@ from geocon.fields import (
 )
 from geocon.ocp import OcpError, hamiltonian, hamilton_rhs, build_control_affine
 from geocon.variations import VariationError, end_time_variation, estimate_jets, variation_curve
+
+FIXTURES = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def test_sqrt_of_negative_reports_domain_error():
@@ -120,3 +125,45 @@ def test_cli_bad_covector(tmp_path, capsys):
     scenario = Path(__file__).resolve().parents[1] / "scenarios" / "martinet.json"
     assert main(["audit", str(scenario), "--covector", "0,zz,1"]) == 1
     assert "bad covector" in capsys.readouterr().err
+
+
+def test_cli_degenerate_momentum_is_a_verdict(capsys):
+    from geocon.cli import main
+
+    assert main(["extremal", str(FIXTURES / "martinet.json"), "--covector", "0,0,0,0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("geocon: verdict:")
+    assert "momentum norm" in err
+
+
+def test_cli_divergent_flow_is_a_verdict(tmp_path, capsys):
+    from geocon.cli import main
+
+    # x' = x^2 from x = 1 leaves every finite range at t = 1
+    scenario = {
+        "name": "blowup",
+        "chart": ["x1"],
+        "controls": ["u1"],
+        "system": {"drift": ["x1^2"], "inputs": [["1"]], "control_box": [[-1.0, 1.0]]},
+        "reference": {
+            "initial": [1.0],
+            "interval": [0.0, 2.0],
+            "step": 0.01,
+            "controls": {"type": "piecewise", "breaks": [0.0], "values": [[0.0]]},
+        },
+    }
+    path = tmp_path / "blowup.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["flow", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("geocon: verdict:")
+    assert "diverged" in err
+
+
+def test_cli_cone_time_outside_interval_is_a_tool_error(capsys):
+    from geocon.cli import main
+
+    assert main(["cone", str(FIXTURES / "martinet.json"), "--time", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("geocon: error:")
+    assert "cone time 5.0" in err
