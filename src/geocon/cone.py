@@ -113,9 +113,10 @@ def assemble_cone(
 ) -> Cone:
     """Sampled perturbation vectors from each time, transported to gamma(t).
 
-    Sample times must lie in (a, t] and avoid control switch times; each
-    sampled vector rides the linearized reference flow to the cone's base
-    point, then parallel duplicates are merged.
+    Sample times must lie in (a, t] and avoid control switch times; the
+    vectors sampled at one time ride the linearized reference flow to the
+    cone's base point in one integration, then parallel duplicates are
+    merged.
     """
     a, b = reference.interval
     if not (a < t <= b):
@@ -135,15 +136,13 @@ def assemble_cone(
         sampled = sample_perturbation_set(
             system, reference, t0, budget=per_time_budget, **sampling_options
         )
-        for pv in sampled:
-            if t0 == t:
-                moved = TangentVector(base, pv.vector.components.copy())
-            else:
-                moved = transport_vector(system, reference, t0, t, pv.vector, step=step)
-                moved = TangentVector(base, moved.components)
-            if float(np.linalg.norm(moved.components)) == 0.0:
+        moved = [pv.vector for pv in sampled]
+        if t0 != t:
+            moved = transport_vector(system, reference, t0, t, moved, step=step)
+        for pv, w in zip(sampled, moved):
+            if float(np.linalg.norm(w.components)) == 0.0:
                 continue
-            vectors.append(moved)
+            vectors.append(TangentVector(base, w.components.copy()))
             provenance.append(GeneratorProvenance(t0, pv.order, pv.recipe[0]))
     vs, ps = _dedupe(vectors, provenance)
     return Cone(base, t, tuple(vs), tuple(ps))

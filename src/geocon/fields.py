@@ -315,11 +315,7 @@ def rk4_path(rhs, x0: list, t0: float, duration, step: float, record=None) -> li
 
 def integrate_flow(spec: FlowSpec, x0: Point) -> Point:
     """Endpoint of the flow of `spec.field` after `spec.duration`."""
-    fns = spec.field.compiled()
-
-    def rhs(_t, x):
-        return [fn(x) for fn in fns]
-
+    rhs = linearized_rhs(spec.field.compiled(), jac=())
     out = rk4_path(rhs, _as_scalar_list(x0.coords), 0.0, spec.duration, spec.step)
     return Point(np.asarray(out, dtype=object) if any(not isinstance(v, float) for v in out) else np.asarray(out, dtype=float))
 
@@ -336,6 +332,48 @@ def composite_flow(
     return x
 
 
+def linearized_rhs(f, jac, tangents: int = 0, covectors: int = 0, controls=None):
+    """rhs(t, state) for x' = f(x, u(t)) carrying a flat block after x.
+
+    The block holds `tangents` vectors moved by the variational equation
+    delta' = J delta, then `covectors` moved by the adjoint
+    lambda' = -J^T lambda, with J = df/dx evaluated once per call.  `f` and
+    `jac` are compiled components and Jacobian rows over the chart followed
+    by the controls; `controls(t)` returns the control values as a list, or
+    is None for a field without controls.  Every block element accumulates
+    from 0.0 in index order, and x never reads the block, so a vector moved
+    alone or inside a batch comes out bit-identical.
+    """
+    n = len(f)
+    tangent_end = n + n * tangents
+    covector_end = tangent_end + n * covectors
+
+    def rhs(t, state):
+        args = state[:n] if controls is None else state[:n] + controls(t)
+        out = [fn(args) for fn in f]
+        if not (tangents or covectors):
+            return out
+        J = [[d(args) for d in row] for row in jac]
+        for k in range(n, tangent_end, n):
+            delta = state[k : k + n]
+            for row in J:
+                acc = 0.0
+                for a, d in zip(row, delta):
+                    acc = acc + a * d
+                out.append(acc)
+        columns = list(zip(*J)) if covectors else ()
+        for k in range(tangent_end, covector_end, n):
+            lam = state[k : k + n]
+            for col in columns:
+                acc = 0.0
+                for a, l in zip(col, lam):
+                    acc -= a * l
+                out.append(acc)
+        return out
+
+    return rhs
+
+
 def pushforward_along_flow(
     xi0: VectorField, dt, v: TangentVector, step: float = DEFAULT_STEP
 ) -> TangentVector:
@@ -347,21 +385,7 @@ def pushforward_along_flow(
     m = xi0.dim
     if v.base.dim != m:
         raise FieldError("vector dimension does not match the flow field")
-    fns = xi0.compiled()
-    jac = xi0.compiled_jacobian()
-
-    def rhs(_t, state):
-        x = state[:m]
-        delta = state[m:]
-        dx = [fn(x) for fn in fns]
-        ddelta = []
-        for row in jac:
-            acc = 0.0
-            for j in range(m):
-                acc = acc + row[j](x) * delta[j]
-            ddelta.append(acc)
-        return dx + ddelta
-
+    rhs = linearized_rhs(xi0.compiled(), xi0.compiled_jacobian(), tangents=1)
     state0 = _as_scalar_list(v.base.coords) + _as_scalar_list(v.components)
     out = rk4_path(rhs, state0, 0.0, dt, step)
     new_base = Point(np.asarray(out[:m], dtype=float))

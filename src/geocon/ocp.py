@@ -29,6 +29,7 @@ from .expr import (
     var as expr_var,
 )
 from .fields import (
+    DEFAULT_STEP,
     Covector,
     FieldError,
     Point,
@@ -36,11 +37,11 @@ from .fields import (
     VectorField,
     as_point,
     combine_fields,
+    linearized_rhs,
     rk4_path,
     vector_field,
 )
 
-DEFAULT_STEP = 1e-3
 COST_COORDINATE = "x0"
 
 
@@ -203,28 +204,35 @@ class ControlAffineSystem:
 
     def state_rhs(self):
         """Compiled f(x, u) and df/dx over chart + control variables."""
-        cached = self.__dict__.get("_rhs")
-        if cached is None:
-            names = self.variables + self.control_names
-            comps = []
-            for i in range(self.m):
-                terms = self.drift.components[i]
-                for c, vf in enumerate(self.inputs):
-                    terms = expr_add(
-                        terms, expr_mul(expr_var(self.control_names[c]), vf.components[i])
-                    )
-                comps.append(terms)
-            f = tuple(compile_expression(e, names) for e in comps)
-            jac = tuple(
-                tuple(
-                    compile_expression(differentiate(e, v), names)
-                    for v in self.variables
-                )
-                for e in comps
-            )
-            cached = (f, jac)
-            object.__setattr__(self, "_rhs", cached)
-        return cached
+        return _compiled_rhs(self, lambda: _controlled_components(self))
+
+
+def _controlled_components(system: ControlAffineSystem) -> list[Expr]:
+    """drift^i + sum_c u_c X_c^i per chart coordinate, symbolically."""
+    comps = []
+    for i in range(system.m):
+        e = system.drift.components[i]
+        for name, vf in zip(system.control_names, system.inputs):
+            e = expr_add(e, expr_mul(expr_var(name), vf.components[i]))
+        comps.append(e)
+    return comps
+
+
+def _compiled_rhs(system, components):
+    """Compiled f(x, u) and df/dx of `components()` over the system's chart
+    followed by its controls, built once and cached on `system`."""
+    cached = system.__dict__.get("_rhs")
+    if cached is None:
+        names = system.variables + system.control_names
+        comps = components()
+        f = tuple(compile_expression(e, names) for e in comps)
+        jac = tuple(
+            tuple(compile_expression(differentiate(e, v), names) for v in system.variables)
+            for e in comps
+        )
+        cached = (f, jac)
+        object.__setattr__(system, "_rhs", cached)
+    return cached
 
 
 def build_control_affine(
@@ -302,25 +310,8 @@ class ExtendedSystem:
         return VectorField(self.variables, comps)
 
     def state_rhs(self):
-        cached = self.__dict__.get("_rhs")
-        if cached is None:
-            names = self.variables + self.base.control_names
-            comps = [self.cost]
-            for i in range(self.base.m):
-                e = self.base.drift.components[i]
-                for c, vf in enumerate(self.base.inputs):
-                    e = expr_add(
-                        e, expr_mul(expr_var(self.base.control_names[c]), vf.components[i])
-                    )
-                comps.append(e)
-            f = tuple(compile_expression(e, names) for e in comps)
-            jac = tuple(
-                tuple(compile_expression(differentiate(e, v), names) for v in self.variables)
-                for e in comps
-            )
-            cached = (f, jac)
-            object.__setattr__(self, "_rhs", cached)
-        return cached
+        """As the base system's, with the running cost prepended."""
+        return _compiled_rhs(self, lambda: [self.cost] + _controlled_components(self.base))
 
     def cost_control_gradient(self):
         cached = self.__dict__.get("_dcost_du")
@@ -353,28 +344,59 @@ def extend_system(sys: ControlAffineSystem, cost) -> ExtendedSystem:
 # ---------------------------------------------------------------------------
 
 
-def _scheduled_rhs(system, schedule: ControlSchedule):
-    f, _ = system.state_rhs()
+def _flow(
+    system,
+    schedule: ControlSchedule,
+    t0: float,
+    t1: float,
+    state: list,
+    step: float = DEFAULT_STEP,
+    tangents: int = 0,
+    covectors: int = 0,
+    record=None,
+) -> list:
+    """Integrate `state` (x, then the block of :func:`linearized_rhs`) from
+    t0 to t1 under the schedule's controls, in either direction.
 
-    if schedule.breaks is not None:
+    The integrator restarts at every control switch, so switches land
+    exactly on steps; a piecewise control is held at its segment's value.
+    """
+    f, jac = system.state_rhs()
+    pieces = schedule.segments((min(t0, t1), max(t0, t1)))
+    if t1 < t0:
+        pieces = [(b, a) for a, b in reversed(pieces)]
+    for a, b in pieces:
+        rhs = linearized_rhs(f, jac, tangents, covectors, _segment_controls(schedule, a, b))
+        state = rk4_path(rhs, state, a, b - a, step, record=record)
+    return state
 
-        def make_fixed(uvals):
-            tail = [float(v) for v in uvals]
 
-            def rhs(_t, x):
-                args = list(x) + tail
-                return [fn(args) for fn in f]
+def _segment_controls(schedule: ControlSchedule, a: float, b: float):
+    """u(t) as a list of floats on the switch-free piece between a and b."""
+    if schedule.breaks is None:
+        return lambda t: [float(v) for v in schedule.value_at(t)]
+    held = [float(v) for v in schedule.value_at(0.5 * (a + b))]
+    return lambda _t: held
 
-            return rhs
 
-        return ("piecewise", make_fixed)
+def _landing_recorder(ts: list, states: list):
+    """record(t, state) for rk4_path that appends to `ts`/`states`.
 
-    def rhs(t, x):
-        u = schedule.value_at(float(t))
-        args = list(x) + [float(v) for v in u]
-        return [fn(args) for fn in f]
+    The trailing partial step can land a rounding residue behind the last
+    full step; the landing point is authoritative, so it replaces that one.
+    """
 
-    return ("expressions", rhs)
+    def record(t, state):
+        if t <= ts[-1]:
+            if t == ts[-1] and state == states[-1]:
+                return
+            ts[-1] = max(t, ts[-1])
+            states[-1] = list(state)
+            return
+        ts.append(t)
+        states.append(list(state))
+
+    return record
 
 
 def integrate_trajectory(
@@ -390,28 +412,8 @@ def integrate_trajectory(
     if b < a:
         raise OcpError("interval must run forward")
     x = [float(v) for v in np.asarray(x0, dtype=float)]
-    ts = [a]
-    xs = [list(x)]
-
-    def record(t, state):
-        # the trailing partial step can land a rounding residue behind the
-        # last full step; the landing point is authoritative, so replace
-        if t <= ts[-1]:
-            if t == ts[-1] and state == xs[-1]:
-                return
-            ts[-1] = max(t, ts[-1])
-            xs[-1] = list(state)
-            return
-        ts.append(t)
-        xs.append(list(state))
-
-    kind, rhs_factory = _scheduled_rhs(system, schedule)
-    for t0, t1 in schedule.segments((a, b)):
-        if kind == "piecewise":
-            rhs = rhs_factory(schedule.value_at(0.5 * (t0 + t1)))
-        else:
-            rhs = rhs_factory
-        x = rk4_path(rhs, x, t0, t1 - t0, step, record=record)
+    ts, xs = [a], [list(x)]
+    _flow(system, schedule, a, b, x, step, record=_landing_recorder(ts, xs))
     return Trajectory((a, b), np.asarray(ts), np.asarray(xs), schedule)
 
 
@@ -479,21 +481,15 @@ def hamilton_rhs(x, lam, u, sys, mode: str = "reduced"):
     depends on x0).
     """
     system = _system_for_mode(sys, mode)
-    f, jac = system.state_rhs()
-    xv = list(np.asarray(x.coords if isinstance(x, Point) else x, dtype=float))
-    lv = list(np.asarray(lam.components if isinstance(lam, Covector) else lam, dtype=float))
+    xv = np.asarray(x.coords if isinstance(x, Point) else x, dtype=float).tolist()
+    lv = np.asarray(lam.components if isinstance(lam, Covector) else lam, dtype=float).tolist()
     n = len(system.variables)
     if len(xv) != n or len(lv) != n:
         raise OcpError("state/momentum dimension does not match the mode")
-    args = xv + [float(v) for v in u]
-    dx = [fn(args) for fn in f]
-    dlam = []
-    for j in range(n):
-        acc = 0.0
-        for i in range(n):
-            acc -= jac[i][j](args) * lv[i]
-        dlam.append(acc)
-    return np.asarray(dx), np.asarray(dlam)
+    held = [float(v) for v in u]
+    rhs = linearized_rhs(*system.state_rhs(), covectors=1, controls=lambda _t: held)
+    out = rhs(0.0, xv + lv)
+    return np.asarray(out[:n]), np.asarray(out[n:])
 
 
 # ---------------------------------------------------------------------------
@@ -546,49 +542,19 @@ def integrate_biextremal(
         raise OcpError(f"state/momentum must have dimension {n} in {mode} mode")
     if float(np.linalg.norm(lam0)) < 1e-12:
         raise DegenerateMomentumError(float(interval[0]), float(np.linalg.norm(lam0)))
-    f, jac = system.state_rhs()
     a, b = float(interval[0]), float(interval[1])
 
     ts = [a]
-    states = [list(x0) + list(lam0)]
+    states = [x0.tolist() + lam0.tolist()]
+    merge = _landing_recorder(ts, states)
 
     def record(t, state):
         lam_norm = math.sqrt(sum(v * v for v in state[n:]))
         if lam_norm < 1e-12:
             raise DegenerateMomentumError(t, lam_norm)
-        if t <= ts[-1]:
-            if t == ts[-1] and state == states[-1]:
-                return
-            ts[-1] = max(t, ts[-1])
-            states[-1] = list(state)
-            return
-        ts.append(t)
-        states.append(list(state))
+        merge(t, state)
 
-    def make_rhs(u_of_t):
-        def rhs(t, state):
-            u = u_of_t(t)
-            args = list(state[:n]) + u
-            dx = [fn(args) for fn in f]
-            dlam = []
-            for j in range(n):
-                acc = 0.0
-                for i in range(n):
-                    acc -= jac[i][j](args) * state[n + i]
-                dlam.append(acc)
-            return dx + dlam
-
-        return rhs
-
-    cur = states[0]
-    for t0, t1 in schedule.segments((a, b)):
-        if schedule.breaks is not None:
-            uvals = [float(v) for v in schedule.value_at(0.5 * (t0 + t1))]
-            rhs = make_rhs(lambda _t, _u=uvals: _u)
-        else:
-            rhs = make_rhs(lambda t: [float(v) for v in schedule.value_at(float(t))])
-        cur = rk4_path(rhs, cur, t0, t1 - t0, step, record=record)
-
+    _flow(system, schedule, a, b, states[0], step, covectors=1, record=record)
     arr = np.asarray(states)
     traj = Trajectory((a, b), np.asarray(ts), arr[:, :n], schedule)
     momenta = arr[:, n:]
@@ -614,47 +580,30 @@ def transport_vector(
     reference: Trajectory,
     t0: float,
     t1: float,
-    v: TangentVector,
+    vectors: Sequence[TangentVector],
     step: float = DEFAULT_STEP,
-) -> TangentVector:
-    """Pushforward of `v` from gamma(t0) to gamma(t1) along the reference
-    field, chaining the variational equation across control switches."""
-    sys = system
-    f, jac = sys.state_rhs()
-    n = len(sys.variables)
-    if v.base.dim != n:
-        raise OcpError("vector dimension does not match the system")
-    schedule = reference.schedule
-
-    def make_rhs(u_of_t):
-        def rhs(t, state):
-            u = u_of_t(t)
-            args = list(state[:n]) + u
-            dx = [fn(args) for fn in f]
-            ddelta = []
-            for i in range(n):
-                acc = 0.0
-                for j in range(n):
-                    acc += jac[i][j](args) * state[n + j]
-                ddelta.append(acc)
-            return dx + ddelta
-
-        return rhs
-
-    state = [float(c) for c in v.base.coords] + [float(c) for c in v.components]
-    a, b = min(t0, t1), max(t0, t1)
-    pieces = [seg for seg in schedule.segments((a, b))]
-    if t1 < t0:
-        pieces = [(y, x) for x, y in reversed(pieces)]
-    for seg_a, seg_b in pieces:
-        if schedule.breaks is not None:
-            uvals = [float(u) for u in schedule.value_at(0.5 * (seg_a + seg_b))]
-            rhs = make_rhs(lambda _t, _u=uvals: _u)
-        else:
-            rhs = make_rhs(lambda t: [float(u) for u in schedule.value_at(float(t))])
-        state = rk4_path(rhs, state, seg_a, seg_b - seg_a, step)
-    base = Point(np.asarray(state[:n], dtype=float))
-    return TangentVector(base, np.asarray(state[n:], dtype=float))
+) -> list[TangentVector]:
+    """Pushforwards of `vectors`, all based at gamma(t0), to gamma(t1) along
+    the reference field, chaining the variational equation across control
+    switches.  One integration moves the whole batch, and each vector comes
+    out bit-identical to moving it alone."""
+    n = len(system.variables)
+    if not vectors:
+        return []
+    base = vectors[0].base
+    state = [float(c) for c in base.coords]
+    for v in vectors:
+        if v.base.dim != n:
+            raise OcpError("vector dimension does not match the system")
+        if not np.array_equal(v.base.coords, base.coords):
+            raise OcpError("transported vectors must share one base point")
+        state += [float(c) for c in v.components]
+    state = _flow(system, reference.schedule, t0, t1, state, step, tangents=len(vectors))
+    moved = Point(np.asarray(state[:n], dtype=float))
+    return [
+        TangentVector(moved, np.asarray(state[k : k + n], dtype=float))
+        for k in range(n, len(state), n)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -729,79 +678,45 @@ def search_normal_lift(
     base = ext.base
     m = base.m
     n = m + 1
-    f, jac = ext.state_rhs()
     schedule = reference.schedule
     a, b = reference.interval
 
-    # state = extended coordinates (m+1) followed by Psi (n x n, row major)
-    def make_rhs(uvals):
-        def rhs(_t, state):
-            args = list(state[:n]) + uvals
-            dx = [fn(args) for fn in f]
-            J = [[jac[i][j](args) for j in range(n)] for i in range(n)]
-            dPsi = []
-            for r in range(n):
-                for c in range(n):
-                    acc = 0.0
-                    for i in range(n):
-                        acc -= J[i][r] * state[n + i * n + c]
-                    dPsi.append(acc)
-            return dx + dPsi
-
-        return rhs
-
-    x0 = [0.0] + [float(v) for v in reference.xs[0]]
-    state = x0 + [1.0 if r == c else 0.0 for r in range(n) for c in range(n)]
-    times = np.linspace(a, b, sample_count)
-    snapshots = []  # (t, x_ext, Psi)
-
+    # state = extended coordinates (m+1) followed by the n columns of Psi,
+    # each moved as a covector by the adjoint equation
+    state = [0.0] + [float(v) for v in reference.xs[0]]
+    state += [1.0 if i == c else 0.0 for c in range(n) for i in range(n)]
     recorded: list[tuple[float, list]] = [(a, list(state))]
 
     def record(t, s):
         recorded.append((t, list(s)))
 
-    for t0, t1 in schedule.segments((a, b)):
-        uvals = [float(u) for u in schedule.value_at(0.5 * (t0 + t1))]
-        state = rk4_path(make_rhs(uvals), state, t0, t1 - t0, step, record=record)
-
-    rts = np.asarray([t for t, _ in recorded])
-    for t in times:
-        i = int(np.argmin(np.abs(rts - t)))
-        st = recorded[i][1]
-        snapshots.append(
-            (
-                float(rts[i]),
-                np.asarray(st[:n]),
-                np.asarray(st[n:]).reshape(n, n),
-            )
-        )
+    _flow(ext, schedule, a, b, state, step, covectors=n, record=record)
 
     grads = ext.cost_control_gradient()
+    rts = np.asarray([t for t, _ in recorded])
     rows = []
-    for t, xext, Psi in snapshots:
-        u = [float(v) for v in schedule.value_at(t)]
-        xbase = list(xext[1:])
-        args = xbase + u
+    for t in np.linspace(a, b, sample_count):
+        i = int(np.argmin(np.abs(rts - t)))
+        st = recorded[i][1]
+        # Psi^T: row c is column c of Psi, in Fortran order like a transposed Psi
+        psi_t = np.asfortranarray(np.asarray(st[n:]).reshape(n, n))
+        xbase = st[1:n]
+        args = xbase + [float(v) for v in schedule.value_at(float(rts[i]))]
         for c in range(base.k):
-            a_vec = np.empty(n)
-            a_vec[0] = grads[c](args)
-            vals = base.inputs[c](xbase)
-            a_vec[1:] = np.asarray(vals, dtype=float)
-            rows.append(Psi.T @ a_vec)
+            rows.append(psi_t @ np.asarray([grads[c](args)] + base.inputs[c](xbase), dtype=float))
+    axis = np.linspace(-momentum_bound, momentum_bound, grid_per_axis)
+    description = (
+        f"p0 = -1; p in linspace(-{momentum_bound}, {momentum_bound}, {grid_per_axis})^{m}"
+    )
     if not rows:  # no inputs: the stationarity constraints are vacuous
-        axis = np.linspace(-momentum_bound, momentum_bound, grid_per_axis)
         return NormalLiftSearch(
             found=np.concatenate([[-1.0], np.full(m, axis[0])]),
             candidates=grid_per_axis**m,
             tol=tol,
             best_residual=0.0,
-            grid_description=(
-                f"p0 = -1; p in linspace(-{momentum_bound}, {momentum_bound}, {grid_per_axis})^{m}"
-            ),
+            grid_description=description,
         )
     W = np.asarray(rows)  # (times*k, n)
-
-    axis = np.linspace(-momentum_bound, momentum_bound, grid_per_axis)
     mesh = np.meshgrid(*([axis] * m), indexing="ij")
     P = np.stack([g.ravel() for g in mesh], axis=0)  # (m, grid^m)
     cand = np.vstack([-np.ones((1, P.shape[1])), P])  # p0 = -1 pinned
@@ -813,9 +728,7 @@ def search_normal_lift(
         candidates=cand.shape[1],
         tol=tol,
         best_residual=float(residuals[best]),
-        grid_description=(
-            f"p0 = -1; p in linspace(-{momentum_bound}, {momentum_bound}, {grid_per_axis})^{m}"
-        ),
+        grid_description=description,
     )
 
 

@@ -7,7 +7,6 @@ import pytest
 from geocon.cli import ScenarioError, load_scenario, load_schema, main, render_json
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
-DOCS_SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "schema.json"
 
 
 def test_load_martinet_fixture():
@@ -213,8 +212,14 @@ def test_report_float_formatting():
     assert parsed["x"] == 0.1 and parsed["n"] == 3
 
 
-def test_docs_schema_matches_packaged():
-    assert json.loads(DOCS_SCHEMA.read_text()) == load_schema()
+def test_packaged_schema_validates_every_fixture():
+    import jsonschema
+
+    validator = jsonschema.Draft202012Validator(load_schema())
+    fixtures = sorted(SCENARIOS.glob("*.json"))
+    assert len(fixtures) == 4
+    for path in fixtures:
+        validator.validate(json.loads(path.read_text()))
 
 
 def test_every_fixture_runs_its_commands(tmp_path):

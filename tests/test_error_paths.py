@@ -1,6 +1,9 @@
 """Contract checks for the documented error conditions."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +161,16 @@ def test_cli_divergent_flow_is_a_verdict(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("geocon: verdict:")
     assert "diverged" in err
+
+    # the adjoint flow diverges too; its float state must not leak numpy
+    # overflow warnings ahead of the verdict
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    argv = [sys.executable, "-m", "geocon.cli", "extremal", str(path), "--covector", "1"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.startswith("geocon: verdict: flow diverged")
+    assert done.stderr.count("\n") == 1
 
 
 def test_cli_cone_time_outside_interval_is_a_tool_error(capsys):

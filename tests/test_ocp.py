@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geocon.fields import TangentVector, as_point, eval_vector_field
 from geocon.ocp import (
@@ -160,7 +161,7 @@ def test_adjoint_pushforward_duality():
     w0 = TangentVector(as_point(ref.xs[0]), rng.uniform(-1, 1, size=3))
     pairings = []
     for t in (0.0, 0.2, 0.5, 0.8):
-        wt = transport_vector(sys, ref, 0.0, t, w0, step=1e-3)
+        (wt,) = transport_vector(sys, ref, 0.0, t, [w0], step=1e-3)
         lt = bx.covector_at(t)
         pairings.append(float(np.dot(lt.components, wt.components)))
     assert max(abs(p - pairings[0]) for p in pairings) <= 1e-7
@@ -219,6 +220,20 @@ def test_normal_lift_search_finds_one_when_grid_contains_it():
     ref = integrate_trajectory(sys, [0.0], sched, (0.0, 1.0), 1e-2)
     search = search_normal_lift(ext, ref, grid_per_axis=11, step=1e-2)
     assert search.found is not None  # p1 = 0 is on an odd grid
+
+
+def test_normal_lift_search_follows_expression_controls():
+    # x' = u1 x with u1 = t and cost 0.5 u1^2 + x: with p0 = -1,
+    # dH/du1 = -t + p(t) x(t) = p(0) - t + int_0^t exp(s^2/2) ds, whose
+    # largest size over the samples is smallest at the grid point p(0) = 0
+    sys = build_control_affine(("x",), ["0"], [["x"]], [(-2.0, 2.0)])
+    ext = extend_system(sys, "0.5*u1^2 + x")
+    ref = integrate_trajectory(sys, [1.0], expression_schedule(["t"]), (0.0, 1.0), 1e-3)
+    search = search_normal_lift(ext, ref, grid_per_axis=5)
+    # int_0^1 exp(s^2/2) ds = sum_k 1 / (2^k k! (2k + 1))
+    integral = sum(1.0 / (2**k * math.factorial(k) * (2 * k + 1)) for k in range(20))
+    assert abs(search.best_residual - (integral - 1.0)) <= 1e-9
+    assert abs(search.best_residual - 0.1949577) <= 1e-7
 
 
 def test_audit_martinet_abnormal_all_pass(martinet, martinet_reference):
@@ -294,7 +309,7 @@ def test_transport_across_switches():
     sched = piecewise_schedule([0.0, 0.5], [[1.0, 0.0], [0.0, 1.0]])
     ref = integrate_trajectory(sys, [0.0, 0.0], sched, (0.0, 1.0), 1e-2)
     v = TangentVector(as_point([0.0, 0.0]), np.array([1.0, -1.0]))
-    out = transport_vector(sys, ref, 0.0, 1.0, v, step=1e-2)
+    (out,) = transport_vector(sys, ref, 0.0, 1.0, [v], step=1e-2)
     # constant input fields have zero Jacobian: components unchanged
     assert np.allclose(out.components, [1.0, -1.0], atol=1e-12)
     assert np.allclose(out.base.coords, [0.5, 0.5], atol=1e-9)
@@ -332,3 +347,42 @@ def test_audit_optional_grid_maximum(martinet, martinet_reference):
     )
     grid = next(c for c in report.conditions if c.id == "grid-maximum")
     assert grid.passed
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 5),
+    st.integers(1, 6),
+    st.floats(0.0, 0.25),
+    st.floats(0.7, 1.0),
+    st.booleans(),
+)
+def test_batched_transport_equals_one_vector_calls(seed, m, count, t_lo, t_hi, backward):
+    # one integration carrying N vectors must give each vector exactly what
+    # moving it alone gives, across both switches and in both directions
+    from tests.conftest import random_control_affine
+
+    rng = np.random.default_rng(seed)
+    sys = random_control_affine(rng, m=m)
+    values = rng.uniform(-1.0, 1.0, size=(3, sys.k)).tolist()
+    sched = piecewise_schedule([0.0, 0.3, 0.65], values)
+    ref = integrate_trajectory(sys, rng.uniform(-0.3, 0.3, size=m), sched, (0.0, 1.0), 1e-2)
+    t0, t1 = (t_hi, t_lo) if backward else (t_lo, t_hi)
+    base = ref.point_at(t0)
+    vectors = [TangentVector(base, rng.uniform(-1.0, 1.0, size=m)) for _ in range(count)]
+    batch = transport_vector(sys, ref, t0, t1, vectors, step=1e-2)
+    assert len(batch) == count
+    for v, w in zip(vectors, batch):
+        (alone,) = transport_vector(sys, ref, t0, t1, [v], step=1e-2)
+        assert w.base.coords.tolist() == alone.base.coords.tolist()
+        assert w.components.tolist() == alone.components.tolist()
+
+
+def test_transport_rejects_mixed_base_points():
+    sys = build_control_affine(("x",), ["x"], [["1"]], [(-1.0, 1.0)])
+    ref = integrate_trajectory(sys, [0.1], piecewise_schedule([0.0], [[0.0]]), (0.0, 1.0), 1e-2)
+    vs = [TangentVector(as_point([0.1]), [1.0]), TangentVector(as_point([0.2]), [1.0])]
+    with pytest.raises(OcpError):
+        transport_vector(sys, ref, 0.0, 1.0, vs)
+    assert transport_vector(sys, ref, 0.0, 1.0, []) == []
