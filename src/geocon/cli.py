@@ -58,10 +58,6 @@ class ScenarioError(Exception):
     pass
 
 
-class VerdictFailure(Exception):
-    """Analysis completed but the mathematical verdict is negative."""
-
-
 # ---------------------------------------------------------------------------
 # Scenario loading.
 # ---------------------------------------------------------------------------

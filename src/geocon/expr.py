@@ -118,9 +118,6 @@ class Pow:
 
 Expr = Union[Const, Var, Call, Neg, Add, Sub, Mul, Div, Pow]
 
-ZERO = Const(0.0)
-ONE = Const(1.0)
-
 
 def _is_const(e: Expr, v: float | None = None) -> bool:
     return isinstance(e, Const) and (v is None or e.value == v)
@@ -208,19 +205,10 @@ def call(fn: str, arg: Expr) -> Expr:
         raise ExprError(f"unknown function '{fn}'")
     if isinstance(arg, Const):
         try:
-            return Const(_FLOAT_FN[fn](arg.value))
+            return Const(_FUNCTIONS[fn](arg.value))
         except ValueError:
             pass  # keep the node; evaluation reports the domain error
     return Call(fn, arg)
-
-
-_FLOAT_FN = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-}
 
 
 def expr_sum(terms: Iterable[Expr]) -> Expr:
@@ -680,6 +668,9 @@ def _sqrt(x):
     return x.sqrt() if isinstance(x, Dual) else math.sqrt(x)
 
 
+_FUNCTIONS = {"sin": _sin, "cos": _cos, "exp": _exp, "log": _log, "sqrt": _sqrt}
+
+
 def _ipow(v, n: int):
     n = int(n)
     if n == 0:
@@ -734,44 +725,107 @@ def evaluate(e: Expr, env: Mapping[str, object]):
             raise DomainEvalError("log of a non-positive value", col)
         if e.fn == "sqrt" and real_part(v) < 0.0:
             raise DomainEvalError("sqrt of a negative value", col)
-        return {"sin": _sin, "cos": _cos, "exp": _exp, "log": _log, "sqrt": _sqrt}[e.fn](v)
+        return _FUNCTIONS[e.fn](v)
     raise TypeError(f"not an expression node: {e!r}")  # pragma: no cover
 
 
-_COMPILE_NS = {
-    "_sin": _sin,
-    "_cos": _cos,
-    "_exp": _exp,
-    "_log": _log,
-    "_sqrt": _sqrt,
-    "_ipow": _ipow,
-    "__builtins__": {},
-}
+_CODEGEN_NS = {f"_{name}": fn for name, fn in _FUNCTIONS.items()}
+_CODEGEN_NS.update(_ipow=_ipow, _range=range, _float=float, __builtins__={})
+_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+_MAX_NESTING = 40  # inline depth before a subexpression gets a local (the parser caps nesting)
 
 
-def _codegen(e: Expr, index: Mapping[str, int]) -> str:
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        try:
-            return f"_v[{index[e.name]}]"
-        except KeyError:
-            raise UnknownIdentifierError(e.name) from None
-    if isinstance(e, Neg):
-        return f"(-{_codegen(e.arg, index)})"
-    if isinstance(e, Add):
-        return f"({_codegen(e.left, index)} + {_codegen(e.right, index)})"
-    if isinstance(e, Sub):
-        return f"({_codegen(e.left, index)} - {_codegen(e.right, index)})"
-    if isinstance(e, Mul):
-        return f"({_codegen(e.left, index)} * {_codegen(e.right, index)})"
-    if isinstance(e, Div):
-        return f"({_codegen(e.left, index)} / {_codegen(e.right, index)})"
-    if isinstance(e, Pow):
-        return f"_ipow({_codegen(e.base, index)}, {e.exponent})"
-    if isinstance(e, Call):
-        return f"_{e.fn}({_codegen(e.arg, index)})"
-    raise TypeError(f"not an expression node: {e!r}")  # pragma: no cover
+class _Emitter:
+    """Straight-line code for expression trees over `variables`.
+
+    Trees are interned into operations, so a subtree that occurs more than
+    once anywhere is computed once into a local; ``x^n`` is the left-to-right
+    product ``_ipow`` computes (``1.0 / (...)`` for n < 0), so powers share
+    prefixes too.  Statements come out in the order in which evaluating the
+    trees one after another, left to right, first completes each operation:
+    every value comes from the same operations on the same operands as a
+    tree-by-tree evaluation, and the first domain fault is the same one.
+    """
+
+    def __init__(self, variables: Sequence[str]):
+        self.index = {name: i for i, name in enumerate(variables)}
+        self.ops, self.ids, self.of_node, self.uses = [], {}, {}, []  # uses: readers of each op
+        self.lines, self.bound, self.loaded = [], {}, set()
+
+    def _intern(self, op: tuple) -> int:
+        k = self.ids.get(op)
+        if k is None:
+            k = self.ids[op] = len(self.ops)
+            self.ops.append(op)
+            self.uses.append(0)
+            if op[0] == "leaf":  # a literal or a variable's local: its own source
+                self.bound[k] = op[1]
+            else:
+                for arg in op[1:]:
+                    self.uses[arg] += 1
+        return k
+
+    def _op(self, e: Expr) -> int:
+        """Id of ("leaf", source) or (kind, *operand ids)."""
+        k = self.of_node.get(id(e))  # trees share nodes; each is walked once
+        if k is not None:
+            return k
+        t = type(e)
+        if t in _BINARY_OPS:
+            op = (_BINARY_OPS[t], self._op(e.left), self._op(e.right))
+        elif t is Const:
+            v = e.value
+            op = ("leaf", repr(v) if math.isfinite(v) else f"_float('{v}')")
+        elif t is Var:
+            if e.name not in self.index:
+                raise UnknownIdentifierError(e.name)
+            self.loaded.add(self.index[e.name])
+            op = ("leaf", f"_a{self.index[e.name]}")
+        elif t is Neg or t is Call:
+            op = ("neg" if t is Neg else e.fn, self._op(e.arg))
+        elif t is Pow:
+            base = k = self._op(e.base)
+            for _ in range(abs(e.exponent) - 1):
+                k = self._intern(("*", k, base))
+            n = e.exponent
+            op = ("pow0", base) if n == 0 else ("/", self._intern(("leaf", "1.0")), k) if n < 0 else self.ops[k]
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        self.of_node[id(e)] = k = self._intern(op)
+        return k
+
+    def add(self, e: Expr) -> int:
+        """Op id of tree `e`, an output of the code."""
+        k = self._op(e)
+        self.uses[k] += 1
+        return k
+
+    def _bind(self, text: str, at: int | None = None) -> str:
+        name = f"_t{len(self.lines)}"  # lines only grow: unique
+        self.lines.insert(len(self.lines) if at is None else at, f"{name} = {text}")
+        return name
+
+    def emit(self, k: int, name: bool = False) -> tuple[str, int]:
+        """Source of op `k` after the statements it needs, with its inline
+        nesting depth (0: a local or a literal); `name` forces depth 0."""
+        text = self.bound.get(k)
+        if text is not None:
+            return text, 0
+        op = self.ops[k]
+        kind = op[0]
+        a, depth = self.emit(op[1])
+        if len(op) == 3:
+            mark = len(self.lines)
+            b, depth_b = self.emit(op[2])
+            if depth and len(self.lines) > mark:  # compute the left operand first
+                a, depth = self._bind(a, mark), 0
+            text, depth = f"({a} {kind} {b})", max(depth, depth_b)
+        else:
+            text = {"neg": f"(-{a})", "pow0": f"_ipow({a}, 0)"}.get(kind, f"_{kind}({a})")
+        if name or depth >= _MAX_NESTING or self.uses[k] > 1:
+            self.bound[k] = self._bind(text)
+            return self.bound[k], 0
+        return text, depth + 1
 
 
 def compile_expression(e: Expr, variables: Sequence[str]) -> Callable:
@@ -780,6 +834,39 @@ def compile_expression(e: Expr, variables: Sequence[str]) -> Callable:
     The compiled form raises bare ZeroDivisionError/ValueError on domain
     faults; use :func:`evaluate` when located error reports matter.
     """
-    index = {name: i for i, name in enumerate(variables)}
-    src = f"lambda _v: {_codegen(e, index)}"
-    return eval(src, dict(_COMPILE_NS))  # noqa: S307 - generated from our own AST
+    rhs = compile_flow([e], variables)
+    return lambda values: rhs(None, 0, 0, 0.0, values)[0]
+
+
+def compile_flow(components, chart, controls=(), jacobian=None) -> Callable:
+    """``rhs(u, tangents, covectors, t, state)`` -> f(x, u(t)) and blocks,
+    f = `components` over `chart` + `controls`, x = state[:len(chart)].
+
+    ``u(t)`` returns the control values as a list.  With `jacobian` (rows of
+    df/dx), J is evaluated once and each of ``tangents`` vectors d after x
+    appends ``0.0 + J[i][0]*d0 + J[i][1]*d1 + ...`` per row i, then each of
+    ``covectors`` vectors l ``0.0 - J[0][j]*l0 - J[1][j]*l1 - ...`` per
+    column j.  Symbolically zero entries are left out: for finite operands
+    their terms are signed zeros, which never change a sum from +0.0.
+    """
+    n = len(chart)
+    em = _Emitter(tuple(chart) + tuple(controls))
+    f_ops = [em.add(e) for e in components]
+    j_ops = [[None if is_zero(e) else em.add(e) for e in row] for row in jacobian or ()]
+    f = [em.emit(k, name=True)[0] for k in f_ops]
+    em.lines.append(f"_out = [{', '.join(f)}]")
+    if jacobian is not None:
+        em.lines += ["if not (_nt or _nc):", "    return _out"]
+        J = [[None if k is None else em.emit(k, name=True)[0] for k in row] for row in j_ops]
+        rows = [" + ".join(["0.0"] + [f"{J[i][j]}*_d{j}" for j in range(n) if J[i][j]]) for i in range(n)]
+        cols = [" - ".join(["0.0"] + [f"{J[i][j]}*_d{i}" for i in range(n) if J[i][j]]) for j in range(n)]
+        em.lines.append(f"_k = {n}")
+        for count, entries in (("_nt", rows), ("_nc", cols)):
+            em.lines += [f"for _ in _range({count}):", "    " + "".join(f"_d{j}, " for j in range(n))
+                         + f"= _s[_k:_k + {n}]", f"    _out += ({', '.join(entries)},)", f"    _k += {n}"]
+    head = ["_u = _ctl(_t)"] if controls else []
+    head += [f"_a{i} = " + (f"_s[{i}]" if i < n else f"_u[{i - n}]") for i in sorted(em.loaded)]
+    source = "\n    ".join(["def _rhs(_ctl, _nt, _nc, _t, _s):", *head, *em.lines, "return _out"])
+    namespace = dict(_CODEGEN_NS)
+    exec(compile(source, "<generated>", "exec"), namespace)  # noqa: S102 - from our own trees
+    return namespace["_rhs"]

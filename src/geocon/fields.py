@@ -4,21 +4,26 @@ Everything lives on one chart of R^m per scenario, so tangent vectors and
 covectors are plain coordinate arrays and the pairing is the dot product.
 Fields are expression-backed, which keeps brackets exact (symbolic) while
 flows are classical fixed-step RK4.  The integrator core works on lists of
-generic scalars, so flow durations and states may carry Dual parts; that is
-how jets of flow compositions are computed exactly.
+generic scalars, so `integrate_flow` and `composite_flow` accept durations
+and states with Dual parts; that is how jets of flow compositions are
+computed exactly.  `pushforward_along_flow` takes a real duration only,
+because a TangentVector holds float components.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+import functools
+import math
+import numbers
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .expr import (
     Expr,
     add,
-    compile_expression,
+    compile_flow,
     const,
     differentiate,
     expr_sum,
@@ -48,18 +53,14 @@ class DivergenceError(FieldError):
 
 
 def _as_scalar_list(values) -> list:
-    out = []
-    for v in values:
-        out.append(v if not isinstance(v, (int, float, np.floating, np.integer)) else float(v))
-    return out
+    return [float(v) if isinstance(v, (int, float, np.floating, np.integer)) else v for v in values]
 
 
 def _finite(values) -> bool:
-    for v in values:
-        r = real_part(v)
-        if r != r or r in (float("inf"), float("-inf")):
-            return False
-    return True
+    try:
+        return all(map(math.isfinite, values))
+    except TypeError:  # Dual entries
+        return all(math.isfinite(real_part(v)) for v in values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +93,9 @@ def as_point(x) -> Point:
 
 
 @dataclass(frozen=True, eq=False)
-class TangentVector:
+class _BasedArray:
+    """Float chart components based at a point."""
+
     base: Point
     components: np.ndarray
 
@@ -109,22 +112,12 @@ class TangentVector:
         return float(np.linalg.norm(self.components))
 
 
-@dataclass(frozen=True, eq=False)
-class Covector:
-    base: Point
-    components: np.ndarray
+class TangentVector(_BasedArray):
+    pass
 
-    def __post_init__(self):
-        comp = np.asarray(self.components, dtype=float)
-        object.__setattr__(self, "components", comp)
-        if comp.shape != (self.base.dim,):
-            raise FieldError(
-                f"component dimension {comp.shape} does not match base dimension {self.base.dim}"
-            )
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.components))
+class Covector(_BasedArray):
+    pass
 
 
 def pair(lam: Covector, v: TangentVector | np.ndarray) -> float:
@@ -148,13 +141,6 @@ class VectorField:
     def dim(self) -> int:
         return len(self.components)
 
-    def compiled(self) -> tuple[Callable, ...]:
-        cached = self.__dict__.get("_compiled")
-        if cached is None:
-            cached = tuple(compile_expression(c, self.variables) for c in self.components)
-            object.__setattr__(self, "_compiled", cached)
-        return cached
-
     def jacobian(self) -> tuple[tuple[Expr, ...], ...]:
         """Symbolic Jacobian rows d(component_i)/d(variable_j)."""
         cached = self.__dict__.get("_jacobian")
@@ -165,18 +151,11 @@ class VectorField:
             object.__setattr__(self, "_jacobian", cached)
         return cached
 
-    def compiled_jacobian(self):
-        cached = self.__dict__.get("_compiled_jac")
-        if cached is None:
-            cached = tuple(
-                tuple(compile_expression(e, self.variables) for e in row)
-                for row in self.jacobian()
-            )
-            object.__setattr__(self, "_compiled_jac", cached)
-        return cached
+    def flow_components(self):  # for linearized_rhs: components, control names
+        return self.components, ()
 
     def __call__(self, values: Sequence) -> list:
-        return [fn(values) for fn in self.compiled()]
+        return linearized_rhs(self)(0.0, values)
 
     def __repr__(self):
         comps = ", ".join(render(c) for c in self.components)
@@ -257,11 +236,14 @@ class FlowSpec:
     def __post_init__(self):
         if self.step <= 0.0:
             raise FieldError(f"step must be positive, got {self.step}")
-        if abs(real_part(self.duration)) / self.step > MAX_FLOW_STEPS:
-            raise FieldError(
-                f"|duration|/step = {abs(real_part(self.duration)) / self.step:.3g} "
-                f"exceeds the {MAX_FLOW_STEPS:.0e} step guard"
-            )
+        _check_step_count(self.duration, self.step)
+
+
+def _check_step_count(duration, step: float):
+    """The step guard: a flow takes at most MAX_FLOW_STEPS fixed steps."""
+    steps = abs(real_part(duration)) / step
+    if steps > MAX_FLOW_STEPS:
+        raise FieldError(f"|duration|/step = {steps:.3g} exceeds the {MAX_FLOW_STEPS:.0e} step guard")
 
 
 def _rk4_step(rhs, t, x: list, h):
@@ -287,11 +269,8 @@ def rk4_path(rhs, x0: list, t0: float, duration, step: float, record=None) -> li
     `duration` may be any generic scalar; the trailing partial step keeps
     the landing exact.
     """
+    _check_step_count(duration, step)
     total = real_part(duration)
-    if abs(total) / step > MAX_FLOW_STEPS:
-        raise FieldError(
-            f"|duration|/step = {abs(total) / step:.3g} exceeds the step guard"
-        )
     n_full = int(abs(total) / step)
     h = step if total >= 0.0 else -step
     x = list(x0)
@@ -315,8 +294,7 @@ def rk4_path(rhs, x0: list, t0: float, duration, step: float, record=None) -> li
 
 def integrate_flow(spec: FlowSpec, x0: Point) -> Point:
     """Endpoint of the flow of `spec.field` after `spec.duration`."""
-    rhs = linearized_rhs(spec.field.compiled(), jac=())
-    out = rk4_path(rhs, _as_scalar_list(x0.coords), 0.0, spec.duration, spec.step)
+    out = rk4_path(linearized_rhs(spec.field), _as_scalar_list(x0.coords), 0.0, spec.duration, spec.step)
     return Point(np.asarray(out, dtype=object) if any(not isinstance(v, float) for v in out) else np.asarray(out, dtype=float))
 
 
@@ -332,46 +310,25 @@ def composite_flow(
     return x
 
 
-def linearized_rhs(f, jac, tangents: int = 0, covectors: int = 0, controls=None):
+def linearized_rhs(owner, tangents: int = 0, covectors: int = 0, controls=None):
     """rhs(t, state) for x' = f(x, u(t)) carrying a flat block after x.
 
-    The block holds `tangents` vectors moved by the variational equation
-    delta' = J delta, then `covectors` moved by the adjoint
-    lambda' = -J^T lambda, with J = df/dx evaluated once per call.  `f` and
-    `jac` are compiled components and Jacobian rows over the chart followed
-    by the controls; `controls(t)` returns the control values as a list, or
-    is None for a field without controls.  Every block element accumulates
-    from 0.0 in index order, and x never reads the block, so a vector moved
-    alone or inside a batch comes out bit-identical.
+    `owner` (a VectorField or a system) gives f by `flow_components()`;
+    `controls(t)` returns the control values as a list.  The block holds
+    `tangents` vectors moved by delta' = J delta, then `covectors` moved by
+    lambda' = -J^T lambda, J = df/dx.  :func:`expr.compile_flow` generates
+    one function for f, J and the blocks, cached on `owner` at its first
+    flow (again, with J, at its first block).  A vector moved alone or in a
+    batch comes out bit-identical.
     """
-    n = len(f)
-    tangent_end = n + n * tangents
-    covector_end = tangent_end + n * covectors
-
-    def rhs(t, state):
-        args = state[:n] if controls is None else state[:n] + controls(t)
-        out = [fn(args) for fn in f]
-        if not (tangents or covectors):
-            return out
-        J = [[d(args) for d in row] for row in jac]
-        for k in range(n, tangent_end, n):
-            delta = state[k : k + n]
-            for row in J:
-                acc = 0.0
-                for a, d in zip(row, delta):
-                    acc = acc + a * d
-                out.append(acc)
-        columns = list(zip(*J)) if covectors else ()
-        for k in range(tangent_end, covector_end, n):
-            lam = state[k : k + n]
-            for col in columns:
-                acc = 0.0
-                for a, l in zip(col, lam):
-                    acc -= a * l
-                out.append(acc)
-        return out
-
-    return rhs
+    blocks = bool(tangents or covectors)
+    code, has_jacobian = owner.__dict__.get("_flow_code", (None, False))
+    if code is None or (blocks and not has_jacobian):
+        comps, control_names = owner.flow_components()
+        jac = [[differentiate(e, v) for v in owner.variables] for e in comps] if blocks else None
+        code = compile_flow(comps, owner.variables, control_names, jac)
+        object.__setattr__(owner, "_flow_code", (code, blocks))
+    return functools.partial(code, controls, tangents, covectors)
 
 
 def pushforward_along_flow(
@@ -385,7 +342,10 @@ def pushforward_along_flow(
     m = xi0.dim
     if v.base.dim != m:
         raise FieldError("vector dimension does not match the flow field")
-    rhs = linearized_rhs(xi0.compiled(), xi0.compiled_jacobian(), tangents=1)
+    if not isinstance(dt, numbers.Real):
+        raise FieldError(f"pushforward duration must be real, got {type(dt).__name__}: tangent vectors"
+                         " hold floats (integrate_flow and composite_flow accept Dual durations)")
+    rhs = linearized_rhs(xi0, tangents=1)
     state0 = _as_scalar_list(v.base.coords) + _as_scalar_list(v.components)
     out = rk4_path(rhs, state0, 0.0, dt, step)
     new_base = Point(np.asarray(out[:m], dtype=float))

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .expr import Expr, const, evaluate, expr_sum, free_variables, mul, neg, parse_expression, var
-from .fields import Point, VectorField, eval_vector_field, lie_bracket
+from .fields import Point, VectorField, composite_flow, eval_vector_field, lie_bracket
 from .ocp import ControlAffineSystem, Trajectory, build_control_affine
 from .variations import KAPPA, estimate_jets
 
@@ -174,12 +174,7 @@ def _jet_of_composite(legs, x: Point, order: int, step: float = 1e-2) -> np.ndar
     """Jet of a composition of flows, each leg (field, sign) run for sign*s."""
 
     def curve(s):
-        cur = x
-        from .fields import FlowSpec, integrate_flow
-
-        for vf, sign in legs:
-            cur = integrate_flow(FlowSpec(vf, sign * s, step), cur)
-        return cur
+        return composite_flow([vf for vf, _ in legs], [sign * s for _, sign in legs], x, step)
 
     jets = estimate_jets(curve, order)
     return jets[order - 1]

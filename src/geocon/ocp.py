@@ -202,37 +202,16 @@ class ControlAffineSystem:
             raise OcpError(f"{len(u)} control values for {self.k} inputs")
         return combine_fields(self.drift, self.inputs, u)
 
-    def state_rhs(self):
-        """Compiled f(x, u) and df/dx over chart + control variables."""
-        return _compiled_rhs(self, lambda: _controlled_components(self))
-
-
-def _controlled_components(system: ControlAffineSystem) -> list[Expr]:
-    """drift^i + sum_c u_c X_c^i per chart coordinate, symbolically."""
-    comps = []
-    for i in range(system.m):
-        e = system.drift.components[i]
-        for name, vf in zip(system.control_names, system.inputs):
-            e = expr_add(e, expr_mul(expr_var(name), vf.components[i]))
-        comps.append(e)
-    return comps
-
-
-def _compiled_rhs(system, components):
-    """Compiled f(x, u) and df/dx of `components()` over the system's chart
-    followed by its controls, built once and cached on `system`."""
-    cached = system.__dict__.get("_rhs")
-    if cached is None:
-        names = system.variables + system.control_names
-        comps = components()
-        f = tuple(compile_expression(e, names) for e in comps)
-        jac = tuple(
-            tuple(compile_expression(differentiate(e, v), names) for v in system.variables)
-            for e in comps
-        )
-        cached = (f, jac)
-        object.__setattr__(system, "_rhs", cached)
-    return cached
+    def flow_components(self):
+        """f(x, u) over chart + controls for :func:`fields.linearized_rhs`:
+        drift^i + sum_c u_c X_c^i per chart coordinate, symbolically."""
+        comps = []
+        for i in range(self.m):
+            e = self.drift.components[i]
+            for name, vf in zip(self.control_names, self.inputs):
+                e = expr_add(e, expr_mul(expr_var(name), vf.components[i]))
+            comps.append(e)
+        return comps, self.control_names
 
 
 def build_control_affine(
@@ -309,9 +288,10 @@ class ExtendedSystem:
         comps = (substitute(self.cost, subs),) + self.base.slice_field(u).components
         return VectorField(self.variables, comps)
 
-    def state_rhs(self):
+    def flow_components(self):
         """As the base system's, with the running cost prepended."""
-        return _compiled_rhs(self, lambda: [self.cost] + _controlled_components(self.base))
+        comps, control_names = self.base.flow_components()
+        return [self.cost] + comps, control_names
 
     def cost_control_gradient(self):
         cached = self.__dict__.get("_dcost_du")
@@ -361,12 +341,11 @@ def _flow(
     The integrator restarts at every control switch, so switches land
     exactly on steps; a piecewise control is held at its segment's value.
     """
-    f, jac = system.state_rhs()
     pieces = schedule.segments((min(t0, t1), max(t0, t1)))
     if t1 < t0:
         pieces = [(b, a) for a, b in reversed(pieces)]
     for a, b in pieces:
-        rhs = linearized_rhs(f, jac, tangents, covectors, _segment_controls(schedule, a, b))
+        rhs = linearized_rhs(system, tangents, covectors, _segment_controls(schedule, a, b))
         state = rk4_path(rhs, state, a, b - a, step, record=record)
     return state
 
@@ -422,13 +401,9 @@ def integrate_trajectory(
 # ---------------------------------------------------------------------------
 
 
-def _check_mode(mode: str):
+def _system_for_mode(sys, mode: str):
     if mode not in ("reduced", "extended"):
         raise OcpError(f"mode must be 'reduced' or 'extended', got {mode!r}")
-
-
-def _system_for_mode(sys, mode: str):
-    _check_mode(mode)
     if mode == "extended":
         if not isinstance(sys, ExtendedSystem):
             raise OcpError("extended mode needs an ExtendedSystem (attach a cost)")
@@ -443,9 +418,8 @@ def hamiltonian(lam, x, u, sys, mode: str = "reduced") -> float:
     xv = np.asarray(x.coords if isinstance(x, Point) else x, dtype=float)
     if len(lam) != len(system.variables) or len(xv) != len(system.variables):
         raise OcpError("covector/state dimension does not match the mode")
-    f, _ = system.state_rhs()
-    args = list(xv) + [float(v) for v in u]
-    return float(sum(li * fn(args) for li, fn in zip(lam, f)))
+    f = linearized_rhs(system, controls=lambda _t: [float(v) for v in u])(0.0, list(xv))
+    return float(sum(li * fi for li, fi in zip(lam, f)))
 
 
 def hamiltonian_control_gradient(lam, x, u, sys, mode: str = "reduced") -> np.ndarray:
@@ -487,7 +461,7 @@ def hamilton_rhs(x, lam, u, sys, mode: str = "reduced"):
     if len(xv) != n or len(lv) != n:
         raise OcpError("state/momentum dimension does not match the mode")
     held = [float(v) for v in u]
-    rhs = linearized_rhs(*system.state_rhs(), covectors=1, controls=lambda _t: held)
+    rhs = linearized_rhs(system, covectors=1, controls=lambda _t: held)
     out = rhs(0.0, xv + lv)
     return np.asarray(out[:n]), np.asarray(out[n:])
 

@@ -62,10 +62,6 @@ class ControlPolynomialConstraint:
     def degree(self) -> int:
         return 1 if any(not is_zero_field(vf) for vf in self.linear_parts) else 0
 
-    @property
-    def u_free(self) -> bool:
-        return self.degree == 0
-
 
 @dataclass
 class LadderLevel:
@@ -104,10 +100,6 @@ def _rank(rows: list[np.ndarray]) -> int:
     if len(s) == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > RANK_REL_TOL * s[0]))
-
-
-def _values_at(vf: VectorField, points) -> list[np.ndarray]:
-    return [np.asarray(vf(list(p)), dtype=float) for p in points]
 
 
 def _default_sample_times(reference: Trajectory, count: int = 3) -> tuple[float, ...]:

@@ -36,12 +36,11 @@ from .expr import (
     var,
 )
 from .fields import (
-    FlowSpec,
     Point,
     TangentVector,
     VectorField,
+    composite_flow,
     eval_vector_field,
-    integrate_flow,
     lie_bracket,
     negate_field,
 )
@@ -151,10 +150,7 @@ def variation_curve(
     if real_part(s) < 0.0:
         raise VariationError("variation parameter must be nonnegative")
     q1v, tauv, q2v = tau2.durations(s)
-    cur = integrate_flow(FlowSpec(xi0, q1v, step), x)
-    for vf, dt in zip(seq, tauv):
-        cur = integrate_flow(FlowSpec(vf, dt, step), cur)
-    return integrate_flow(FlowSpec(xi0, q2v, step), cur)
+    return composite_flow([xi0, *seq, xi0], [q1v, *tauv, q2v], x, step)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from geocon.cone import Cone, ConeError, GeneratorProvenance, is_supporting
-from geocon.expr import DomainEvalError, evaluate, parse_expression
+from geocon.expr import DomainEvalError, evaluate, jet_seed, parse_expression
 from geocon.fields import (
     Covector,
     FieldError,
@@ -18,6 +18,8 @@ from geocon.fields import (
     TangentVector,
     as_point,
     composite_flow,
+    integrate_flow,
+    pushforward_along_flow,
     vector_field,
 )
 from geocon.ocp import OcpError, hamiltonian, hamilton_rhs, build_control_affine
@@ -42,6 +44,16 @@ def test_flowspec_rejects_nonpositive_step():
         FlowSpec(vf, 1.0, 0.0)
     with pytest.raises(FieldError):
         FlowSpec(vf, 1.0, -1e-3)
+
+
+def test_pushforward_rejects_a_dual_duration():
+    # tangent vectors hold floats, so a Dual duration is refused up front with
+    # the cause named; integrate_flow takes the same duration
+    vf = vector_field(("x", "y"), ["y", "-x"])
+    v = TangentVector(as_point([1.0, 0.0]), [0.0, 1.0])
+    with pytest.raises(FieldError, match="must be real, got Dual"):
+        pushforward_along_flow(vf, jet_seed(0.3, 1), v)
+    assert integrate_flow(FlowSpec(vf, jet_seed(0.3, 1), 1e-2), v.base).dim == 2
 
 
 def test_composite_flow_length_mismatch():
