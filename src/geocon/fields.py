@@ -120,6 +120,15 @@ class Covector(_BasedArray):
     pass
 
 
+def cached_on(owner, slot: str, build, key=None):
+    """build(), made once per `key` and kept on `owner` in its dict `slot`,
+    so it is freed with `owner` (frozen dataclasses included)."""
+    cache = owner.__dict__.setdefault(slot, {})
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
 def pair(lam: Covector, v: TangentVector | np.ndarray) -> float:
     """Coordinate pairing <lambda, v>."""
     comp = v.components if isinstance(v, TangentVector) else np.asarray(v, dtype=float)
@@ -143,13 +152,8 @@ class VectorField:
 
     def jacobian(self) -> tuple[tuple[Expr, ...], ...]:
         """Symbolic Jacobian rows d(component_i)/d(variable_j)."""
-        cached = self.__dict__.get("_jacobian")
-        if cached is None:
-            cached = tuple(
-                tuple(differentiate(c, v) for v in self.variables) for c in self.components
-            )
-            object.__setattr__(self, "_jacobian", cached)
-        return cached
+        return cached_on(self, "_jacobian", lambda: tuple(
+            tuple(differentiate(c, v) for v in self.variables) for c in self.components))
 
     def flow_components(self):  # for linearized_rhs: components, control names
         return self.components, ()
@@ -176,7 +180,8 @@ def is_zero_field(vf: VectorField) -> bool:
 
 
 def negate_field(vf: VectorField) -> VectorField:
-    return VectorField(vf.variables, tuple(neg(c) for c in vf.components))
+    """-vf, built once and kept on `vf`."""
+    return cached_on(vf, "_negation", lambda: VectorField(vf.variables, tuple(map(neg, vf.components))))
 
 
 def combine_fields(base: VectorField, addends: Sequence[VectorField], coefficients) -> VectorField:
@@ -204,9 +209,15 @@ def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
 
     The two product groups are assembled in the same node order for (a, b)
     and (b, a), which makes antisymmetry exact in floating point as well.
+    Each bracket is built once and kept on `a`, keyed by ``id(b)``; the
+    entry holds `b`, so the id cannot be reused while it is cached.
     """
     if a.variables != b.variables:
         raise FieldError("bracket of fields on different charts")
+    return cached_on(a, "_brackets", lambda: (b, _bracket(a, b)), id(b))[1]
+
+
+def _bracket(a: VectorField, b: VectorField) -> VectorField:
     da = a.jacobian()
     db = b.jacobian()
     comps = []

@@ -36,6 +36,7 @@ from .fields import (
     TangentVector,
     VectorField,
     as_point,
+    cached_on,
     combine_fields,
     linearized_rhs,
     rk4_path,
@@ -92,10 +93,7 @@ class ControlSchedule:
             i = int(np.searchsorted(self.breaks, t, side="right")) - 1
             i = max(i, 0)
             return np.asarray(self.values[i], dtype=float)
-        fns = self.__dict__.get("_compiled")
-        if fns is None:
-            fns = tuple(compile_expression(e, ("t",)) for e in self.exprs)
-            object.__setattr__(self, "_compiled", fns)
+        fns = cached_on(self, "_compiled", lambda: tuple(compile_expression(e, ("t",)) for e in self.exprs))
         return np.asarray([fn([t]) for fn in fns], dtype=float)
 
     def interior_breakpoints(self, interval: tuple[float, float]) -> tuple[float, ...]:
@@ -196,11 +194,13 @@ class ControlAffineSystem:
         return all(lo < 0.0 < hi for lo, hi in self.control_box)
 
     def slice_field(self, u: Sequence[float]) -> VectorField:
-        """The ordinary field drift + sum_c u^c X_c."""
+        """The ordinary field drift + sum_c u^c X_c, built once per control
+        tuple and kept on the system; hex keys keep -0.0 apart from 0.0."""
         u = tuple(float(v) for v in u)
         if len(u) != self.k:
             raise OcpError(f"{len(u)} control values for {self.k} inputs")
-        return combine_fields(self.drift, self.inputs, u)
+        key = tuple(map(float.hex, u))
+        return cached_on(self, "_slices", lambda: combine_fields(self.drift, self.inputs, u), key)
 
     def flow_components(self):
         """f(x, u) over chart + controls for :func:`fields.linearized_rhs`:
@@ -284,9 +284,12 @@ class ExtendedSystem:
 
     def slice_field(self, u: Sequence[float]) -> VectorField:
         u = tuple(float(v) for v in u)
-        subs = dict(zip(self.base.control_names, u))
-        comps = (substitute(self.cost, subs),) + self.base.slice_field(u).components
-        return VectorField(self.variables, comps)
+
+        def build():
+            cost = substitute(self.cost, dict(zip(self.base.control_names, u)))
+            return VectorField(self.variables, (cost,) + self.base.slice_field(u).components)
+
+        return cached_on(self, "_slices", build, tuple(map(float.hex, u)))
 
     def flow_components(self):
         """As the base system's, with the running cost prepended."""
@@ -294,15 +297,9 @@ class ExtendedSystem:
         return [self.cost] + comps, control_names
 
     def cost_control_gradient(self):
-        cached = self.__dict__.get("_dcost_du")
-        if cached is None:
-            names = self.base.variables + self.base.control_names
-            cached = tuple(
-                compile_expression(differentiate(self.cost, u), names)
-                for u in self.base.control_names
-            )
-            object.__setattr__(self, "_dcost_du", cached)
-        return cached
+        names = self.base.variables + self.base.control_names
+        return cached_on(self, "_dcost_du", lambda: tuple(
+            compile_expression(differentiate(self.cost, u), names) for u in self.base.control_names))
 
 
 def extend_system(sys: ControlAffineSystem, cost) -> ExtendedSystem:
@@ -690,20 +687,38 @@ def search_normal_lift(
             best_residual=0.0,
             grid_description=description,
         )
-    W = np.asarray(rows)  # (times*k, n)
-    mesh = np.meshgrid(*([axis] * m), indexing="ij")
-    P = np.stack([g.ravel() for g in mesh], axis=0)  # (m, grid^m)
-    cand = np.vstack([-np.ones((1, P.shape[1])), P])  # p0 = -1 pinned
-    residuals = np.max(np.abs(W @ cand), axis=0)
-    best = int(np.argmin(residuals))
-    found = cand[:, best].copy() if residuals[best] <= tol else None
+    residuals, best, found = _scan_lift_grid(np.asarray(rows), axis, m, tol)  # rows: (times*k, n)
     return NormalLiftSearch(
         found=found,
-        candidates=cand.shape[1],
+        candidates=residuals.size,
         tol=tol,
         best_residual=float(residuals[best]),
         grid_description=description,
     )
+
+
+def _scan_lift_grid(W: np.ndarray, axis: np.ndarray, m: int, tol: float):
+    """(residuals max_c |W p|, first argmin, p there if within `tol`) over
+    p = (-1, q), q in axis^m in C order.  Blocks span the trailing
+    coordinates; only the leading ones change, and the buffers are reused."""
+    g = len(axis)
+    r = 1  # trailing coordinates per block, at most 10^4 columns
+    while r < m and g ** (r + 1) <= 10_000:
+        r += 1
+    block = np.empty((m + 1, g**r))
+    block[0] = -1.0  # p0 = -1 pinned
+    block[m + 1 - r:] = [c.ravel() for c in np.meshgrid(*([axis] * r), indexing="ij")]
+    prod = np.empty((W.shape[0], block.shape[1]))
+    residuals = np.empty(g**m)
+    for i in range(g ** (m - r)):
+        block[1:m + 1 - r] = axis[list(np.unravel_index(i, (g,) * (m - r)))][:, None]
+        np.matmul(W, block, out=prod)
+        np.abs(prod, out=prod)
+        np.max(prod, axis=0, out=residuals[i * block.shape[1]:(i + 1) * block.shape[1]])
+    best = int(np.argmin(residuals))
+    if not residuals[best] <= tol:  # a NaN residual never passes
+        return residuals, best, None
+    return residuals, best, np.concatenate([[-1.0], axis[list(np.unravel_index(best, (g,) * m))]])
 
 
 # ---------------------------------------------------------------------------

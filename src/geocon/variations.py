@@ -17,6 +17,7 @@ to order four match the exact flow map.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -25,7 +26,7 @@ import numpy as np
 
 from .expr import (
     Expr,
-    compile_expression,
+    compile_flow,
     const,
     evaluate,
     jet_coefficient,
@@ -39,6 +40,7 @@ from .fields import (
     Point,
     TangentVector,
     VectorField,
+    cached_on,
     composite_flow,
     eval_vector_field,
     lie_bracket,
@@ -97,13 +99,8 @@ class EndTimeVariation:
 
     def durations(self, s):
         """(q1(s), tau_1(s)..tau_r(s), q2(s)) for a generic scalar s."""
-        fns = self.__dict__.get("_compiled")
-        if fns is None:
-            fns = tuple(
-                compile_expression(e, ("s",)) for e in (self.q1, self.q2) + self.tau
-            )
-            object.__setattr__(self, "_compiled", fns)
-        vals = [fn([s]) for fn in fns]
+        fn = cached_on(self, "_compiled", lambda: compile_flow((self.q1, self.q2) + self.tau, ("s",)))
+        vals = fn(None, 0, 0, 0.0, [s])
         return vals[0], vals[2:], vals[1]
 
 
@@ -220,22 +217,32 @@ def estimate_jets(
     """
     if l_max > MAX_ORDER:
         raise VariationError(f"jets supported up to order {MAX_ORDER}")
-    fd = _fd_jets(curve, l_max, s0)
-    taylor = _taylor_jets(curve, l_max)
+    fd, taylor = _jet_pair(curve, l_max, s0)
     if taylor is None:
         return fd
     x0 = np.asarray(_point_array(curve(0.0)), dtype=float)
     floor = 1e-6 * (1.0 + float(np.linalg.norm(x0)))
     for l, (a, b) in enumerate(zip(fd, taylor), start=1):
-        scale = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
-        if scale <= floor:
-            continue
-        if float(np.linalg.norm(a - b)) > rel_tol * scale:
-            raise JetFragilityError(
-                f"jet estimators disagree at order {l}: "
-                f"finite differences {a.tolist()} vs derivative transport {b.tolist()}"
-            )
+        if max(float(np.linalg.norm(a)), float(np.linalg.norm(b))) > floor:
+            _check_agreement(l, a, b, rel_tol)
     return taylor
+
+
+def _jet_pair(curve, l_max: int, s0: float):
+    """Both estimators: (finite-difference jets, derivative-transport jets),
+    the second None when the curve rejects derivative-carrying scalars."""
+    return _fd_jets(curve, l_max, s0), _taylor_jets(curve, l_max)
+
+
+def _check_agreement(l: int, a: np.ndarray, b: np.ndarray, rel_tol: float):
+    """The cross-check: the order-l estimates may differ by at most
+    `rel_tol` times the larger norm, else :class:`JetFragilityError`."""
+    scale = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
+    if float(np.linalg.norm(a - b)) > rel_tol * scale:
+        raise JetFragilityError(
+            f"jet estimators disagree at order {l}: "
+            f"finite differences {a.tolist()} vs derivative transport {b.tolist()}"
+        )
 
 
 def default_order_epsilon(x: Point) -> float:
@@ -250,20 +257,14 @@ class OrderReport:
 
 
 def _detect_order(curve, x: Point, l_max: int, s0: float, eps: float) -> OrderReport:
-    fd = _fd_jets(curve, l_max, s0)
-    taylor = _taylor_jets(curve, l_max)
+    fd, taylor = _jet_pair(curve, l_max, s0)
     for l in range(1, l_max + 1):
         a = fd[l - 1]
         b = taylor[l - 1] if taylor is not None else a
-        na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
         # a jet counts as nonzero only when both estimators clear the threshold
-        if na > eps and nb > eps:
-            scale = max(na, nb)
-            if float(np.linalg.norm(a - b)) > 1e-3 * scale:
-                raise JetFragilityError(
-                    f"jet estimators disagree at order {l}: {a.tolist()} vs {b.tolist()}"
-                )
-            return OrderReport(l, l, b if taylor is not None else a)
+        if float(np.linalg.norm(a)) > eps and float(np.linalg.norm(b)) > eps:
+            _check_agreement(l, a, b, 1e-3)
+            return OrderReport(l, l, b)
     return OrderReport(math.inf, l_max, None)
 
 
@@ -340,8 +341,7 @@ def needle_variation(
     eps = default_order_epsilon(x)
     if float(np.linalg.norm(closed)) <= eps:
         return None
-    s = var("s")
-    tau2 = EndTimeVariation(mul(const(-l1), s), const(0.0), (mul(const(l1), s),))
+    tau2 = _needle_schedule(l1)
 
     def curve(sv):
         return variation_curve(xi0, [xi1], tau2, x, sv, step)
@@ -363,7 +363,16 @@ def needle_variation(
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _needle_schedule(l1: float) -> EndTimeVariation:
+    """(-l1 s, 0, (l1 s,)), built and compiled once per rate."""
+    s = var("s")
+    return EndTimeVariation(mul(const(-l1), s), const(0.0), (mul(const(l1), s),))
+
+
+@functools.cache
 def commutator_schedule() -> EndTimeVariation:
+    """(-s, 0, (s, s, s)); one shared immutable instance."""
     s = var("s")
     return EndTimeVariation(mul(const(-1.0), s), const(0.0), (s, s, s))
 

@@ -386,3 +386,81 @@ def test_transport_rejects_mixed_base_points():
     with pytest.raises(OcpError):
         transport_vector(sys, ref, 0.0, 1.0, vs)
     assert transport_vector(sys, ref, 0.0, 1.0, []) == []
+
+
+def _full_grid_scan(W, axis, m, tol):
+    """The whole-grid normal-lift scan that the blocked scan replaces: every
+    candidate column and the whole (rows x grid^m) product at once."""
+    mesh = np.meshgrid(*([axis] * m), indexing="ij")
+    P = np.stack([g.ravel() for g in mesh], axis=0)
+    cand = np.vstack([-np.ones((1, P.shape[1])), P])
+    residuals = np.max(np.abs(W @ cand), axis=0)
+    best = int(np.argmin(residuals))
+    found = cand[:, best].copy() if residuals[best] <= tol else None
+    return residuals, best, found
+
+
+def _assert_same_scan(W, axis, m, tol):
+    from geocon.ocp import _scan_lift_grid
+
+    with np.errstate(invalid="ignore"):  # inf * 0 in the NaN cases
+        residuals, best, found = _scan_lift_grid(W, axis, m, tol)
+        ref_residuals, ref_best, ref_found = _full_grid_scan(W, axis, m, tol)
+    assert residuals.tobytes() == ref_residuals.tobytes()
+    assert best == ref_best
+    assert (found is None) == (ref_found is None)
+    if found is not None:
+        assert found.dtype == ref_found.dtype and found.tobytes() == ref_found.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 6),
+    grid=st.sampled_from([1, 2, 3, 5, 7, 10, 11]),
+    rows=st.integers(1, 24),
+    kind=st.sampled_from(["found", "not found", "zero", "nan"]),
+)
+def test_blocked_lift_scan_equals_the_full_grid(seed, m, grid, rows, kind):
+    if m == 6:
+        grid = min(grid, 7)  # keep the reference product small
+    rng = np.random.default_rng(seed)
+    W = rng.normal(size=(rows, m + 1)) * 10.0 ** rng.integers(-6, 7, size=(rows, m + 1))
+    W[rng.random(rows) < 0.25] = 0.0
+    if kind == "zero":
+        W[:] = 0.0  # every candidate ties; the first one wins
+    if kind == "nan":
+        W[rng.integers(rows), rng.integers(m + 1)] = np.inf  # inf * 0 = NaN on some columns
+    axis = np.linspace(-1.0, 1.0, grid)
+    with np.errstate(invalid="ignore"):
+        reference = _full_grid_scan(W, axis, m, -1.0)[0]
+    tol = float(np.nanmin(reference)) if kind in ("found", "zero") and not np.isnan(reference).all() else -1.0
+    _assert_same_scan(W, axis, m, tol)
+
+
+def test_blocked_lift_scan_at_m6_with_ten_points_per_axis():
+    rng = np.random.default_rng(6)
+    W = rng.normal(size=(3, 7)) * 10.0 ** rng.integers(-4, 5, size=(3, 7))
+    reference = _full_grid_scan(W, np.linspace(-1.0, 1.0, 10), 6, -1.0)[0]
+    for tol in (-1.0, float(np.min(reference))):
+        _assert_same_scan(W, np.linspace(-1.0, 1.0, 10), 6, tol)
+
+
+def test_normal_lift_search_scans_blocks_like_the_full_grid(monkeypatch):
+    import geocon.ocp as ocp_module
+    from tests.conftest import random_control_affine
+
+    system = random_control_affine(np.random.default_rng(21), m=5, k=2)
+    ext = extend_system(system, "0.5*(u1^2 + u2^2)")
+    sched = piecewise_schedule([0.0, 0.5], [[0.4, -0.3], [-0.2, 0.6]])
+    ref = integrate_trajectory(system, [0.1, -0.2, 0.3, 0.05, 0.2], sched, (0.0, 1.0), 1e-2)
+    for tol in (1e-6, 1.0):  # no lift, then a tolerance above the best residual
+        blocked = search_normal_lift(ext, ref, tol=tol, step=1e-2)
+        with monkeypatch.context() as patch:
+            patch.setattr(ocp_module, "_scan_lift_grid", _full_grid_scan)
+            full = search_normal_lift(ext, ref, tol=tol, step=1e-2)
+        assert blocked.candidates == full.candidates == 10**5
+        assert blocked.best_residual == full.best_residual
+        assert (blocked.found is None) == (full.found is None)
+        if full.found is not None:
+            assert blocked.found.tobytes() == full.found.tobytes()
