@@ -90,6 +90,13 @@ class Scenario:
                 f"missing /reference block (required by the {command!r} command)"
             )
 
+    def for_mode(self, mode: str):
+        """(system, initial state) in reduced mode, or in extended mode the
+        cost-extended system with the running cost x0 = 0 prepended."""
+        if mode == "extended":
+            return self.extended, np.concatenate([[0.0], self.initial])
+        return self.system, self.initial
+
 
 def _pointer(path_iterable) -> str:
     parts = [str(p) for p in path_iterable]
@@ -199,7 +206,8 @@ def load_scenario(path: str) -> Scenario:
 
             q_fields = [VectorField(coords, tuple(comps)) for comps in inputs]
             system = build_acc_system(connection, q_fields, box, controls)
-        except (MechError, OcpError) as exc:
+        except (MechError, OcpError, ExprError, ArithmeticError) as exc:
+            # the symmetry check evaluates the Christoffel symbols
             raise ScenarioError(f"/mechanics: {exc}") from exc
 
     extended = None
@@ -246,15 +254,7 @@ def load_scenario(path: str) -> Scenario:
     analysis.setdefault("hamiltonian_grid_check", False)
     analysis.setdefault("tolerances", {})
     if "sample_times" not in analysis and interval is not None:
-        a, b = interval
-        switches = schedule.interior_breakpoints(interval)
-        times = []
-        for q in (0.25, 0.5, 0.75, 1.0):
-            t = a + q * (b - a)
-            while any(abs(t - s) <= 1e-9 for s in switches):
-                t += 1e-3 * (b - a)
-            times.append(round(t, 12))
-        analysis["sample_times"] = times
+        analysis["sample_times"] = schedule.sample_times(interval)
 
     return Scenario(
         name=data["name"],
@@ -337,22 +337,9 @@ def _plain_number(v) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _reference(scenario: Scenario, step: float | None = None, command: str = "analysis"):
-    scenario.require_reference(command)
-    return integrate_trajectory(
-        scenario.system,
-        scenario.initial,
-        scenario.schedule,
-        scenario.interval,
-        step or scenario.step,
-    )
-
-
-def _extended_reference(scenario: Scenario, step: float | None = None):
-    x0 = np.concatenate([[0.0], scenario.initial])
-    return integrate_trajectory(
-        scenario.extended, x0, scenario.schedule, scenario.interval, step or scenario.step
-    )
+def _reference(scenario: Scenario, step: float | None, mode: str = "reduced"):
+    system, x0 = scenario.for_mode(mode)
+    return integrate_trajectory(system, x0, scenario.schedule, scenario.interval, step or scenario.step)
 
 
 def _rendered_field(vf) -> list[str]:
@@ -424,25 +411,14 @@ def cmd_variation(scenario: Scenario, args) -> tuple[int, str]:
 
 
 def _cone_for(scenario: Scenario, args, mode: str):
-    if mode == "extended":
-        reference = _extended_reference(scenario, args.step)
-        system = scenario.extended
-    else:
-        reference = _reference(scenario, args.step)
-        system = scenario.system
     t = args.time if args.time is not None else scenario.interval[1]
-    times = [t0 for t0 in scenario.analysis["sample_times"] if t0 <= t]
-    if not times:
-        times = [t]
-    return (
-        assemble_cone(
-            system,
-            reference,
-            t,
-            times,
-            per_time_budget=scenario.analysis["per_time_budget"],
-        ),
-        reference,
+    times = [t0 for t0 in scenario.analysis["sample_times"] if t0 <= t] or [t]
+    return assemble_cone(
+        scenario.for_mode(mode)[0],
+        _reference(scenario, args.step, mode),
+        t,
+        times,
+        per_time_budget=scenario.analysis["per_time_budget"],
     )
 
 
@@ -456,7 +432,7 @@ def _support_block(support) -> dict:
 
 
 def cmd_cone(scenario: Scenario, args) -> tuple[int, str]:
-    cone, _ = _cone_for(scenario, args, "reduced")
+    cone = _cone_for(scenario, args, "reduced")
     support = find_supporting_covector(cone)
     results = {
         "time": cone.time,
@@ -477,7 +453,7 @@ def cmd_cone(scenario: Scenario, args) -> tuple[int, str]:
         # the separating margin equals -lambda0 of the reported covector
         from .fields import TangentVector
 
-        ext_cone, _ = _cone_for(scenario, args, "extended")
+        ext_cone = _cone_for(scenario, args, "extended")
         d = np.zeros(ext_cone.dim)
         d[0] = -1.0
         ext_support = find_supporting_covector(ext_cone, TangentVector(ext_cone.base, d))
@@ -531,15 +507,7 @@ def cmd_pca(scenario: Scenario, args) -> tuple[int, str]:
     }
     if args.covector is not None:
         lam0 = _parse_covector(args.covector)
-        bx = integrate_biextremal(
-            scenario.system,
-            scenario.initial,
-            lam0,
-            scenario.schedule,
-            scenario.interval,
-            "reduced",
-            args.step or scenario.step,
-        )
+        bx = _integrate_candidate(scenario, lam0, "reduced", args.step)
         pairings = ladder_pairings(ladder, bx)
         results["covector_transport"] = {
             "initial": list(lam0),
@@ -571,12 +539,7 @@ def _mode_for_covector(scenario: Scenario, lam0) -> str:
 
 
 def _integrate_candidate(scenario: Scenario, lam0, mode: str, step):
-    if mode == "extended":
-        x0 = np.concatenate([[0.0], scenario.initial])
-        system = scenario.extended
-    else:
-        x0 = scenario.initial
-        system = scenario.system
+    system, x0 = scenario.for_mode(mode)
     return integrate_biextremal(
         system, x0, lam0, scenario.schedule, scenario.interval, mode, step or scenario.step
     )
@@ -636,12 +599,12 @@ def cmd_audit(scenario: Scenario, args) -> tuple[int, str]:
     lam0 = _parse_covector(args.covector)
     mode = _mode_for_covector(scenario, lam0)
     bx = _integrate_candidate(scenario, lam0, mode, args.step)
-    cone, _ = _cone_for(scenario, args, mode)
+    cone = _cone_for(scenario, args, mode)
     tol = scenario.analysis["tolerances"].get("stationarity", 1e-8)
     report_data = audit_necessary_conditions(
         bx,
         cone,
-        scenario.extended if mode == "extended" else scenario.system,
+        scenario.for_mode(mode)[0],
         mode,
         stationarity_tol=tol,
         hamiltonian_grid_check=scenario.analysis["hamiltonian_grid_check"],
@@ -782,6 +745,11 @@ def main(argv=None) -> int:
         ConeError,
     ) as exc:
         print(f"geocon: error: {exc}", file=sys.stderr)
+        return 1
+    except (ArithmeticError, ValueError) as exc:
+        # what the generated code raises when a scenario expression leaves
+        # its domain: division by zero, log of a non-positive number, ...
+        print(f"geocon: error: domain fault: {exc}", file=sys.stderr)
         return 1
     if args.out:
         with open(args.out, "w") as fh:

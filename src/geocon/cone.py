@@ -25,12 +25,11 @@ from typing import Sequence
 import numpy as np
 
 from .fields import Covector, Point, TangentVector
-from .variations import sample_perturbation_set
+from .variations import parallel, sample_perturbation_set
 
 log = logging.getLogger(__name__)
 
 SUPPORT_REL_TOL = 1e-9
-PARALLEL_COS_TOL = 1e-12
 
 
 class ConeError(Exception):
@@ -82,26 +81,6 @@ class SupportCheck:
     error: str | None = None
 
 
-def _dedupe(vectors, provenance):
-    kept_v, kept_p = [], []
-    for v, p in zip(vectors, provenance):
-        comp = v.components
-        nv = float(np.linalg.norm(comp))
-        if nv == 0.0:
-            continue
-        duplicate = False
-        for u in kept_v:
-            nu = float(np.linalg.norm(u.components))
-            cos = float(np.dot(u.components, comp) / (nu * nv))
-            if cos >= 1.0 - PARALLEL_COS_TOL:
-                duplicate = True
-                break
-        if not duplicate:
-            kept_v.append(v)
-            kept_p.append(p)
-    return kept_v, kept_p
-
-
 def assemble_cone(
     system,
     reference,
@@ -140,12 +119,12 @@ def assemble_cone(
         if t0 != t:
             moved = transport_vector(system, reference, t0, t, moved, step=step)
         for pv, w in zip(sampled, moved):
-            if float(np.linalg.norm(w.components)) == 0.0:
+            w = w.components
+            if float(np.linalg.norm(w)) == 0.0 or any(parallel(v.components, w) for v in vectors):
                 continue
-            vectors.append(TangentVector(base, w.components.copy()))
+            vectors.append(TangentVector(base, w.copy()))
             provenance.append(GeneratorProvenance(t0, pv.order, pv.recipe[0]))
-    vs, ps = _dedupe(vectors, provenance)
-    return Cone(base, t, tuple(vs), tuple(ps))
+    return Cone(base, t, tuple(vectors), tuple(provenance))
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +377,7 @@ def _lambda_lp(gen_rows, m, objective, extra_rows=()):
     half-spaces and optional extra rows (coeffs . lambda <= rhs).
 
     Substitutes y = lambda + 1 to reach standard form; exact throughout.
+    The box contains lambda = 0, so the program is always feasible.
     """
     A, b = [], []
     for g in gen_rows:
@@ -411,11 +391,8 @@ def _lambda_lp(gen_rows, m, objective, extra_rows=()):
     for coeffs, rhs in extra_rows:
         A.append(list(coeffs))
         b.append(F(rhs) + sum(coeffs))
-    feasible, y, value = solve_lp_max(list(objective), A, b)
-    if not feasible:
-        return None, None
-    lam = [v - 1 for v in y]
-    return value - sum(objective), lam
+    _, _, value = solve_lp_max(list(objective), A, b)
+    return value - sum(objective)
 
 
 def _fraction_rows(generators) -> list[list[Fraction]]:
@@ -425,12 +402,15 @@ def _fraction_rows(generators) -> list[list[Fraction]]:
 def find_supporting_covector(cone: Cone, decrease_direction: TangentVector | None = None) -> SupportReport:
     """A covector weakly nonpositive on every generator, if one exists.
 
-    Feasibility means a supporting covector of sup-norm one exists; the
-    reported one is the lexicographic maximum of the feasible box (falling
-    back to the lexicographic minimum when the maximum degenerates to zero),
-    which fixes ties deterministically.  With `decrease_direction` given the
-    pairing with it is maximized first and reported as the separating
-    margin.
+    The covectors of sup-norm at most one that are nonpositive on every
+    generator form a polytope that contains zero; a supporting covector
+    exists exactly when it holds another point, that is when its
+    lexicographic maximum or, failing that, its minimum is nonzero.  That
+    extreme point, scaled to sup-norm one, is reported, which fixes ties
+    deterministically.  With `decrease_direction` given the pairing with
+    it is maximized first, pinned at its optimum and reported as the
+    separating margin (the LP optimum, 0.0 when only the zero covector
+    supports).
     """
     m = cone.dim
     gens = _fraction_rows(cone.generators)
@@ -440,24 +420,11 @@ def find_supporting_covector(cone: Cone, decrease_direction: TangentVector | Non
         out[j] = F(sign)
         return out
 
-    feasible = False
-    for j in range(m):
-        for sign in (1, -1):
-            value, _ = _lambda_lp(gens, m, e(j, sign))
-            if value is not None and value > 0:
-                feasible = True
-                break
-        if feasible:
-            break
-    if not feasible:
-        return SupportReport(None, None, None, False)
-
     def lex_extreme(minimize: bool, extra):
         fixes = list(extra)
         lam = []
         for j in range(m):
-            obj = e(j, -1 if minimize else 1)
-            value, _ = _lambda_lp(gens, m, obj, fixes)
+            value = _lambda_lp(gens, m, e(j, -1 if minimize else 1), fixes)
             coord = -value if minimize else value
             lam.append(coord)
             fixes.append((e(j, 1), coord))
@@ -468,7 +435,7 @@ def find_supporting_covector(cone: Cone, decrease_direction: TangentVector | Non
     extra = []
     if decrease_direction is not None:
         d = [F(float(c)) for c in decrease_direction.components]
-        margin_frac, _ = _lambda_lp(gens, m, d)
+        margin_frac = _lambda_lp(gens, m, d)
         margin = float(margin_frac)
         # pin <d, lambda> at its optimum; the polytope contains 0, so the
         # optimum is never negative, and at optimum zero the pin restricts
@@ -482,14 +449,12 @@ def find_supporting_covector(cone: Cone, decrease_direction: TangentVector | Non
     norm = float(np.max(np.abs(lam_f)))
     if norm == 0.0:
         # only the zero covector achieves the optimum: no sup-norm-one
-        # supporting covector realizes the separating margin
+        # supporting covector exists (or realizes the separating margin)
         return SupportReport(None, None, margin, False)
     lam_f = lam_f / norm
-    cov = Covector(cone.base, lam_f)
     pairings = [float(np.dot(lam_f, g.components)) for g in cone.generators]
-    max_pairing = max(pairings) if pairings else 0.0
-    report_feasible = True if margin is None else margin >= 0.0
-    return SupportReport(cov, max_pairing, margin, report_feasible)
+    # the margin, when given, is an optimum over a polytope containing 0: never negative
+    return SupportReport(Covector(cone.base, lam_f), max(pairings, default=0.0), margin, True)
 
 
 def cone_contains(cone: Cone, components, tol: float | None = None) -> bool:

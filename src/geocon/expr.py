@@ -206,7 +206,7 @@ def call(fn: str, arg: Expr) -> Expr:
     if isinstance(arg, Const):
         try:
             return Const(_FUNCTIONS[fn](arg.value))
-        except ValueError:
+        except (ValueError, OverflowError):
             pass  # keep the node; evaluation reports the domain error
     return Call(fn, arg)
 

@@ -108,6 +108,20 @@ class ControlSchedule:
         cuts = [a, *self.interior_breakpoints((a, b)), b]
         return list(zip(cuts[:-1], cuts[1:]))
 
+    def sample_times(self, interval: tuple[float, float]) -> list[float]:
+        """The default analysis times: the quarters of the interval up to
+        its end, each moved forward by 1e-3 of its length until it is off
+        every control switch, rounded to 12 decimals."""
+        a, b = interval
+        switches = self.interior_breakpoints(interval)
+        times = []
+        for q in (0.25, 0.5, 0.75, 1.0):
+            t = a + q * (b - a)
+            while any(abs(t - s) <= 1e-9 for s in switches):
+                t += 1e-3 * (b - a)
+            times.append(round(t, 12))
+        return times
+
 
 def piecewise_schedule(breaks: Sequence[float], values: Sequence[Sequence[float]]) -> ControlSchedule:
     return ControlSchedule(
@@ -152,20 +166,21 @@ class Trajectory:
         return as_point(self.state_at(t))
 
     def state_at(self, t: float) -> np.ndarray:
-        ts = self.ts
-        if t <= ts[0]:
-            return self.xs[0].copy()
-        if t >= ts[-1]:
-            return self.xs[-1].copy()
-        i = int(np.searchsorted(ts, t, side="right")) - 1
-        t0, t1 = ts[i], ts[i + 1]
-        if t1 == t0:
-            return self.xs[i].copy()
-        w = (t - t0) / (t1 - t0)
-        return (1.0 - w) * self.xs[i] + w * self.xs[i + 1]
+        return _interpolate(self.ts, self.xs, t)
 
     def control_at(self, t: float) -> np.ndarray:
         return self.schedule.value_at(t)
+
+
+def _interpolate(ts: np.ndarray, rows: np.ndarray, t: float) -> np.ndarray:
+    """A new array: row i at ts[i], linear in between, held past the ends."""
+    if t <= ts[0]:
+        return rows[0].copy()
+    if t >= ts[-1]:
+        return rows[-1].copy()
+    i = int(np.searchsorted(ts, t, side="right")) - 1  # ts[i] <= t < ts[i + 1]
+    w = (t - ts[i]) / (ts[i + 1] - ts[i])
+    return (1.0 - w) * rows[i] + w * rows[i + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +203,13 @@ class ControlAffineSystem:
     @property
     def k(self) -> int:
         return len(self.inputs)
+
+    @property
+    def base(self) -> ControlAffineSystem:
+        """The system on the state chart: itself.  An ExtendedSystem's
+        `base` is the system under its cost, so `system.base is system`
+        tells the two kinds apart."""
+        return self
 
     @property
     def contains_zero(self) -> bool:
@@ -401,11 +423,11 @@ def integrate_trajectory(
 def _system_for_mode(sys, mode: str):
     if mode not in ("reduced", "extended"):
         raise OcpError(f"mode must be 'reduced' or 'extended', got {mode!r}")
-    if mode == "extended":
-        if not isinstance(sys, ExtendedSystem):
-            raise OcpError("extended mode needs an ExtendedSystem (attach a cost)")
-        return sys
-    return sys.base if isinstance(sys, ExtendedSystem) else sys
+    if mode == "reduced":
+        return sys.base
+    if sys is sys.base:
+        raise OcpError("extended mode needs an ExtendedSystem (attach a cost)")
+    return sys
 
 
 def hamiltonian(lam, x, u, sys, mode: str = "reduced") -> float:
@@ -477,17 +499,7 @@ class Biextremal:
     lambda0: float | None  # p0 in extended mode, None in reduced mode
 
     def covector_at(self, t: float) -> Covector:
-        ts = self.momentum_ts
-        if t <= ts[0]:
-            comp = self.momenta[0]
-        elif t >= ts[-1]:
-            comp = self.momenta[-1]
-        else:
-            i = int(np.searchsorted(ts, t, side="right")) - 1
-            t0, t1 = ts[i], ts[i + 1]
-            w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-            comp = (1.0 - w) * self.momenta[i] + w * self.momenta[i + 1]
-        return Covector(self.trajectory.point_at(t), comp.copy())
+        return Covector(self.trajectory.point_at(t), _interpolate(self.momentum_ts, self.momenta, t))
 
 
 def integrate_biextremal(

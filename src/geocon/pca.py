@@ -19,7 +19,7 @@ import numpy as np
 
 from .expr import free_variables, render
 from .fields import Covector, VectorField, as_point, is_zero_field, lie_bracket
-from .ocp import Biextremal, ExtendedSystem, Trajectory
+from .ocp import Biextremal, Trajectory
 
 RANK_REL_TOL = 1e-9
 
@@ -74,12 +74,10 @@ class LadderLevel:
 
 @dataclass
 class ConstraintLadder:
-    mode: str
     sample_times: tuple[float, ...]
     sample_points: tuple[np.ndarray, ...]
     levels: list[LadderLevel]
     stabilized_at: int | None = None
-    cost_terms: tuple | None = None  # dF/du_c expressions in extended mode
 
     def all_generators(self) -> list[GeneratorRecord]:
         return [g for lvl in self.levels for g in lvl.generators]
@@ -92,62 +90,42 @@ class ConstraintLadder:
         return len(self.sample_points[0]) if self.sample_points else 0
 
 
-def _rank(rows: list[np.ndarray]) -> int:
-    if not rows:
-        return 0
-    mat = np.asarray(rows)
-    s = np.linalg.svd(mat, compute_uv=False)
-    if len(s) == 0 or s[0] == 0.0:
+def _rank_of(s: np.ndarray) -> int:
+    """Numerical rank from singular values in decreasing order."""
+    if len(s) == 0 or not s[0] > 0.0:
         return 0
     return int(np.sum(s > RANK_REL_TOL * s[0]))
 
 
-def _default_sample_times(reference: Trajectory, count: int = 3) -> tuple[float, ...]:
-    a, b = reference.interval
-    switches = reference.schedule.interior_breakpoints(reference.interval)
-    times = []
-    for w in np.linspace(0.2, 0.9, count):
-        t = a + w * (b - a)
-        while any(abs(t - s) <= 1e-9 for s in switches):
-            t += 1e-3 * (b - a)
-        times.append(float(t))
-    return tuple(times)
+def _rank(rows: list[np.ndarray]) -> int:
+    return _rank_of(np.linalg.svd(np.asarray(rows), compute_uv=False)) if rows else 0
 
 
-def primary_constraints(system, mode: str = "abnormal-reduced") -> ConstraintLadder:
+def primary_constraints(system) -> ConstraintLadder:
     """Level 0: the input fields, whose pairings with the momentum vanish.
 
-    In extended mode the cost's control gradient is recorded alongside each
-    input field so the normal branch can be reported; the generators are
-    unchanged (the ladder works on the state space).
+    The ladder works on the state space, so a cost-extended system
+    contributes the input fields of its base system.
     """
-    if mode not in ("abnormal-reduced", "extended"):
-        raise PcaError(f"unknown mode {mode!r}")
-    cost_terms = None
-    if mode == "extended":
-        if not isinstance(system, ExtendedSystem):
-            raise PcaError("extended mode needs a system with an attached cost")
-        from .expr import differentiate
-
-        cost_terms = tuple(
-            differentiate(system.cost, u) for u in system.base.control_names
-        )
-        base = system.base
-    else:
-        base = system.base if isinstance(system, ExtendedSystem) else system
+    base = system.base
     gens = [
         GeneratorRecord(name=f"X{c + 1}", level=0, field=vf)
         for c, vf in enumerate(base.inputs)
     ]
     level0 = LadderLevel(0, gens, [], {}, False)
-    ladder = ConstraintLadder(mode, (), (), [level0], None, cost_terms)
+    ladder = ConstraintLadder((), (), [level0], None)
     if base.k == 0:
         ladder.stabilized_at = 0
     return ladder
 
 
 def _attach_samples(ladder: ConstraintLadder, reference: Trajectory, sample_times):
-    times = tuple(float(t) for t in (sample_times or _default_sample_times(reference)))
+    """Sample the reference at `sample_times`, by default at the schedule's
+    default analysis times before the interval end."""
+    if not sample_times:
+        end = reference.interval[1]
+        sample_times = [t for t in reference.schedule.sample_times(reference.interval) if t < end]
+    times = tuple(float(t) for t in sample_times)
     if len(times) < 1:
         raise PcaError("at least one sample time required")
     switches = reference.schedule.interior_breakpoints(reference.interval)
@@ -179,7 +157,7 @@ def ladder_step(ladder: ConstraintLadder, system, reference: Trajectory) -> Cons
         raise PcaError("ladder already stabilized")
     if not ladder.sample_times:
         _attach_samples(ladder, reference, None)
-    base = system.base if isinstance(system, ExtendedSystem) else system
+    base = system.base
     parents = ladder.levels[-1].generators
     level_index = len(ladder.levels)
 
@@ -244,7 +222,6 @@ def run_algorithm(
     reference: Trajectory,
     sample_times: Sequence[float] | None = None,
     max_levels: int = 6,
-    mode: str = "abnormal-reduced",
 ) -> ConstraintLadder:
     """Iterate constraint levels until the sampled spans stop growing.
 
@@ -252,9 +229,9 @@ def run_algorithm(
     (or at which the span is already full everywhere); when `max_levels`
     passes without that happening the ladder is returned non-stabilized.
     """
-    ladder = primary_constraints(system, mode)
+    ladder = primary_constraints(system)
     _attach_samples(ladder, reference, sample_times)
-    base = system.base if isinstance(system, ExtendedSystem) else system
+    base = system.base
     if base.k == 0:
         ladder.stabilized_at = 0
         return ladder
@@ -286,11 +263,9 @@ def annihilator_at(x, ladder: ConstraintLadder) -> list[Covector]:
     if not gens:
         return [Covector(point, np.eye(m)[j]) for j in range(m)]
     rows = [np.asarray(g.field(list(point.coords)), dtype=float) for g in gens]
-    mat = np.asarray(rows)
-    u, s, vt = np.linalg.svd(mat)
-    rank = int(np.sum(s > RANK_REL_TOL * s[0])) if len(s) and s[0] > 0 else 0
+    _, s, vt = np.linalg.svd(np.asarray(rows))
     basis = []
-    for row in vt[rank:]:
+    for row in vt[_rank_of(s):]:
         i = int(np.argmax(np.abs(row)))
         if row[i] < 0:
             row = -row

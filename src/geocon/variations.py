@@ -58,6 +58,7 @@ KAPPA = 2.0
 DEFAULT_S0 = 0.1
 JET_STEP = 1e-2  # integrator step for the finite-difference jet estimator
 RICHARDSON_LEVELS = 3
+PARALLEL_COS_TOL = 1e-12
 
 
 class VariationError(Exception):
@@ -457,12 +458,14 @@ def _default_control_grid(system, u_ref: np.ndarray) -> list[np.ndarray]:
     return grid
 
 
-def _parallel(a: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> bool:
+def parallel(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether nonzero `a` and `b` point the same way: cosine within
+    PARALLEL_COS_TOL of one.  The duplicate test for perturbation vectors
+    and cone generators."""
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
         return False
-    cos = float(np.dot(a, b) / (na * nb))
-    return cos >= 1.0 - tol
+    return float(np.dot(a, b) / (na * nb)) >= 1.0 - PARALLEL_COS_TOL
 
 
 def sample_perturbation_set(
@@ -501,7 +504,7 @@ def sample_perturbation_set(
         if pv is None:
             return
         for kept in out:
-            if _parallel(kept.vector.components, pv.vector.components):
+            if parallel(kept.vector.components, pv.vector.components):
                 return
         out.append(pv)
 
@@ -514,7 +517,7 @@ def sample_perturbation_set(
 
     if max_order >= 2:
         xi0 = system.slice_field(u_ref)
-        if hasattr(system, "cost"):
+        if system is not system.base:  # cost-extended
             partners = [
                 (system.slice_field(u1), f"commutator slice u={u1.tolist()}")
                 for u1 in grid

@@ -61,6 +61,18 @@ def test_expression_error_has_pointer(tmp_path):
     assert "/system/inputs/1/2" in str(err.value)
 
 
+def test_unread_analysis_key_is_rejected(tmp_path):
+    # no analysis reads a cone time (cone and audit take --time or the
+    # interval end), so a scenario that sets one is refused, not ignored
+    data = json.loads((SCENARIOS / "martinet.json").read_text())
+    data["analysis"]["cone_time"] = 0.5
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(data))
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(str(p))
+    assert "at /analysis:" in str(err.value) and "cone_time" in str(err.value)
+
+
 def test_unknown_identifier_has_pointer(tmp_path):
     data = json.loads((SCENARIOS / "martinet.json").read_text())
     data["system"]["drift"][0] = "q"

@@ -16,6 +16,7 @@ from geocon.cone import (
     Cone,
     ConeError,
     GeneratorProvenance,
+    SupportReport,
     assemble_cone,
     find_supporting_covector,
     is_supporting,
@@ -332,3 +333,84 @@ def test_fallback_log_stays_out_of_the_report():
     assert done.returncode == 0
     assert "DEBUG:geocon.cone:" in done.stderr and "exact certificate failed" in done.stderr
     assert "certificate" not in done.stdout
+
+
+# -- the support query without its old feasibility pass ----------------------
+
+
+def support_as_before(cone, direction=None):
+    """The support query as it ran before its feasibility loop was deleted:
+    up to 2m LPs maximizing +-lambda_j over the polytope, infeasible with
+    margin None unless one is positive, then the margin LP and the
+    lexicographic max chain, or the min chain when the max is zero."""
+    m = cone.dim
+    gens = cone_module._fraction_rows(cone.generators)
+
+    def lp(objective, rows=()):
+        return cone_module._lambda_lp(gens, m, objective, rows)
+
+    def e(j, sign=1):
+        out = [Fraction(0)] * m
+        out[j] = Fraction(sign)
+        return out
+
+    if not any(lp(e(j, sign)) > 0 for j in range(m) for sign in (1, -1)):
+        return SupportReport(None, None, None, False)
+    margin, pins = None, []
+    if direction is not None:
+        d = [Fraction(float(c)) for c in direction.components]
+        value = lp(d)
+        margin, pins = float(value), [([-c for c in d], -value), (d, value)]
+
+    def chain(sign):
+        fixes, lam = list(pins), []
+        for j in range(m):
+            lam.append(sign * lp(e(j, sign), fixes))
+            fixes += [(e(j), lam[-1]), (e(j, -1), -lam[-1])]
+        return lam
+
+    lam = chain(1)
+    if not any(lam):
+        lam = chain(-1)
+    lam = np.asarray([float(v) for v in lam])
+    if not np.any(lam):
+        return SupportReport(None, None, margin, False)
+    lam = lam / float(np.max(np.abs(lam)))
+    pairings = [float(np.dot(lam, g.components)) for g in cone.generators]
+    return SupportReport(Covector(cone.base, lam), max(pairings, default=0.0), margin, margin is None or margin >= 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(0, 40),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+)
+def test_support_query_agrees_with_the_feasibility_loop(seed, m, n, rounded, antiparallel, with_direction):
+    rng = np.random.default_rng(seed)
+    cone = make_cone(random_generators(rng, m, n, rounded, antiparallel), dim=m)
+    direction = TangentVector(cone.base, rng.normal(size=m)) if with_direction else None
+    new = find_supporting_covector(cone, direction)
+    old = support_as_before(cone, direction)
+    assert new.feasible == old.feasible
+    assert new.max_pairing == old.max_pairing
+    if old.covector is None:
+        assert new.covector is None
+    else:
+        assert new.covector.components.tobytes() == old.covector.components.tobytes()
+    if old.separating_margin is None and direction is not None:
+        # only the zero covector supports: the margin is now the LP optimum
+        assert new.separating_margin == 0.0 and not old.feasible
+    else:
+        assert new.separating_margin == old.separating_margin
+
+
+def test_spanning_cone_with_a_direction_reports_margin_zero():
+    # +-e1, +-e2 leave only the zero covector; the margin LP optimum is 0
+    cone = make_cone([[1, 0], [-1, 0], [0, 1], [0, -1]])
+    report = find_supporting_covector(cone, TangentVector(cone.base, np.array([1.0, 2.0])))
+    assert report == SupportReport(None, None, 0.0, False)
+    assert find_supporting_covector(cone) == SupportReport(None, None, None, False)

@@ -192,3 +192,21 @@ def test_cli_cone_time_outside_interval_is_a_tool_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("geocon: error:")
     assert "cone time 5.0" in err
+
+
+@pytest.mark.parametrize(
+    "drift, message",
+    [("1/x1", "float division by zero"), ("log(x1)", "math domain error")],
+)
+def test_cli_domain_fault_is_one_error_line(tmp_path, capsys, drift, message):
+    # the generated right-hand side raises the plain Python exception at
+    # x1 = 0; the command line reports it as a tool error, not a traceback
+    from geocon.cli import main
+
+    data = json.loads((FIXTURES / "martinet.json").read_text())
+    data["system"]["drift"] = ["0", "0", drift]
+    path = tmp_path / "fault.json"
+    path.write_text(json.dumps(data))
+    assert main(["flow", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"geocon: error: domain fault: {message}\n"

@@ -10,6 +10,7 @@ from geocon.ocp import (
     DegenerateMomentumError,
     InvariantViolationError,
     OcpError,
+    Trajectory,
     audit_necessary_conditions,
     build_control_affine,
     classify_extremal,
@@ -464,3 +465,40 @@ def test_normal_lift_search_scans_blocks_like_the_full_grid(monkeypatch):
         assert (blocked.found is None) == (full.found is None)
         if full.found is not None:
             assert blocked.found.tobytes() == full.found.tobytes()
+
+
+def interpolate_as_state_at_did(ts, xs, t):
+    """The body `Trajectory.state_at` had before it shared one interpolation
+    with `Biextremal.covector_at`."""
+    if t <= ts[0]:
+        return xs[0].copy()
+    if t >= ts[-1]:
+        return xs[-1].copy()
+    i = int(np.searchsorted(ts, t, side="right")) - 1
+    t0, t1 = ts[i], ts[i + 1]
+    if t1 == t0:
+        return xs[i].copy()
+    w = (t - t0) / (t1 - t0)
+    return (1.0 - w) * xs[i] + w * xs[i + 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.7, 1.0]), min_size=1, max_size=8),
+    st.integers(0, 2**32 - 1),
+)
+def test_one_interpolation_for_states_and_covectors(times, seed):
+    # at, between and beyond the samples, repeated times included, states
+    # and covectors interpolate exactly as state_at did
+    rng = np.random.default_rng(seed)
+    ts = np.asarray(sorted(times))
+    xs = rng.normal(size=(len(ts), 3))
+    lams = rng.normal(size=(len(ts), 3))
+    traj = Trajectory((float(ts[0]), float(ts[-1])), ts, xs, piecewise_schedule([0.0], [[0.0]]))
+    bx = Biextremal(traj, ts, lams, "reduced", None)
+    for t in [-1.0, *times, 0.05, 0.3, 0.6, 0.99, 2.0]:
+        x = traj.state_at(t)
+        assert x.tobytes() == interpolate_as_state_at_did(ts, xs, t).tobytes()
+        assert bx.covector_at(t).components.tobytes() == interpolate_as_state_at_did(ts, lams, t).tobytes()
+        x[:] = 7.0  # a copy, never a view of the samples
+    assert not np.any(traj.xs == 7.0)

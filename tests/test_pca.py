@@ -26,14 +26,13 @@ def test_primary_constraints_martinet(martinet):
     assert gens[1].rendered() == ["0", "1", "x1^2"]
 
 
-def test_primary_constraints_extended_records_cost_terms(martinet_extended):
-    ladder = primary_constraints(martinet_extended, mode="extended")
-    assert ladder.cost_terms is not None
-    from geocon.expr import evaluate
-
-    env = {"u1": 0.3, "u2": -0.7, "x1": 0.0, "x2": 0.0, "x3": 0.0}
-    assert evaluate(ladder.cost_terms[0], env) == pytest.approx(0.3)
-    assert evaluate(ladder.cost_terms[1], env) == pytest.approx(-0.7)
+def test_cost_extended_system_runs_the_ladder_of_its_base(martinet, martinet_extended, martinet_reference):
+    # the ladder lives on the state chart: a cost changes nothing in it
+    plain = run_algorithm(martinet, martinet_reference)
+    extended = run_algorithm(martinet_extended, martinet_reference)
+    assert [g.name for g in extended.all_generators()] == [g.name for g in plain.all_generators()]
+    assert [lvl.span_dims for lvl in extended.levels] == [lvl.span_dims for lvl in plain.levels]
+    assert extended.stabilized_at == plain.stabilized_at
 
 
 def test_primary_constraints_no_inputs():
@@ -250,3 +249,11 @@ def test_sample_on_switch_rejected(martinet):
     ref = integrate_trajectory(martinet, [0.0, 0.0, 0.0], sched, (0.0, 1.0), 1e-2)
     with pytest.raises(PcaError):
         run_algorithm(martinet, ref, sample_times=[0.5])
+
+
+def test_default_sample_times_are_the_scenario_quarters_before_the_end(martinet):
+    # one rule for scenarios and the ladder: quarters, moved off a switch
+    sched = piecewise_schedule([0.0, 0.5], [[0.0, 1.0], [1.0, 0.0]])
+    ref = integrate_trajectory(martinet, [0.0, 0.0, 0.0], sched, (0.0, 1.0), 1e-2)
+    assert sched.sample_times((0.0, 1.0)) == [0.25, 0.501, 0.75, 1.0]
+    assert run_algorithm(martinet, ref).sample_times == (0.25, 0.501, 0.75)
