@@ -714,8 +714,11 @@ def _scan_lift_grid(W: np.ndarray, axis: np.ndarray, m: int, tol: float):
     p = (-1, q), q in axis^m in C order.  Blocks span the trailing
     coordinates; only the leading ones change, and the buffers are reused."""
     g = len(axis)
-    r = 1  # trailing coordinates per block, at most 10^4 columns
-    while r < m and g ** (r + 1) <= 10_000:
+    # trailing coordinates per block: at most 10^4 columns, but one row takes
+    # the whole grid, since numpy hands a one-row product to a matrix-vector
+    # kernel that rounds the last columns of each call unlike the others
+    r = 1
+    while r < m and (W.shape[0] == 1 or g ** (r + 1) <= 10_000):
         r += 1
     block = np.empty((m + 1, g**r))
     block[0] = -1.0  # p0 = -1 pinned
