@@ -9,7 +9,9 @@ predictable (no CAS-grade simplification).
 
 Evaluation is generic over the scalar type.  Plain floats work, and so do
 (nested) :class:`Dual` numbers, which is how exact directional derivatives
-and jets of flow maps are obtained elsewhere in the package.
+and jets of flow maps are obtained elsewhere in the package.  Flows run on
+generated code: a right-hand side (:func:`compile_flow`) and a loop of RK4
+steps with the same arithmetic (:func:`compile_segment`).
 """
 
 from __future__ import annotations
@@ -628,6 +630,14 @@ def real_part(x) -> float:
     return float(x)
 
 
+def all_finite(values) -> bool:
+    """Every entry finite; a Dual entry by its real part."""
+    try:
+        return all(map(math.isfinite, values))
+    except TypeError:  # Dual entries
+        return all(math.isfinite(real_part(v)) for v in values)
+
+
 def jet_seed(x0: float, depth: int):
     """A scalar carrying unit derivative seeds at `depth` nested levels."""
     if depth > MAX_JET_DEPTH:
@@ -730,7 +740,7 @@ def evaluate(e: Expr, env: Mapping[str, object]):
 
 
 _CODEGEN_NS = {f"_{name}": fn for name, fn in _FUNCTIONS.items()}
-_CODEGEN_NS.update(_ipow=_ipow, _range=range, _float=float, __builtins__={})
+_CODEGEN_NS.update(_ipow=_ipow, _range=range, _float=float, _fin=all_finite, __builtins__={})
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 _MAX_NESTING = 40  # inline depth before a subexpression gets a local (the parser caps nesting)
 
@@ -838,35 +848,106 @@ def compile_expression(e: Expr, variables: Sequence[str]) -> Callable:
     return lambda values: rhs(None, 0, 0, 0.0, values)[0]
 
 
-def compile_flow(components, chart, controls=(), jacobian=None) -> Callable:
-    """``rhs(u, tangents, covectors, t, state)`` -> f(x, u(t)) and blocks,
-    f = `components` over `chart` + `controls`, x = state[:len(chart)].
-
-    ``u(t)`` returns the control values as a list.  With `jacobian` (rows of
-    df/dx), J is evaluated once and each of ``tangents`` vectors d after x
-    appends ``0.0 + J[i][0]*d0 + J[i][1]*d1 + ...`` per row i, then each of
-    ``covectors`` vectors l ``0.0 - J[0][j]*l0 - J[1][j]*l1 - ...`` per
-    column j.  Symbolically zero entries are left out: for finite operands
-    their terms are signed zeros, which never change a sum from +0.0.
-    """
-    n = len(chart)
+def _emit_flow(components, chart, controls, jacobian):
+    """(emitter, names of f, of J or None, statements of f, of J after f's)."""
     em = _Emitter(tuple(chart) + tuple(controls))
     f_ops = [em.add(e) for e in components]
     j_ops = [[None if is_zero(e) else em.add(e) for e in row] for row in jacobian or ()]
     f = [em.emit(k, name=True)[0] for k in f_ops]
-    em.lines.append(f"_out = [{', '.join(f)}]")
-    if jacobian is not None:
-        em.lines += ["if not (_nt or _nc):", "    return _out"]
-        J = [[None if k is None else em.emit(k, name=True)[0] for k in row] for row in j_ops]
-        rows = [" + ".join(["0.0"] + [f"{J[i][j]}*_d{j}" for j in range(n) if J[i][j]]) for i in range(n)]
-        cols = [" - ".join(["0.0"] + [f"{J[i][j]}*_d{i}" for i in range(n) if J[i][j]]) for j in range(n)]
-        em.lines.append(f"_k = {n}")
-        for count, entries in (("_nt", rows), ("_nc", cols)):
-            em.lines += [f"for _ in _range({count}):", "    " + "".join(f"_d{j}, " for j in range(n))
-                         + f"= _s[_k:_k + {n}]", f"    _out += ({', '.join(entries)},)", f"    _k += {n}"]
-    head = ["_u = _ctl(_t)"] if controls else []
-    head += [f"_a{i} = " + (f"_s[{i}]" if i < n else f"_u[{i - n}]") for i in sorted(em.loaded)]
-    source = "\n    ".join(["def _rhs(_ctl, _nt, _nc, _t, _s):", *head, *em.lines, "return _out"])
+    mark = len(em.lines)
+    J = [[None if k is None else em.emit(k, name=True)[0] for k in row] for row in j_ops]
+    return em, f, J, em.lines[:mark], em.lines[mark:]
+
+
+def _block_terms(J, v):
+    """Tangent rows ``0.0 + J[i][0]*v0 + J[i][1]*v1 + ...`` and covector
+    columns ``0.0 - J[0][j]*v0 - J[1][j]*v1 - ...``.  Symbolically zero
+    entries are left out: for finite operands their terms are signed zeros,
+    which never change a sum from +0.0."""
+    n = len(J)
+    rows = [" + ".join(["0.0"] + [f"{J[i][j]}*{v[j]}" for j in range(n) if J[i][j]]) for i in range(n)]
+    cols = [" - ".join(["0.0"] + [f"{J[i][j]}*{v[i]}" for i in range(n) if J[i][j]]) for j in range(n)]
+    return rows, cols
+
+
+def _tuple(items) -> str:
+    return "(" + "".join(f"{v}, " for v in items) + ")"
+
+
+def _indent(lines, depth: int = 1) -> list[str]:
+    return ["    " * depth + line for line in lines]
+
+
+def _compile(name: str, params: str, body: list[str]) -> Callable:
+    source = "\n".join([f"def {name}({params}):", *_indent(body)])
     namespace = dict(_CODEGEN_NS)
     exec(compile(source, "<generated>", "exec"), namespace)  # noqa: S102 - from our own trees
-    return namespace["_rhs"]
+    return namespace[name]
+
+
+def compile_flow(components, chart, controls=(), jacobian=None) -> Callable:
+    """``rhs(u, tangents, covectors, t, state)`` -> f(x, u(t)) and blocks,
+    f = `components` over `chart` + `controls`, x = state[:len(chart)], and
+    ``u(t)`` the control values as a list.  With `jacobian` (rows of df/dx),
+    J is evaluated once; the rows of each of `tangents` vectors after x,
+    then the columns of each of `covectors` vectors follow (:func:`_block_terms`).
+    """
+    n = len(chart)
+    em, f, J, f_lines, j_lines = _emit_flow(components, chart, controls, jacobian)
+    body = ["_u = _ctl(_t)"] if controls else []
+    body += [f"_a{i} = " + (f"_s[{i}]" if i < n else f"_u[{i - n}]") for i in sorted(em.loaded)]
+    body += [*f_lines, f"_out = [{', '.join(f)}]"]
+    if jacobian is not None:
+        body += ["if not (_nt or _nc):", "    return _out", *j_lines, f"_k = {n}"]
+        d = [f"_d{j}" for j in range(n)]
+        for count, entries in zip(("_nt", "_nc"), _block_terms(J, d)):
+            body += [f"for _ in _range({count}):", f"    {_tuple(d)} = _s[_k:_k + {n}]",
+                     f"    _out += {_tuple(entries)}", f"    _k += {n}"]
+    return _compile("_rhs", "_ctl, _nt, _nc, _t, _s", [*body, "return _out"])
+
+
+def compile_segment(components, chart, controls=(), jacobian=None) -> Callable:
+    """``segment(u, tangents, covectors, t0, h, steps, state, record)`` ->
+    (t, state) after `steps` RK4 steps of size h on :func:`compile_flow`'s
+    right-hand side, with its operations and those of the update in the
+    order four calls would take; the time after step i is ``t0 + i*h``.
+    ``record(t, state)`` follows each step; a state that is not finite
+    (:func:`all_finite`) ends the segment instead.  f and J are written once,
+    in a loop over the four stages; then each block vector runs its four
+    stages, unrolled on locals, on the J of each stage.
+    """
+    def rk4_sum(x: str, k: str) -> str:  # the update of fields._rk4_steps
+        return f"{x} + _sixth * ({k.format(0)} + 2.0 * {k.format(1)} + 2.0 * {k.format(2)} + {k.format(3)})"
+
+    n = len(chart)
+    em, f, J, f_lines, j_lines = _emit_flow(components, chart, controls, jacobian)
+    loads = [i for i in sorted(em.loaded) if i < n]
+    a, x = _tuple(f"_a{i}" for i in loads), [f"_x{i}" for i in range(n)]
+    nonzero = [(i, j) for i, row in enumerate(J) for j in range(n) if row[j]]
+    stage = ["_u = _ctl(_tt)"] * bool(controls) + [f"_a{i} = _u[{i - n}]" for i in sorted(em.loaded) if i >= n]
+    stage += [*f_lines, f"_F[_p] = {_tuple(f)}"]
+    if jacobian is not None:
+        stage += ["if _nb:", *_indent(j_lines), f"    _G[_p] = {_tuple(J[i][j] for i, j in nonzero)}"]
+    stage += ["if _p < 3:", "    _w = _h if _p == 2 else _half", "    _tt = _t + _w",
+              f"    {a} = {_tuple(f'_x{i} + _w * {f[i]}' for i in loads)}"]
+    step = [f"{a} = {_tuple(f'_x{i}' for i in loads)}", "_tt = _t", "for _p in _range(4):", *_indent(stage),
+            f"{_tuple(_tuple(f'_K{s}_{i}' for i in range(n)) for s in range(4))} = _F",
+            f"{_tuple(x)} = {_tuple(rk4_sum(x[i], f'_K{{}}_{i}') for i in range(n))}"]
+    if jacobian is not None:
+        g = [[[f"_g{s}_{i}_{j}" if J[i][j] else None for j in range(n)] for i in range(n)] for s in range(4)]
+        step += ["if _nb:", *(f"    {_tuple(g[s][i][j] for i, j in nonzero)} = _G[{s}]" for s in range(4)),
+                 "    _nbk, _k = [], 0"]
+        d, e = [f"_d{j}" for j in range(n)], [f"_e{j}" for j in range(n)]
+        for kind, count in enumerate(("_nt", "_nc")):
+            vec = [f"{_tuple(d)} = _blk[_k:_k + {n}]"]
+            for s in range(4):
+                vec += [f"_r{s}_{i} = {term}" for i, term in enumerate(_block_terms(g[s], e if s else d)[kind])]
+                vec += [f"_e{j} = _d{j} + {('_half', '_half', '_h')[s]} * _r{s}_{j}" for j in range(n) if s < 3]
+            vec += [f"_nbk += {_tuple(rk4_sum(d[i], f'_r{{}}_{i}') for i in range(n))}", f"_k += {n}"]
+            step += [f"    for _ in _range({count}):", *_indent(vec, 2)]
+        step += ["    _blk = _nbk"]
+    step += ["_t = _T + _i * _h", f"_st = [{', '.join(x)}] + _blk", "if not _fin(_st):", "    break",
+             "if _rec is not None:", "    _rec(_t, _st)"]
+    head = ["_half, _sixth = 0.5 * _h, _h * (1.0 / 6.0)", f"{', '.join(x)}, *_blk = _s",
+            "_F, _G, _t, _st, _nb = [None] * 4, [None] * 4, _T, _s, _nt or _nc", "for _i in _range(1, _steps + 1):"]
+    return _compile("_segment", "_ctl, _nt, _nc, _T, _h, _steps, _s, _rec", [*head, *_indent(step), "return _t, _st"])

@@ -3,17 +3,17 @@
 Everything lives on one chart of R^m per scenario, so tangent vectors and
 covectors are plain coordinate arrays and the pairing is the dot product.
 Fields are expression-backed, which keeps brackets exact (symbolic) while
-flows are classical fixed-step RK4.  The integrator core works on lists of
-generic scalars, so `integrate_flow` and `composite_flow` accept durations
-and states with Dual parts; that is how jets of flow compositions are
-computed exactly.  `pushforward_along_flow` takes a real duration only,
-because a TangentVector holds float components.
+flows are classical fixed-step RK4, each run as one generated segment of
+steps (`expr.compile_segment`).  The integrator works on lists of generic
+scalars, so `integrate_flow` and `composite_flow` accept durations and
+states with Dual parts; that is how jets of flow compositions are computed
+exactly.  `pushforward_along_flow` takes a real duration only, because a
+TangentVector holds float components.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,7 +23,9 @@ import numpy as np
 from .expr import (
     Expr,
     add,
+    all_finite as _finite,
     compile_flow,
+    compile_segment,
     const,
     differentiate,
     expr_sum,
@@ -54,13 +56,6 @@ class DivergenceError(FieldError):
 
 def _as_scalar_list(values) -> list:
     return [float(v) if isinstance(v, (int, float, np.floating, np.integer)) else v for v in values]
-
-
-def _finite(values) -> bool:
-    try:
-        return all(map(math.isfinite, values))
-    except TypeError:  # Dual entries
-        return all(math.isfinite(real_part(v)) for v in values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,20 +252,23 @@ def _check_step_count(duration, step: float):
         raise FieldError(f"|duration|/step = {steps:.3g} exceeds the {MAX_FLOW_STEPS:.0e} step guard")
 
 
-def _rk4_step(rhs, t, x: list, h):
-    k1 = rhs(t, x)
-    half = 0.5 * h
-    x2 = [xi + half * ki for xi, ki in zip(x, k1)]
-    k2 = rhs(t + half, x2)
-    x3 = [xi + half * ki for xi, ki in zip(x, k2)]
-    k3 = rhs(t + half, x3)
-    x4 = [xi + h * ki for xi, ki in zip(x, k3)]
-    k4 = rhs(t + h, x4)
-    sixth = h * (1.0 / 6.0)
-    return [
-        xi + sixth * (a + 2.0 * b + 2.0 * c + d)
-        for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
-    ]
+def _rk4_steps(rhs, t0, h, steps: int, x: list, record):
+    """(t, x) after `steps` RK4 steps of size h on any rhs(t, x), or after the
+    first whose state is not finite; `record(t, x)` follows each other step.
+    The segments of :func:`expr.compile_segment` keep this contract and arithmetic."""
+    t, half, sixth = t0, 0.5 * h, h * (1.0 / 6.0)
+    for i in range(1, steps + 1):
+        k1 = rhs(t, x)
+        k2 = rhs(t + half, [xi + half * ki for xi, ki in zip(x, k1)])
+        k3 = rhs(t + half, [xi + half * ki for xi, ki in zip(x, k2)])
+        k4 = rhs(t + h, [xi + h * ki for xi, ki in zip(x, k3)])
+        x = [xi + sixth * (a + 2.0 * b + 2.0 * c + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+        t = t0 + i * h
+        if not _finite(x):
+            break
+        if record is not None:
+            record(t, x)
+    return t, x
 
 
 def rk4_path(rhs, x0: list, t0: float, duration, step: float, record=None) -> list:
@@ -278,28 +276,31 @@ def rk4_path(rhs, x0: list, t0: float, duration, step: float, record=None) -> li
 
     `record(t, x)` is called after every accepted step when provided.
     `duration` may be any generic scalar; the trailing partial step keeps
-    the landing exact.
+    the landing exact.  A real duration equal to 0.0 takes no step: x0 comes
+    back copied (recorded at t0).  An rhs from :func:`linearized_rhs` runs as
+    its generated segment, any other callable in :func:`_rk4_steps`.
     """
     _check_step_count(duration, step)
+    x = list(x0)
+    if isinstance(duration, numbers.Real) and duration == 0.0:
+        if record is not None:
+            record(t0, x)
+        return x
     total = real_part(duration)
     n_full = int(abs(total) / step)
     h = step if total >= 0.0 else -step
-    x = list(x0)
-    t = t0
-    for i in range(n_full):
-        x = _rk4_step(rhs, t, x, h)
-        t = t0 + (i + 1) * h
-        if not _finite(x):
-            raise DivergenceError(t)
-        if record is not None:
-            record(t, x)
-    rem = duration - n_full * h
-    x = _rk4_step(rhs, t, x, rem)
-    t_end = t0 + real_part(duration)
+    if getattr(rhs, "func", None) is _generated_rhs:
+        owner, controls, tangents, covectors = rhs.args
+        segment = functools.partial(_flow_code(True, owner, tangents or covectors), controls, tangents, covectors)
+    else:
+        segment = functools.partial(_rk4_steps, rhs)
+    t, x = segment(t0, h, n_full, x, record)
+    if _finite(x):  # the trailing partial step lands on t0 + duration exactly
+        t, x = t0 + real_part(duration), segment(t, duration - n_full * h, 1, x, None)[1]
     if not _finite(x):
-        raise DivergenceError(t_end)
+        raise DivergenceError(t)
     if record is not None:
-        record(t_end, x)
+        record(t, x)
     return x
 
 
@@ -327,19 +328,26 @@ def linearized_rhs(owner, tangents: int = 0, covectors: int = 0, controls=None):
     `owner` (a VectorField or a system) gives f by `flow_components()`;
     `controls(t)` returns the control values as a list.  The block holds
     `tangents` vectors moved by delta' = J delta, then `covectors` moved by
-    lambda' = -J^T lambda, J = df/dx.  :func:`expr.compile_flow` generates
-    one function for f, J and the blocks, cached on `owner` at its first
-    flow (again, with J, at its first block).  A vector moved alone or in a
-    batch comes out bit-identical.
+    lambda' = -J^T lambda, J = df/dx.  A vector moved alone or in a batch
+    comes out bit-identical.
     """
-    blocks = bool(tangents or covectors)
-    code, has_jacobian = owner.__dict__.get("_flow_code", (None, False))
+    return functools.partial(_generated_rhs, owner, controls, tangents, covectors)
+
+
+def _generated_rhs(owner, controls, tangents, covectors, t, state):
+    return _flow_code(False, owner, tangents or covectors)(controls, tangents, covectors, t, state)
+
+
+def _flow_code(segment: bool, owner, blocks):
+    """`owner`'s generated segment or right-hand side, compiled at its first
+    use and kept on `owner`; a form with J also serves flows without one."""
+    code, has_jacobian = owner.__dict__.setdefault("_flow_forms", {}).get(segment, (None, False))
     if code is None or (blocks and not has_jacobian):
         comps, control_names = owner.flow_components()
         jac = [[differentiate(e, v) for v in owner.variables] for e in comps] if blocks else None
-        code = compile_flow(comps, owner.variables, control_names, jac)
-        object.__setattr__(owner, "_flow_code", (code, blocks))
-    return functools.partial(code, controls, tangents, covectors)
+        code = (compile_segment if segment else compile_flow)(comps, owner.variables, control_names, jac)
+        owner.__dict__["_flow_forms"][segment] = (code, bool(blocks))
+    return code
 
 
 def pushforward_along_flow(

@@ -21,6 +21,7 @@ from geocon.fields import linearized_rhs, vector_field
 from geocon.ocp import (
     build_control_affine,
     extend_system,
+    hamilton_rhs,
     integrate_biextremal,
     integrate_trajectory,
     piecewise_schedule,
@@ -154,20 +155,19 @@ def test_vector_field_call_matches_evaluate():
 
 def test_three_switch_schedule_compiles_its_rhs_once(monkeypatch):
     calls = []
-    real = fields.compile_flow
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(fields, "compile_flow", counting)
+    for name in ("compile_flow", "compile_segment"):
+        real = getattr(fields, name)
+        monkeypatch.setattr(fields, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
     system = random_control_affine(np.random.default_rng(3), m=3, k=2)
     sched = piecewise_schedule([0.0, 0.25, 0.5, 0.75], [[0.5, -0.5], [1.0, 0.0], [-1.0, 0.3], [0.2, 0.2]])
     bx = integrate_biextremal(system, [0.1, 0.2, 0.3], [1.0, 0.0, 0.0], sched, (0.0, 1.0), step=1e-2)
     ref = integrate_trajectory(system, [0.1, 0.2, 0.3], sched, (0.0, 1.0), 1e-2)
     transport_vector(system, ref, 0.0, 1.0, [fields.TangentVector(ref.point_at(0.0), [1.0, 0.0, 0.0])], 1e-2)
+    for u in ([0.5, -0.5], [1.0, 0.0]):
+        hamilton_rhs([0.1, 0.2, 0.3], [1.0, 0.0, 0.0], u, system)
     assert len(bx.momentum_ts) > 4
-    assert len(calls) == 1
+    # the segment compiled with J for the biextremal serves every flow after it
+    assert calls == ["compile_segment", "compile_flow"]
 
 
 def test_generated_rhs_dies_with_its_owner():
@@ -176,7 +176,8 @@ def test_generated_rhs_dies_with_its_owner():
     sched = piecewise_schedule([0.0], [[0.5]])
     integrate_biextremal(system, [0.1, 0.2, 0.3], [1.0, 0.0, 0.0], sched, (0.0, 0.5), step=1e-2)
     fields.integrate_flow(fields.FlowSpec(vf, 0.5, 1e-2), fields.as_point([0.1]))
-    assert "_flow_code" in system.__dict__ and "_flow_code" in vf.__dict__
+    vf([0.1])
+    assert set(system.__dict__["_flow_forms"]) == {True} and set(vf.__dict__["_flow_forms"]) == {False, True}
     refs = [weakref.ref(system), weakref.ref(vf)]
     del system, vf
     gc.collect()

@@ -1,0 +1,140 @@
+"""Differential tests of the generated RK4 segment.
+
+`fields.rk4_path` runs a right-hand side from `fields.linearized_rhs` as
+its generated segment (`expr.compile_segment`) and any other callable in
+the step loop `fields._rk4_steps`.  Wrapping the same rhs in a lambda
+forces the loop, which is the reference: both paths must give the same
+bits, record the same samples and fail the same way.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from geocon import fields
+from geocon.expr import Dual, jet_seed
+from geocon.fields import DivergenceError, linearized_rhs, rk4_path, vector_field
+
+from tests.conftest import random_control_affine
+from tests.test_generated_rhs import draw_state
+
+
+def bits(v):
+    """Every float of a (nested Dual) scalar, signed zeros and NaN included."""
+    return (bits(v.re), bits(v.du)) if isinstance(v, Dual) else float(v).hex()
+
+
+def run(rhs, state, t0, duration, step):
+    """(outcome, recorded samples) of one rk4_path call, in bits."""
+    samples = []
+    record = lambda t, x: samples.append((bits(t), [bits(v) for v in x]))  # noqa: E731
+    try:
+        outcome = [bits(v) for v in rk4_path(rhs, state, t0, duration, step, record)]
+    except DivergenceError as exc:
+        outcome = ("diverged", bits(exc.time))
+    except (ZeroDivisionError, ValueError) as exc:
+        outcome = type(exc)
+    return outcome, samples
+
+
+def assert_segment_matches_loop(rhs, state, t0, duration, step):
+    segment = run(rhs, state, t0, duration, step)
+    loop = run(lambda t, x: rhs(t, x), state, t0, duration, step)
+    assert segment == loop
+    return segment
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.booleans(),
+    st.sampled_from(["float", "dual", "zero", "dual zero"]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_segment_is_bit_identical_to_the_step_loop(seed, m, tangents, covectors, dual_state, duration_kind,
+                                                   backward, held):
+    rng = np.random.default_rng(seed)
+    system = random_control_affine(rng, m=m)
+    u = [float(v) for v in rng.uniform(-2.0, 2.0, size=system.k)]
+    controls = (lambda _t: u) if held else (lambda t: [c * (1.0 - t * t) + t for c in u])
+    rhs = linearized_rhs(system, tangents, covectors, controls)
+    state = draw_state(rng, m, tangents, covectors, dual_state, -0.5, 0.5)
+    length = 0.0 if "zero" in duration_kind else float(rng.uniform(0.0, 0.06))
+    duration = jet_seed(length, 2) if "dual" in duration_kind else length
+    if backward:
+        duration = -duration
+    outcome, samples = assert_segment_matches_loop(rhs, state, float(rng.uniform(-1.0, 1.0)), duration, 0.01)
+    assert len(samples) == int(length / 0.01) + 1
+
+
+@pytest.mark.parametrize(
+    "component, x0, tangents, covectors, duration, window",
+    [
+        # x' = x^2 from x = 1 blows up at t = 1; RK4 at h = 0.01 leaves the
+        # floats a few steps later
+        ("x^2", 1.0, 0, 0, 2.0, (1.0, 1.1)),
+        ("x^2", 1.0, 1, 0, 2.0, (1.0, 1.1)),
+        ("x^2", 1.0, 0, 2, 2.0, (1.0, 1.1)),
+        # x = 0 stays put while its tangent (forward) or its covector
+        # (backward) grows by a factor 644 per step
+        ("1000*x", 0.0, 1, 0, 2.0, (1.0, 1.2)),
+        ("1000*x", 0.0, 0, 1, -2.0, (-1.2, -1.0)),
+    ],
+)
+def test_divergence_time_is_the_same(component, x0, tangents, covectors, duration, window):
+    rhs = linearized_rhs(vector_field(("x",), [component]), tangents, covectors)
+    outcome, samples = assert_segment_matches_loop(rhs, [x0] + [1.0] * (tangents + covectors), 0.0, duration, 1e-2)
+    assert outcome[0] == "diverged" and window[0] < float.fromhex(outcome[1]) < window[1]
+    assert samples
+
+
+@pytest.mark.parametrize(
+    "components, tangents, error",
+    [
+        (["-1", "sqrt(x)"], 0, ValueError),  # x < 0 in the second step
+        (["-1", "sqrt(x)"], 1, ZeroDivisionError),  # J = 0.5/sqrt(x) at x = 0, first step
+        (["-1", "1/x"], 0, ZeroDivisionError),  # x = 0 at the last stage of the first step
+    ],
+)
+def test_domain_fault_raises_the_same_error(components, tangents, error):
+    rhs = linearized_rhs(vector_field(("x", "y"), components), tangents)
+    outcome, _ = assert_segment_matches_loop(rhs, [0.01, 0.0] + [1.0, 0.0] * tangents, 0.0, 0.1, 0.01)
+    assert outcome is error
+
+
+@pytest.mark.parametrize("duration", [0.0375, 0.04, -0.0375, 0.005, jet_seed(0.0375, 1)])
+def test_a_plain_callable_is_called_four_times_per_step(duration):
+    system = random_control_affine(np.random.default_rng(17), m=3, k=2)
+    rhs = linearized_rhs(system, 1, 1, lambda _t: [0.3, -0.7])
+    calls = []
+
+    def counted(t, x):
+        calls.append(t)
+        return rhs(t, x)
+
+    state = draw_state(np.random.default_rng(18), 3, 1, 1, False)
+    n_full = int(abs(fields.real_part(duration)) / 0.01)
+    out = rk4_path(counted, state, 0.0, duration, 0.01)
+    assert len(calls) == 4 * (n_full + 1)
+    assert [bits(v) for v in out] == [bits(v) for v in rk4_path(rhs, state, 0.0, duration, 0.01)]
+
+
+def test_zero_duration_is_the_identity():
+    # f faults at x = -1 (log of a negative number) and the state is not
+    # finite: neither matters when no step is taken, and nothing compiles
+    vf = vector_field(("x", "y"), ["log(x)", "y"])
+    calls, samples = [], []
+    state = [-1.0, float("inf")]
+    for rhs in (linearized_rhs(vf), lambda t, x: calls.append(t)):
+        out = rk4_path(rhs, state, 0.25, 0.0, 0.01, lambda t, x: samples.append((t, x)))
+        assert out == state and out is not state
+    assert calls == [] and "_flow_forms" not in vf.__dict__
+    assert samples == [(0.25, state)] * 2
+    assert fields.integrate_flow(fields.FlowSpec(vf, -0.0), fields.as_point([-1.0, 2.0])).coords.tolist() == [-1.0, 2.0]
+    # a Dual duration with zero real part still carries its seed
+    flowed = fields.integrate_flow(fields.FlowSpec(vector_field(("x",), ["1"]), jet_seed(0.0, 1)), fields.as_point([2.0]))
+    assert bits(flowed.coords[0]) == bits(Dual(2.0, 1.0))
