@@ -339,7 +339,8 @@ def _plain_number(v) -> str:
 
 def _reference(scenario: Scenario, step: float | None, mode: str = "reduced"):
     system, x0 = scenario.for_mode(mode)
-    return integrate_trajectory(system, x0, scenario.schedule, scenario.interval, step or scenario.step)
+    step = scenario.step if step is None else step
+    return integrate_trajectory(system, x0, scenario.schedule, scenario.interval, step)
 
 
 def _rendered_field(vf) -> list[str]:
@@ -541,7 +542,7 @@ def _mode_for_covector(scenario: Scenario, lam0) -> str:
 def _integrate_candidate(scenario: Scenario, lam0, mode: str, step):
     system, x0 = scenario.for_mode(mode)
     return integrate_biextremal(
-        system, x0, lam0, scenario.schedule, scenario.interval, mode, step or scenario.step
+        system, x0, lam0, scenario.schedule, scenario.interval, mode, scenario.step if step is None else step
     )
 
 

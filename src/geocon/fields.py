@@ -14,6 +14,7 @@ TangentVector holds float components.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
@@ -240,13 +241,13 @@ class FlowSpec:
     step: float = DEFAULT_STEP
 
     def __post_init__(self):
-        if self.step <= 0.0:
-            raise FieldError(f"step must be positive, got {self.step}")
         _check_step_count(self.duration, self.step)
 
 
 def _check_step_count(duration, step: float):
-    """The step guard: a flow takes at most MAX_FLOW_STEPS fixed steps."""
+    """The step guard: a positive finite step, and at most MAX_FLOW_STEPS of them."""
+    if not 0.0 < step < math.inf:
+        raise FieldError(f"step must be positive and finite, got {step}")
     steps = abs(real_part(duration)) / step
     if steps > MAX_FLOW_STEPS:
         raise FieldError(f"|duration|/step = {steps:.3g} exceeds the {MAX_FLOW_STEPS:.0e} step guard")
@@ -329,8 +330,10 @@ def linearized_rhs(owner, tangents: int = 0, covectors: int = 0, controls=None):
     `controls(t)` returns the control values as a list.  The block holds
     `tangents` vectors moved by delta' = J delta, then `covectors` moved by
     lambda' = -J^T lambda, J = df/dx.  A vector moved alone or in a batch
-    comes out bit-identical.
+    comes out bit-identical.  A slice that records (system, controls)
+    (`ControlAffineSystem.slice_field`) runs as that system.
     """
+    owner, controls = owner.__dict__.get("_held", (owner, controls))
     return functools.partial(_generated_rhs, owner, controls, tangents, covectors)
 
 

@@ -217,12 +217,22 @@ class ControlAffineSystem:
 
     def slice_field(self, u: Sequence[float]) -> VectorField:
         """The ordinary field drift + sum_c u^c X_c, built once per control
-        tuple and kept on the system; hex keys keep -0.0 apart from 0.0."""
+        tuple and kept on the system; hex keys keep -0.0 apart from 0.0.
+        With every u^c nonzero its trees are the system's with u^c constant,
+        so it records (system, controls holding u) and runs the system's code
+        bit for bit (:func:`fields.linearized_rhs`).  A zero u^c folds u^c X_c
+        away where the system's 0.0 * X_c may divide by zero: it keeps its own."""
         u = tuple(float(v) for v in u)
         if len(u) != self.k:
             raise OcpError(f"{len(u)} control values for {self.k} inputs")
-        key = tuple(map(float.hex, u))
-        return cached_on(self, "_slices", lambda: combine_fields(self.drift, self.inputs, u), key)
+
+        def build():
+            vf = combine_fields(self.drift, self.inputs, u)
+            if all(u):  # -0.0 is false as well
+                vf.__dict__["_held"] = (self, lambda _t, held=list(u): held)
+            return vf
+
+        return cached_on(self, "_slices", build, tuple(map(float.hex, u)))
 
     def flow_components(self):
         """f(x, u) over chart + controls for :func:`fields.linearized_rhs`:

@@ -1,6 +1,7 @@
 """Contract checks for the documented error conditions."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from geocon.fields import (
     composite_flow,
     integrate_flow,
     pushforward_along_flow,
+    rk4_path,
     vector_field,
 )
 from geocon.ocp import OcpError, hamiltonian, hamilton_rhs, build_control_affine
@@ -44,6 +46,13 @@ def test_flowspec_rejects_nonpositive_step():
         FlowSpec(vf, 1.0, 0.0)
     with pytest.raises(FieldError):
         FlowSpec(vf, 1.0, -1e-3)
+
+
+@pytest.mark.parametrize("step", [-0.5, 0.0, -0.0, math.nan, math.inf])
+@pytest.mark.parametrize("duration", [1.0, 0.0])
+def test_rk4_path_rejects_a_step_that_is_not_positive_and_finite(step, duration):
+    with pytest.raises(FieldError, match="step must be positive and finite"):
+        rk4_path(lambda t, x: [1.0], [0.0], 0.0, duration, step)
 
 
 def test_pushforward_rejects_a_dual_duration():
@@ -210,3 +219,23 @@ def test_cli_domain_fault_is_one_error_line(tmp_path, capsys, drift, message):
     assert main(["flow", str(path)]) == 1
     err = capsys.readouterr().err
     assert err == f"geocon: error: domain fault: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flow", "martinet.json", "--step=-0.001"],
+        ["flow", "martinet.json", "--step", "0"],
+        ["flow", "martinet.json", "--step", "nan"],
+        ["cone", "heisenberg.json", "--step=-0.01"],
+    ],
+)
+def test_cli_step_that_is_not_positive_and_finite_is_one_error_line(capsys, argv):
+    from geocon.cli import main
+
+    command, scenario, *options = argv
+    assert main([command, str(FIXTURES / scenario), *options]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("geocon: error: step must be positive and finite, got ")
+    assert captured.err.count("\n") == 1
