@@ -35,7 +35,7 @@ def main():
     exact = _taylor_jets(curve, 2)
     print("s0,fd_error_j1,fd_error_j2")
     for s0 in (0.2, 0.1, 0.05, 0.025):
-        fd = _fd_jets(curve, 2, s0)
+        fd, _ = _fd_jets(curve, 2, s0)
         e1 = float(np.linalg.norm(fd[0] - exact[0]))
         e2 = float(np.linalg.norm(fd[1] - exact[1]))
         print(f"{s0},{e1:.3e},{e2:.3e}")

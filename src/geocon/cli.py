@@ -382,10 +382,20 @@ def cmd_flow(scenario: Scenario, args) -> tuple[int, str]:
     return 0, _csv(header, rows)
 
 
+def _sample_time(scenario: Scenario, args, default: float | None = None) -> float | None:
+    """--time, or `default` without it, checked to lie in the interval (past
+    its ends the reference would only hold its end state)."""
+    a, b = scenario.interval
+    t = default if args.time is None else args.time
+    if t is not None and not a <= t <= b:
+        raise ScenarioError(f"--time {t} must lie in [{a}, {b}]")
+    return t
+
+
 def cmd_variation(scenario: Scenario, args) -> tuple[int, str]:
     traj = _reference(scenario, args.step)
     a, b = scenario.interval
-    t0 = args.time if args.time is not None else 0.5 * (a + b)
+    t0 = _sample_time(scenario, args, 0.5 * (a + b))
     x = traj.point_at(t0)
     u_ref = traj.control_at(t0)
     if args.template == "needle":
@@ -631,7 +641,7 @@ def cmd_mech_check(scenario: Scenario, args) -> tuple[int, str]:
     if scenario.connection is None:
         raise ScenarioError("mech-check needs a mechanics scenario")
     reference = _reference(scenario, args.step)
-    rep = generator_families(scenario.system, reference, sample_time=args.time)
+    rep = generator_families(scenario.system, reference, sample_time=_sample_time(scenario, args))
     results = {
         "passed": rep.passed,
         "lift_generators": [_rendered_field(vf) for vf in rep.z0],
@@ -674,10 +684,22 @@ _HANDLERS = {
 }
 
 
+_NUMERIC_OPTIONS = (  # (flag, attribute, accepts, what it accepts)
+    ("--time", "time", math.isfinite, "finite"),
+    ("--l1", "l1", lambda v: 0.0 < v < math.inf, "positive and finite"),
+    ("--s-max", "s_max", lambda v: 0.0 <= v < math.inf, "nonnegative and finite"),
+    ("--samples", "samples", lambda v: v >= 0, "nonnegative"),
+)
+
+
 def run_command(command: str, scenario: Scenario, args) -> tuple[int, str]:
     """Dispatch one analysis; returns (exit_code, payload text)."""
     if command not in _HANDLERS:
         raise ScenarioError(f"unknown command {command!r}")
+    for flag, key, accepts, wanted in _NUMERIC_OPTIONS:
+        value = getattr(args, key, None)
+        if value is not None and not accepts(value):
+            raise ScenarioError(f"{flag} must be {wanted}, got {value}")
     if command != "bracket":
         scenario.require_reference(command)
     return _HANDLERS[command](scenario, args)

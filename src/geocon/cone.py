@@ -6,18 +6,21 @@ queries over the generators equal support queries over their closed convex
 conic hull, which is all the necessary-condition audit consumes.  The
 linear programs are tiny and every one goes through `solve_lp_max`: a dense
 two-phase float64 simplex (numpy, no external solver) finds a basis, and
-exact rational arithmetic certifies it optimal with one small square solve
-for the primal point and one for the dual multipliers.  When the
-certificate fails (near-degenerate data, a basis the float pass could not
-finish), the exact two-phase simplex over Fractions (Bland's rule) solves
-the program from scratch and a DEBUG line on the ``geocon.cone`` logger
-says why.  Either way answers are exact for the given floating-point
+exact integer arithmetic certifies it optimal with one fraction-free square
+solve for the primal point and one for the dual multipliers.  When the
+certificate fails (near-degenerate data), exact dual simplex pivots repair
+the float basis; only when there is no float basis or the repair cannot
+proceed does the exact two-phase simplex over Fractions (Bland's rule)
+solve the program cold.  A DEBUG line on the ``geocon.cone`` logger says
+which.  Either way answers are exact for the given floating-point
 generators, and ties break to the lexicographically maximal covector.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -128,11 +131,12 @@ def assemble_cone(
 
 
 # ---------------------------------------------------------------------------
-# Support LPs: a float64 two-phase simplex finds a basis, exact rationals
-# certify it (the verify step of Applegate, Cook, Dash & Espinoza, "Exact
-# solutions to linear programming problems", Oper. Res. Lett. 35, 2007), and
-# the exact two-phase simplex (maximization, Bland's rule) over Fractions
-# runs only when the certificate fails.
+# Support LPs: a float64 two-phase simplex finds a basis, exact integers
+# certify it, exact dual pivots repair it when the proof fails (the verify
+# and repair steps of Applegate, Cook, Dash & Espinoza, "Exact solutions to
+# linear programming problems", Oper. Res. Lett. 35, 2007), and the exact
+# two-phase simplex (maximization, Bland's rule) over Fractions runs cold
+# only when there is nothing to repair.
 # ---------------------------------------------------------------------------
 
 F = Fraction
@@ -156,76 +160,45 @@ def _pivot(T, basis, row, col):
 def _run_simplex(T, basis, obj, allowed):
     """Bland's rule: first improving column, smallest basis index on ties."""
     while True:
-        enter = -1
-        for j in allowed:
-            rj = obj[j] - sum(obj[basis[i]] * T[i][j] for i in range(len(T)))
-            if rj > 0:
-                enter = j
-                break
-        if enter < 0:
+        enter = next((j for j in allowed if obj[j] > sum(obj[basis[i]] * T[i][j] for i in range(len(T)))), None)
+        if enter is None:
             return
-        leave, best = -1, None
-        for i in range(len(T)):
-            if T[i][enter] > 0:
-                ratio = T[i][-1] / T[i][enter]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best, leave = ratio, i
-        if leave < 0:
+        rows = [(T[i][-1] / T[i][enter], basis[i], i) for i in range(len(T)) if T[i][enter] > 0]
+        if not rows:
             raise ConeError("unbounded linear program (missing box constraints?)")
-        _pivot(T, basis, leave, enter)
+        _pivot(T, basis, min(rows)[2], enter)
 
 
 def _solve_exact(c, A, b):
-    """max c.x subject to A x <= b, x >= 0 by the exact two-phase simplex."""
+    """max c.x subject to A x <= b, x >= 0 by the exact two-phase simplex:
+    a slack per row, and an artificial per row with b < 0 (negated)."""
     m, n = len(A), len(c)
-    art_of_row = {}
-    n_art = 0
+    negative = [i for i in range(m) if b[i] < 0]
+    T, basis = [], []
     for i in range(m):
+        row = [F(v) for v in A[i]] + [F(int(k == i)) for k in range(m)] + [F(0)] * len(negative) + [F(b[i])]
+        basis.append(n + m + negative.index(i) if b[i] < 0 else n + i)
         if b[i] < 0:
-            art_of_row[i] = n_art
-            n_art += 1
-    total = n + m + n_art
-    T = []
-    basis = []
-    for i in range(m):
-        row = [F(v) for v in A[i]] + [F(0)] * (m + n_art)
-        row.append(F(b[i]))
-        row[n + i] = F(1)
-        if i in art_of_row:
-            row = [-v for v in row[:-1]] + [-row[-1]]
-            row[n + m + art_of_row[i]] = F(1)
-            basis.append(n + m + art_of_row[i])
-        else:
-            basis.append(n + i)
+            row = [-v for v in row]
+            row[basis[i]] = F(1)
         T.append(row)
-
-    if n_art:
-        obj1 = [F(0)] * total
-        for j in range(n + m, total):
-            obj1[j] = F(-1)
-        _run_simplex(T, basis, obj1, range(total))
-        value1 = sum(obj1[basis[i]] * T[i][-1] for i in range(m))
-        if value1 < 0:
+    if negative:
+        obj1 = [F(0)] * (n + m) + [F(-1)] * len(negative)
+        _run_simplex(T, basis, obj1, range(len(obj1)))
+        if sum(obj1[basis[i]] * T[i][-1] for i in range(m)) < 0:
             return False, None, None
         for i in range(m):
             if basis[i] >= n + m:  # drive degenerate artificials out when possible
-                for j in range(n + m):
-                    if T[i][j] != 0:
-                        _pivot(T, basis, i, j)
-                        break
-
-    obj2 = [F(0)] * total
-    for j in range(n):
-        obj2[j] = F(c[j])
+                j = next((j for j in range(n + m) if T[i][j] != 0), None)
+                if j is not None:
+                    _pivot(T, basis, i, j)
+    obj2 = [F(v) for v in c] + [F(0)] * (m + len(negative))
     _run_simplex(T, basis, obj2, range(n + m))
     x = [F(0)] * n
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = T[i][-1]
-    value = sum(obj2[basis[i]] * T[i][-1] for i in range(m))
-    return True, x, value
+    return True, x, sum(obj2[basis[i]] * T[i][-1] for i in range(m))
 
 
 class _NoCertificate(Exception):
@@ -296,20 +269,32 @@ def _float_basis(c, A, b) -> list[int]:
     return [int(j) for j in basis]
 
 
-def _solve_square(M, rhs):
-    """x with M x = rhs by exact Gauss-Jordan elimination."""
+def _integer_row(row):
+    """`row` (Fractions or ints) scaled to ints by the lcm of its denominators, and that lcm."""
+    scale = math.lcm(*(v.denominator for v in row))
+    return [v.numerator * (scale // v.denominator) for v in row], scale
+
+
+def _solve_integer(M, rhs):
+    """(X, d) with M X = d rhs and d = |det M| > 0 for a square integer M,
+    by fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
+    1968): every division is exact and every entry stays an integer."""
     k = len(M)
     T = [list(row) + [v] for row, v in zip(M, rhs)]
-    owner = [-1] * k
+    prev = 1
     for col in range(k):
-        row = next((i for i in range(k) if owner[i] < 0 and T[i][col] != 0), None)
+        row = next((i for i in range(col, k) if T[i][col]), None)
         if row is None:
             raise _NoCertificate("singular basis matrix")
-        _pivot(T, owner, row, col)
-    x = [F(0)] * k
-    for i, col in enumerate(owner):
-        x[col] = T[i][-1]
-    return x
+        T[col], T[row] = T[row], T[col]
+        P, piv = T[col], T[col][col]
+        for i in range(k):
+            if i != col:
+                Ti, f = T[i], T[i][col]
+                Ti[col + 1 :] = [(piv * a - f * p) // prev for a, p in zip(Ti[col + 1 :], P[col + 1 :])]
+        prev = piv
+    sign = 1 if prev > 0 else -1
+    return [sign * row[-1] for row in T], sign * prev
 
 
 def _certify(c, A, b, basis):
@@ -319,78 +304,113 @@ def _certify(c, A, b, basis):
     nonbasic.  The basis is optimal when x_S solving A[L,S] x_S = b[L] is
     primal feasible (x_S >= 0 and every other row's slack >= 0) and y
     solving A[L,S]^T y = c_S is dual feasible (y >= 0 and every nonbasic
-    structural column has reduced cost c_j - y.A[L,j] <= 0).  Returns the
-    optimal vertex x and its value.
+    structural column has reduced cost c_j - y.A[L,j] <= 0).  Each row
+    [A_i | b_i] and c are scaled to integers first (a positive scale keeps
+    every sign), so each check compares integers.  Returns the optimal
+    vertex x and its value.
     """
     m, n = len(A), len(c)
     S = sorted(j for j in basis if j < n)
     basic_slack = {j - n for j in basis if n <= j < n + m}
     L = [i for i in range(m) if i not in basic_slack]
-    if len(S) != len(L):
+    if len(S) != len(L) or len(S) + len(basic_slack) != len(basis):
         raise _NoCertificate(f"{len(S)} basic columns for {len(L)} tight rows")
-    rows = [[F(v) for v in A[i]] for i in range(m)]
+    rows = [_integer_row(list(A[i]) + [b[i]])[0] for i in range(m)]
+    cs, c_scale = _integer_row(c)
     M = [[rows[i][j] for j in S] for i in L]
-    x_S = _solve_square(M, [F(b[i]) for i in L])
-    if any(v < 0 for v in x_S):
+    X, d = _solve_integer(M, [rows[i][n] for i in L])
+    if any(v < 0 for v in X):
         raise _NoCertificate("negative basic variable")
     for i in sorted(basic_slack):
-        lhs = sum((rows[i][j] * v for j, v in zip(S, x_S) if rows[i][j]), F(0))
-        if lhs > F(b[i]):
+        if sum(rows[i][j] * v for j, v in zip(S, X)) > rows[i][n] * d:
             raise _NoCertificate(f"row {i} violated")
-    y = _solve_square([list(col) for col in zip(*M)], [F(c[j]) for j in S])
-    if any(v < 0 for v in y):
+    Y, e = _solve_integer([list(col) for col in zip(*M)], [cs[j] for j in S])
+    if any(v < 0 for v in Y):
         raise _NoCertificate("negative dual multiplier")
     for j in sorted(set(range(n)) - set(S)):
-        priced = sum((yl * rows[i][j] for yl, i in zip(y, L) if yl and rows[i][j]), F(0))
-        if F(c[j]) > priced:
+        if cs[j] * e > sum(yl * rows[i][j] for yl, i in zip(Y, L)):
             raise _NoCertificate(f"column {j} has positive reduced cost")
-    x = [F(0)] * n
-    for j, v in zip(S, x_S):
-        x[j] = v
-    return x, sum((F(c[j]) * v for j, v in zip(S, x_S)), F(0))
+    x_S = dict(zip(S, X))
+    return [F(x_S.get(j, 0), d) for j in range(n)], F(sum(cs[j] * v for j, v in zip(S, X)), c_scale * d)
+
+
+def _repair(c, A, b, basis) -> tuple[list[int], int]:
+    """(basis, dual pivots): a rejected float basis installed in the exact
+    slack tableau by `_pivot`, each structural column taking a row whose
+    slack it leaves nonbasic, then, if exactly dual feasible, made primal
+    feasible by the dual simplex (leaving row: the infeasible one with the
+    smallest basic index; entering column: the smallest ratio, ties to the
+    smallest index).  Raises `_NoCertificate` when it cannot proceed."""
+    m, n = len(A), len(c)
+    T = [[F(v) for v in A[i]] + [F(int(k == i)) for k in range(m)] + [F(b[i])] for i in range(m)]
+    T.append([F(v) for v in c] + [F(0)] * (m + 1))  # reduced costs, kept by `_pivot`
+    current = list(range(n, n + m))
+    for j in (j for j in basis if j < n):
+        row = next((i for i in range(m) if current[i] >= n and current[i] not in basis and T[i][j]), None)
+        if row is None:
+            raise _NoCertificate("singular basis matrix")
+        _pivot(T, current, row, j)
+    if any(r > 0 for r in T[m][:-1]):
+        raise _NoCertificate("basis not dual feasible")
+    for pivots in itertools.count():
+        infeasible = [(current[i], i) for i in range(m) if T[i][-1] < 0]
+        if not infeasible:
+            return current, pivots
+        leave = min(infeasible)[1]
+        entering = [(T[m][j] / a, j) for j, a in enumerate(T[leave][:-1]) if a < 0]
+        if not entering:
+            raise _NoCertificate(f"row {leave} proves the program infeasible")
+        _pivot(T, current, leave, min(entering)[1])
 
 
 def solve_lp_max(c: Sequence[Fraction], A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]):
     """max c.x subject to A x <= b, x >= 0, exactly.
 
     Returns (feasible, x, value) with Fraction entries.  A float64 simplex
-    proposes the optimal basis and `_certify` proves it in exact
-    rationals; when no basis comes out or the proof fails, the exact
-    simplex decides.  The optimal value is unique, so it is the same
-    Fraction either way; x is an exact optimal vertex.
+    proposes the optimal basis and `_certify` proves it exactly; when the
+    proof fails, `_certify` proves the basis `_repair` reaches from it, and
+    without a float basis or a repair the exact simplex decides cold.  The
+    optimal value is unique, so it is the same Fraction either way; x is
+    an exact optimal vertex.
     """
+    basis = None
     try:
-        x, value = _certify(c, A, b, _float_basis(c, A, b))
-        return True, x, value
+        basis = _float_basis(c, A, b)
+        return (True, *_certify(c, A, b, basis))
     except _NoCertificate as exc:
-        log.debug(
-            "LP with %d rows x %d columns: exact certificate failed (%s); running the exact simplex",
-            len(A),
-            len(c),
-            exc,
-        )
+        where = f"LP with {len(A)} rows x {len(c)} columns: exact certificate failed ({exc})"
+    try:
+        if basis is None:
+            raise _NoCertificate("no float basis")
+        repaired, pivots = _repair(c, A, b, basis)
+        log.debug("%s; repaired the float basis in %d exact dual pivots", where, pivots)
+        return (True, *_certify(c, A, b, repaired))
+    except _NoCertificate as exc:
+        log.debug("%s; solved cold by the exact simplex (%s)", where, exc)
     return _solve_exact(c, A, b)
 
 
-def _lambda_lp(gen_rows, m, objective, extra_rows=()):
+def _lambda_lp(gen_rows, m, objective, extra_rows=(), decided=()):
     """max objective . lambda over the box [-1, 1]^m cut by the generator
-    half-spaces and optional extra rows (coeffs . lambda <= rhs).
+    half-spaces and optional extra rows (coeffs . lambda <= rhs), the
+    leading coordinates of lambda held at `decided` (a prefix of a point of
+    the polytope, so the program is always feasible) and `objective` given
+    on the free coordinates.
 
-    Substitutes y = lambda + 1 to reach standard form; exact throughout.
-    The box contains lambda = 0, so the program is always feasible.
+    The decided values are substituted into every row, and a row with no
+    free coefficient, which they satisfy, is dropped; the free coordinates
+    are shifted by y = lambda + 1 to reach standard form.  Exact throughout.
     """
+    k = len(decided)
     A, b = [], []
-    for g in gen_rows:
-        A.append(list(g))
-        b.append(sum(g))
-    for j in range(m):
-        row = [F(0)] * m
-        row[j] = F(1)
-        A.append(row)
-        b.append(F(2))
-    for coeffs, rhs in extra_rows:
-        A.append(list(coeffs))
-        b.append(F(rhs) + sum(coeffs))
+    for coeffs, rhs in [(g, 0) for g in gen_rows] + list(extra_rows):
+        free = list(coeffs[k:])
+        if any(free):
+            A.append(free)
+            ints, scale = _integer_row([rhs, *free, *(-a * v for a, v in zip(coeffs, decided))])
+            b.append(F(sum(ints), scale))
+    A += [[F(int(i == j)) for i in range(m - k)] for j in range(m - k)]
+    b += [F(2)] * (m - k)
     _, _, value = solve_lp_max(list(objective), A, b)
     return value - sum(objective)
 
@@ -415,20 +435,11 @@ def find_supporting_covector(cone: Cone, decrease_direction: TangentVector | Non
     m = cone.dim
     gens = _fraction_rows(cone.generators)
 
-    def e(j, sign=1):
-        out = [F(0)] * m
-        out[j] = F(sign)
-        return out
-
     def lex_extreme(minimize: bool, extra):
-        fixes = list(extra)
         lam = []
         for j in range(m):
-            value = _lambda_lp(gens, m, e(j, -1 if minimize else 1), fixes)
-            coord = -value if minimize else value
-            lam.append(coord)
-            fixes.append((e(j, 1), coord))
-            fixes.append((e(j, -1), -coord))
+            value = _lambda_lp(gens, m, [F(-1 if minimize else 1)] + [F(0)] * (m - j - 1), extra, lam)
+            lam.append(-value if minimize else value)
         return lam
 
     margin = None

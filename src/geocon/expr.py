@@ -461,15 +461,23 @@ def render(e: Expr, min_prec: int = 0) -> str:
 
 
 def free_variables(e: Expr) -> frozenset[str]:
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Const):
-        return frozenset()
-    if isinstance(e, (Call, Neg)):
-        return free_variables(e.arg)
-    if isinstance(e, Pow):
-        return free_variables(e.base)
-    return free_variables(e.left) | free_variables(e.right)
+    """The variable names in `e`; trees share nodes, and each distinct node
+    (by identity) is visited once."""
+    names, seen, stack = set(), set(), [e]
+    while stack:
+        e = stack.pop()
+        if id(e) in seen:
+            continue
+        seen.add(id(e))
+        if isinstance(e, Var):
+            names.add(e.name)
+        elif isinstance(e, (Call, Neg)):
+            stack.append(e.arg)
+        elif isinstance(e, Pow):
+            stack.append(e.base)
+        elif not isinstance(e, Const):
+            stack += (e.left, e.right)
+    return frozenset(names)
 
 
 def substitute(e: Expr, mapping: Mapping[str, "Expr | float"]) -> Expr:

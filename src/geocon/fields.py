@@ -307,20 +307,21 @@ def rk4_path(rhs, x0: list, t0: float, duration, step: float, record=None) -> li
 
 def integrate_flow(spec: FlowSpec, x0: Point) -> Point:
     """Endpoint of the flow of `spec.field` after `spec.duration`."""
-    out = rk4_path(linearized_rhs(spec.field), _as_scalar_list(x0.coords), 0.0, spec.duration, spec.step)
-    return Point(np.asarray(out, dtype=object) if any(not isinstance(v, float) for v in out) else np.asarray(out, dtype=float))
+    return composite_flow([spec.field], [spec.duration], x0, spec.step)
 
 
 def composite_flow(
     seq: Sequence[VectorField], times: Sequence, x0: Point, step: float = DEFAULT_STEP
 ) -> Point:
-    """Apply the flows of `seq` in order: the first field acts first."""
+    """Apply the flows of `seq` in order: the first field acts first.  The
+    state passes between legs as a list (`rk4_path` guards each leg's steps
+    and raises on a non-finite state); one Point is built at the end."""
     if len(seq) != len(times):
         raise FieldError(f"{len(seq)} fields but {len(times)} durations")
-    x = x0
+    x = _as_scalar_list(x0.coords)
     for vf, t in zip(seq, times):
-        x = integrate_flow(FlowSpec(vf, t, step), x)
-    return x
+        x = rk4_path(linearized_rhs(vf), x, 0.0, t, step)
+    return Point(np.asarray(x, dtype=object) if any(not isinstance(v, float) for v in x) else np.asarray(x, dtype=float))
 
 
 def linearized_rhs(owner, tangents: int = 0, covectors: int = 0, controls=None):
@@ -331,9 +332,11 @@ def linearized_rhs(owner, tangents: int = 0, covectors: int = 0, controls=None):
     `tangents` vectors moved by delta' = J delta, then `covectors` moved by
     lambda' = -J^T lambda, J = df/dx.  A vector moved alone or in a batch
     comes out bit-identical.  A slice that records (system, controls)
-    (`ControlAffineSystem.slice_field`) runs as that system.
+    (`ControlAffineSystem.slice_field`) runs as that system while it lives
+    (held weakly, so the system's slice cache forms no reference cycle).
     """
-    owner, controls = owner.__dict__.get("_held", (owner, controls))
+    system, held = owner.__dict__.get("_held", (lambda: None, None))
+    owner, controls = (owner, controls) if system() is None else (system(), held)
     return functools.partial(_generated_rhs, owner, controls, tangents, covectors)
 
 

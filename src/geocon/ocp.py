@@ -12,6 +12,7 @@ against an externally assembled cone.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -174,6 +175,8 @@ class Trajectory:
 
 def _interpolate(ts: np.ndarray, rows: np.ndarray, t: float) -> np.ndarray:
     """A new array: row i at ts[i], linear in between, held past the ends."""
+    if math.isnan(t):
+        raise OcpError("cannot interpolate at t = nan")
     if t <= ts[0]:
         return rows[0].copy()
     if t >= ts[-1]:
@@ -229,7 +232,7 @@ class ControlAffineSystem:
         def build():
             vf = combine_fields(self.drift, self.inputs, u)
             if all(u):  # -0.0 is false as well
-                vf.__dict__["_held"] = (self, lambda _t, held=list(u): held)
+                vf.__dict__["_held"] = (weakref.ref(self), lambda _t, held=list(u): held)
             return vf
 
         return cached_on(self, "_slices", build, tuple(map(float.hex, u)))

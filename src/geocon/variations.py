@@ -162,8 +162,8 @@ def _point_array(p) -> np.ndarray:
     return np.asarray(p)
 
 
-def _fd_jets(curve, l_max: int, s0: float) -> list[np.ndarray]:
-    """Forward-difference jets with Richardson extrapolation on {s0 * 2^-j}."""
+def _fd_jets(curve, l_max: int, s0: float) -> tuple[list[np.ndarray], np.ndarray]:
+    """Forward-difference jets, Richardson-extrapolated on {s0 * 2^-j}, and the curve at 0."""
     cache: dict[float, np.ndarray] = {}
 
     def ev(s: float) -> np.ndarray:
@@ -187,7 +187,7 @@ def _fd_jets(curve, l_max: int, s0: float) -> list[np.ndarray]:
                 (f * table[j + 1] - table[j]) / (f - 1.0) for j in range(len(table) - 1)
             ]
         jets.append(table[0])
-    return jets
+    return jets, ev(0.0)
 
 
 def _taylor_jets(curve, l_max: int) -> list[np.ndarray] | None:
@@ -218,21 +218,14 @@ def estimate_jets(
     """
     if l_max > MAX_ORDER:
         raise VariationError(f"jets supported up to order {MAX_ORDER}")
-    fd, taylor = _jet_pair(curve, l_max, s0)
+    (fd, x0), taylor = _fd_jets(curve, l_max, s0), _taylor_jets(curve, l_max)
     if taylor is None:
         return fd
-    x0 = np.asarray(_point_array(curve(0.0)), dtype=float)
     floor = 1e-6 * (1.0 + float(np.linalg.norm(x0)))
     for l, (a, b) in enumerate(zip(fd, taylor), start=1):
         if max(float(np.linalg.norm(a)), float(np.linalg.norm(b))) > floor:
             _check_agreement(l, a, b, rel_tol)
     return taylor
-
-
-def _jet_pair(curve, l_max: int, s0: float):
-    """Both estimators: (finite-difference jets, derivative-transport jets),
-    the second None when the curve rejects derivative-carrying scalars."""
-    return _fd_jets(curve, l_max, s0), _taylor_jets(curve, l_max)
 
 
 def _check_agreement(l: int, a: np.ndarray, b: np.ndarray, rel_tol: float):
@@ -258,7 +251,7 @@ class OrderReport:
 
 
 def _detect_order(curve, x: Point, l_max: int, s0: float, eps: float) -> OrderReport:
-    fd, taylor = _jet_pair(curve, l_max, s0)
+    (fd, _), taylor = _fd_jets(curve, l_max, s0), _taylor_jets(curve, l_max)
     for l in range(1, l_max + 1):
         a = fd[l - 1]
         b = taylor[l - 1] if taylor is not None else a
@@ -325,8 +318,8 @@ def needle_variation(
 
     Returns None when u1 produces the reference slice (degenerate needle).
     """
-    if l1 <= 0.0:
-        raise VariationError("needle duration rate l1 must be positive")
+    if not 0.0 < l1 < math.inf:
+        raise VariationError(f"needle duration rate l1 must be positive and finite, got {l1}")
     for label, u in (("u_ref", u_ref), ("u1", u1)):
         for c, v in enumerate(u):
             lo, hi = system.control_box[c]

@@ -414,3 +414,200 @@ def test_spanning_cone_with_a_direction_reports_margin_zero():
     report = find_supporting_covector(cone, TangentVector(cone.base, np.array([1.0, 2.0])))
     assert report == SupportReport(None, None, 0.0, False)
     assert find_supporting_covector(cone) == SupportReport(None, None, None, False)
+
+
+# -- the shrinking chain, the integer certificate and the basis repair -------
+
+
+def lex_chain_pinned(gens, m, sign, extra):
+    """The lexicographic chain as it ran with two pin rows per decided
+    coordinate: the decided values of lambda, in order."""
+    fixes, lam = list(extra), []
+    for j in range(m):
+        e = [Fraction(0)] * m
+        e[j] = Fraction(sign)
+        lam.append(sign * cone_module._lambda_lp(gens, m, e, fixes))
+        unit = [Fraction(0)] * m
+        unit[j] = Fraction(1)
+        fixes += [(unit, lam[-1]), ([-v for v in unit], -lam[-1])]
+    return lam
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 5),
+    st.integers(0, 24),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+)
+def test_shrunk_chain_matches_the_pinned_chain(seed, m, n, rounded, antiparallel, with_direction):
+    # each LP of the chain, solved over the free coordinates with the decided
+    # prefix substituted, has the exact optimum of the pinned LP
+    rng = np.random.default_rng(seed)
+    cone = make_cone(random_generators(rng, m, n, rounded, antiparallel), dim=m)
+    gens = cone_module._fraction_rows(cone.generators)
+    extra = []
+    if with_direction:
+        d = [Fraction(float(v)) for v in rng.normal(size=m)]
+        value = cone_module._lambda_lp(gens, m, d)
+        extra = [([-v for v in d], -value), (d, value)]
+    for sign in (1, -1):
+        pinned = lex_chain_pinned(gens, m, sign, extra)
+        for j in range(m):
+            e = [Fraction(0)] * m
+            e[j] = Fraction(sign)
+            assert sign * cone_module._lambda_lp(gens, m, e[j:], extra, pinned[:j]) == pinned[j]
+
+
+def certify_in_fractions(c, A, b, basis):
+    """The certificate's conditions checked in Fractions, with plain
+    Gauss-Jordan solves: (x, value) when the basis is optimal, else None."""
+    m, n = len(A), len(c)
+    S = sorted(j for j in basis if j < n)
+    slack = {j - n for j in basis if n <= j < n + m}
+    L = [i for i in range(m) if i not in slack]
+    if len(S) != len(L) or len(S) + len(slack) != len(basis):
+        return None
+
+    def solve(M, rhs):
+        k = len(M)
+        T = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(M, rhs)]
+        for col in range(k):
+            row = next((i for i in range(col, k) if T[i][col] != 0), None)
+            if row is None:
+                return None
+            T[col], T[row] = T[row], T[col]
+            T[col] = [v / T[col][col] for v in T[col]]
+            for i in range(k):
+                if i != col and T[i][col] != 0:
+                    T[i] = [a - T[i][col] * p for a, p in zip(T[i], T[col])]
+        return [row[-1] for row in T]
+
+    M = [[A[i][j] for j in S] for i in L]
+    x_S = solve(M, [b[i] for i in L])
+    y = solve([list(col) for col in zip(*M)], [c[j] for j in S])
+    if x_S is None or y is None or min(x_S + y, default=0) < 0:
+        return None
+    if any(sum(A[i][j] * v for j, v in zip(S, x_S)) > b[i] for i in slack):
+        return None
+    if any(c[j] > sum(yl * A[i][j] for yl, i in zip(y, L)) for j in set(range(n)) - set(S)):
+        return None
+    x = [Fraction(0)] * n
+    for j, v in zip(S, x_S):
+        x[j] = v
+    return x, sum(c[j] * v for j, v in zip(S, x_S))
+
+
+def candidate_bases(lp, rng):
+    """The float basis when there is one, and that basis with one column
+    swapped for another (mostly not optimal, often not a basis)."""
+    c, A, b = lp
+    try:
+        basis = cone_module._float_basis(c, A, b)
+    except cone_module._NoCertificate:
+        return []
+    out = [basis]
+    for _ in range(3):
+        other = list(basis)
+        other[int(rng.integers(len(other)))] = int(rng.integers(len(c) + len(A)))
+        out.append(other)
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 5),
+    st.integers(0, 24),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+)
+def test_integer_certificate_matches_fractions_and_the_exact_simplex(
+    seed, m, n, rounded, antiparallel, with_direction
+):
+    rng = np.random.default_rng(seed)
+    cone = make_cone(random_generators(rng, m, n, rounded, antiparallel), dim=m)
+    direction = TangentVector(cone.base, rng.normal(size=m)) if with_direction else None
+    lps = recorded_lps(cone, direction)
+    lp = lps[int(rng.integers(len(lps)))]
+    for basis in candidate_bases(lp, rng):
+        expected = certify_in_fractions(*lp, basis)
+        try:
+            got = cone_module._certify(*lp, basis)
+        except cone_module._NoCertificate:
+            got = None
+        assert got == expected
+        if got is not None:
+            assert_attains(*lp, (True, *got))
+            assert got[1] == cone_module._solve_exact(*lp)[2]
+
+
+def test_integer_certificate_rejects_each_kind_of_failure():
+    # max x0 + x1 subject to x0 + x1 <= 1, x0 - x1 <= -1/2, x0 <= 1/4, x >= 0;
+    # columns 0 and 1 are x, 2..4 the slacks of the three rows.  The optimum
+    # 1 is reached at the vertices (1/4, 3/4) and (0, 1).
+    F = Fraction
+    c, A, b = [F(1), F(1)], [[F(1), F(1)], [F(1), F(-1)], [F(1), F(0)]], [F(1), F(-1, 2), F(1, 4)]
+    assert cone_module._certify(c, A, b, [0, 1, 3]) == ([F(1, 4), F(3, 4)], F(1))
+    assert cone_module._certify(c, A, b, [1, 3, 4]) == ([F(0), F(1)], F(1))
+    for basis, reason in (
+        ([0, 2, 4], "negative basic variable"),
+        ([0, 2, 3], "row 1 violated"),
+        ([1, 2, 4], "negative dual multiplier"),
+        ([1, 2, 3], "singular basis matrix"),
+        ([0, 1], "2 basic columns for 3 tight rows"),
+    ):
+        with pytest.raises(cone_module._NoCertificate, match=reason):
+            cone_module._certify(c, A, b, basis)
+    with pytest.raises(cone_module._NoCertificate, match="column 0 has positive reduced cost"):
+        cone_module._certify([F(1)], [[F(1)]], [F(1)], [1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(2, 24), st.booleans(), st.booleans())
+def test_repaired_basis_matches_the_exact_simplex(seed, m, n, rounded, with_direction):
+    # antiparallel pairs make the float basis fail its certificate; wherever
+    # the repair runs (from the float basis or a perturbed one), the basis it
+    # reaches is certified and has the exact simplex's optimum
+    rng = np.random.default_rng(seed)
+    cone = make_cone(random_generators(rng, m, n, rounded, True), dim=m)
+    direction = TangentVector(cone.base, rng.normal(size=m)) if with_direction else None
+    for lp in recorded_lps(cone, direction)[:4]:
+        for basis in candidate_bases(lp, rng):
+            try:
+                repaired, _ = cone_module._repair(*lp, basis)
+            except cone_module._NoCertificate:
+                continue
+            x, value = cone_module._certify(*lp, repaired)
+            assert_attains(*lp, (True, x, value))
+            assert value == cone_module._solve_exact(*lp)[2]
+
+
+def test_polar_connection_cone_repairs_without_a_cold_solve(caplog, capsys):
+    # both support LPs that fail the certificate on polar_connection are
+    # repaired by exact dual pivots; the report is the one the cold exact
+    # simplex gives
+    from geocon.cli import main
+
+    path = str(Path(__file__).resolve().parents[1] / "scenarios" / "polar_connection.json")
+
+    def cold(*lp):
+        raise AssertionError("cold exact simplex called")
+
+    with caplog.at_level(logging.DEBUG, logger="geocon.cone"):
+        with mock.patch.object(cone_module, "_solve_exact", cold):
+            assert main(["cone", path]) == 0
+    repaired = capsys.readouterr().out
+    messages = [r.getMessage() for r in caplog.records if r.name == "geocon.cone"]
+    assert len(messages) == 2
+    assert all("exact certificate failed" in msg and "repaired" in msg for msg in messages)
+
+    def no_repair(*lp):
+        raise cone_module._NoCertificate("repair disabled")
+
+    with mock.patch.object(cone_module, "_repair", no_repair):
+        assert main(["cone", path]) == 0
+    assert capsys.readouterr().out == repaired

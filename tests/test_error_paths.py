@@ -239,3 +239,53 @@ def test_cli_step_that_is_not_positive_and_finite_is_one_error_line(capsys, argv
     assert captured.out == ""
     assert captured.err.startswith("geocon: error: step must be positive and finite, got ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["variation", "heisenberg.json", "--input", "2", "--time", "nan"], "--time"),
+        (["mech-check", "polar_connection.json", "--time", "nan"], "--time"),
+        (["variation", "heisenberg.json", "--input", "2", "--time", "5"], "--time"),
+        (["variation", "heisenberg.json", "--input", "2", "--time", "-1"], "--time"),
+        (["mech-check", "polar_connection.json", "--time", "7"], "--time"),
+        (["pca", "heisenberg.json", "--time", "inf"], "--time"),
+        (["variation", "polar_connection.json", "--s-max", "nan"], "--s-max"),
+        (["variation", "polar_connection.json", "--s-max", "inf"], "--s-max"),
+        (["variation", "polar_connection.json", "--template", "needle", "--u1", "1", "--l1", "nan"], "--l1"),
+        (["variation", "polar_connection.json", "--template", "needle", "--u1", "1", "--l1", "inf"], "--l1"),
+        (["variation", "polar_connection.json", "--template", "needle", "--u1", "1", "--l1", "0"], "--l1"),
+        (["variation", "polar_connection.json", "--samples", "-3"], "--samples"),
+    ],
+)
+def test_cli_bad_numeric_option_is_one_error_line_naming_it(capsys, argv, option):
+    from geocon.cli import main
+
+    command, scenario, *options = argv
+    assert main([command, str(FIXTURES / scenario), *options]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"geocon: error: {option} ")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_time_at_the_interval_ends_is_accepted(capsys):
+    from geocon.cli import main
+
+    for t in ("0", "1"):
+        assert main(["mech-check", str(FIXTURES / "polar_connection.json"), "--time", t]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("l1", [math.nan, math.inf, -1.0, 0.0])
+def test_needle_rejects_a_rate_that_is_not_positive_and_finite(martinet, martinet_reference, l1):
+    from geocon.variations import needle_variation
+
+    x = martinet_reference.point_at(0.5)
+    with pytest.raises(VariationError, match="l1 must be positive and finite"):
+        needle_variation(martinet, [0.0, 0.0], [0.5, 0.5], l1, x)
+
+
+def test_reference_interpolation_rejects_nan(martinet_reference):
+    with pytest.raises(OcpError, match="nan"):
+        martinet_reference.point_at(math.nan)

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 
 import pytest
@@ -240,3 +242,71 @@ def test_pow_fold_survives_overflow():
     ast = pow_(Const(10.0), 400)
     assert isinstance(ast, Pow)  # fold skipped, node kept
     assert evaluate(ast, {}) == math.inf  # runtime overflows to inf quietly
+
+
+# -- free_variables walks a shared tree once per distinct node ---------------
+
+_CHILD_READS = [0]
+
+
+@functools.cache
+def _counting_class(kind):
+    """`kind` with every read of a node's name or first child counted: one
+    read per visit of a Var, Call, Neg, Pow or binary node."""
+
+    def __getattribute__(self, name):
+        if name in ("name", "arg", "base", "left"):
+            _CHILD_READS[0] += 1
+        return object.__getattribute__(self, name)
+
+    return type(f"Counting{kind.__name__}", (kind,), {"__getattribute__": __getattribute__})
+
+
+def _counting_copy(e, memo):
+    """`e` rebuilt from counting nodes, every shared node kept shared."""
+    if id(e) not in memo:
+        parts = {}
+        for f in dataclasses.fields(e):
+            v = getattr(e, f.name)
+            parts[f.name] = _counting_copy(v, memo) if dataclasses.is_dataclass(v) else v
+        memo[id(e)] = _counting_class(type(e))(**parts)
+    return memo[id(e)]
+
+
+def _paths(e, memo):
+    """Nodes other than constants, counted once per path from the root."""
+    if id(e) not in memo:
+        children = [getattr(e, f.name) for f in dataclasses.fields(e)]
+        memo[id(e)] = int(not isinstance(e, Const)) + sum(
+            _paths(c, memo) for c in children if dataclasses.is_dataclass(c)
+        )
+    return memo[id(e)]
+
+
+def _names(e):
+    """The variable names of `e`, by a walk over every path."""
+    if isinstance(e, Var):
+        return {e.name}
+    children = [getattr(e, f.name) for f in dataclasses.fields(e)]
+    return set().union(*(_names(c) for c in children if dataclasses.is_dataclass(c)))
+
+
+def test_free_variables_visits_each_distinct_node_of_a_bracket_tower_once():
+    # [X1, [X1, ... [X1, X2]]] reuses the components and Jacobian entries of
+    # each level in the next, so its paths outgrow its distinct nodes; the
+    # visits must follow the distinct nodes
+    from geocon.fields import lie_bracket, vector_field
+
+    chart = ("x", "y", "z")
+    x1 = vector_field(chart, ["sin(y)", "x*z", "x^2"])
+    tower = vector_field(chart, ["z*y", "1", "x*y"])
+    for _ in range(4):
+        tower = lie_bracket(x1, tower)
+        for comp in tower.components:
+            memo = {}
+            copy = _counting_copy(comp, memo)
+            distinct = sum(not isinstance(node, Const) for node in memo.values())
+            _CHILD_READS[0] = 0
+            assert free_variables(copy) == _names(comp)
+            assert _CHILD_READS[0] == distinct
+    assert _paths(comp, {}) > 2 * distinct

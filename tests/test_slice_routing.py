@@ -160,3 +160,22 @@ def test_a_routed_slice_dies_with_its_system():
     del system, xi
     gc.collect()
     assert [r() for r in refs] == [None, None]
+
+
+def test_a_routed_slice_holds_its_system_weakly():
+    # the system caches the slice and the slice refers back to the system
+    # weakly, so dropping the system frees it without a cycle collection;
+    # the slice then runs its own code, bit for bit
+    system = random_control_affine(np.random.default_rng(5), m=3, k=2)
+    xi = system.slice_field([0.5, -1.0])
+    x = as_point([0.1, 0.2, 0.3])
+    routed = integrate_flow(FlowSpec(xi, 0.1, 1e-2), x).coords.tobytes()
+    ref = weakref.ref(system)
+    gc.disable()
+    try:
+        del system
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert integrate_flow(FlowSpec(xi, 0.1, 1e-2), x).coords.tobytes() == routed
+    assert "_flow_forms" in xi.__dict__
