@@ -4,7 +4,8 @@ Loads a JSON scenario, runs one analysis and emits either a JSON report
 (deterministic byte-for-byte for a fixed scenario: fixed key order, floats
 at 17 significant digits) or a CSV curve.  Exit codes: 0 success, 2 for
 analysis verdicts that fail (audit or identity failures, degenerate
-requests), 1 for tool errors.
+requests), 1 for tool errors, usage errors included.  Each command
+accepts only the options it reads (the command table `COMMANDS`).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import logging
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
 
@@ -24,8 +26,8 @@ import numpy as np
 
 from . import __version__
 from .cone import ConeError, assemble_cone, find_supporting_covector
-from .expr import ExprError, parse_expression
-from .fields import DivergenceError, FieldError
+from .expr import ExprError, parse_expression, render
+from .fields import DivergenceError, FieldError, TangentVector, VectorField, is_zero_field, lie_bracket
 from .mech import ConnectionSpec, MechError, build_acc_system, connection_spec, generator_families
 from .ocp import (
     ControlSchedule,
@@ -42,16 +44,11 @@ from .ocp import (
     search_normal_lift,
 )
 from .pca import PcaError, abnormal_verdict, annihilator_at, ladder_pairings, run_algorithm
-from .variations import (
-    VariationError,
-    bracket_variation,
-    needle_variation,
-)
+from .variations import VariationError, bracket_variation, needle_variation
 
 log = logging.getLogger("geocon")
 
 SCHEMA_VERSION = "1"
-COMMANDS = ("bracket", "flow", "variation", "cone", "pca", "extremal", "audit", "mech-check")
 
 
 class ScenarioError(Exception):
@@ -72,7 +69,6 @@ def load_schema() -> dict:
 class Scenario:
     name: str
     chart: tuple[str, ...]
-    control_names: tuple[str, ...]
     system: object  # ControlAffineSystem
     extended: object | None
     connection: ConnectionSpec | None
@@ -82,13 +78,10 @@ class Scenario:
     schedule: ControlSchedule | None
     analysis: dict
     digest: str
-    raw: dict
 
     def require_reference(self, command: str):
         if self.schedule is None:
-            raise ScenarioError(
-                f"missing /reference block (required by the {command!r} command)"
-            )
+            raise ScenarioError(f"missing /reference block (required by the {command!r} command)")
 
     def for_mode(self, mode: str):
         """(system, initial state) in reduced mode, or in extended mode the
@@ -124,6 +117,21 @@ def _parse_block(exprs, variables, where: str):
     return out
 
 
+def _inputs_and_box(block, variables, where: str):
+    """The `inputs` (one field per control) and `control_box` of `block`."""
+    inputs = []
+    for c, comps in enumerate(block["inputs"]):
+        parsed = _parse_block(comps, variables, f"{where}/inputs/{c}")
+        if len(parsed) != len(variables):
+            raise ScenarioError(f"{where}/inputs/{c}: wrong component count")
+        inputs.append(parsed)
+    box = [
+        (_bound(lo, f"{where}/control_box/{i}"), _bound(hi, f"{where}/control_box/{i}"))
+        for i, (lo, hi) in enumerate(block["control_box"])
+    ]
+    return inputs, box
+
+
 def load_scenario(path: str) -> Scenario:
     """Parse and validate a scenario file; defaults are filled here."""
     try:
@@ -157,16 +165,7 @@ def load_scenario(path: str) -> Scenario:
         drift = _parse_block(block["drift"], chart, "/system/drift")
         if len(drift) != len(chart):
             raise ScenarioError("/system/drift: one component per chart variable required")
-        inputs = []
-        for c, comps in enumerate(block["inputs"]):
-            parsed = _parse_block(comps, chart, f"/system/inputs/{c}")
-            if len(parsed) != len(chart):
-                raise ScenarioError(f"/system/inputs/{c}: wrong component count")
-            inputs.append(parsed)
-        box = [
-            (_bound(lo, f"/system/control_box/{i}"), _bound(hi, f"/system/control_box/{i}"))
-            for i, (lo, hi) in enumerate(block["control_box"])
-        ]
+        inputs, box = _inputs_and_box(block, chart, "/system")
         try:
             system = build_control_affine(chart, drift, inputs, box, controls)
         except OcpError as exc:
@@ -176,34 +175,18 @@ def load_scenario(path: str) -> Scenario:
         coords = tuple(block["coordinates"])
         vels = tuple(block["velocities"])
         if chart != coords + vels:
-            raise ScenarioError(
-                "/chart must equal /mechanics/coordinates followed by /mechanics/velocities"
-            )
+            raise ScenarioError("/chart must equal /mechanics/coordinates followed by /mechanics/velocities")
         n = len(coords)
         gamma = block["christoffel"]
         if len(gamma) != n or any(len(r) != n or any(len(c) != n for c in r) for r in gamma):
             raise ScenarioError(f"/mechanics/christoffel must be {n}x{n}x{n}")
         parsed_gamma = [
-            [
-                _parse_block(gamma[i][j], coords, f"/mechanics/christoffel/{i}/{j}")
-                for j in range(n)
-            ]
+            [_parse_block(gamma[i][j], coords, f"/mechanics/christoffel/{i}/{j}") for j in range(n)]
             for i in range(n)
         ]
-        inputs = []
-        for c, comps in enumerate(block["inputs"]):
-            parsed = _parse_block(comps, coords, f"/mechanics/inputs/{c}")
-            if len(parsed) != n:
-                raise ScenarioError(f"/mechanics/inputs/{c}: wrong component count")
-            inputs.append(parsed)
-        box = [
-            (_bound(lo, f"/mechanics/control_box/{i}"), _bound(hi, f"/mechanics/control_box/{i}"))
-            for i, (lo, hi) in enumerate(block["control_box"])
-        ]
+        inputs, box = _inputs_and_box(block, coords, "/mechanics")
         try:
             connection = connection_spec(coords, vels, parsed_gamma)
-            from .fields import VectorField
-
             q_fields = [VectorField(coords, tuple(comps)) for comps in inputs]
             system = build_acc_system(connection, q_fields, box, controls)
         except (MechError, OcpError, ExprError, ArithmeticError) as exc:
@@ -233,9 +216,7 @@ def load_scenario(path: str) -> Scenario:
             if "breaks" not in ctrl or "values" not in ctrl:
                 raise ScenarioError("/reference/controls: piecewise needs breaks and values")
             if any(len(row) != len(controls) for row in ctrl["values"]):
-                raise ScenarioError(
-                    "/reference/controls/values: one value per control required"
-                )
+                raise ScenarioError("/reference/controls/values: one value per control required")
             try:
                 schedule = piecewise_schedule(ctrl["breaks"], ctrl["values"])
             except OcpError as exc:
@@ -259,7 +240,6 @@ def load_scenario(path: str) -> Scenario:
     return Scenario(
         name=data["name"],
         chart=chart,
-        control_names=controls,
         system=system,
         extended=extended,
         connection=connection,
@@ -269,7 +249,6 @@ def load_scenario(path: str) -> Scenario:
         schedule=schedule,
         analysis=analysis,
         digest=digest,
-        raw=data,
     )
 
 
@@ -289,9 +268,7 @@ def render_json(value, indent: int = 0) -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = []
-        for k, v in value.items():
-            items.append(f'{pad}  {json.dumps(str(k))}: {render_json(v, indent + 1)}')
+        items = [f"{pad}  {json.dumps(str(k))}: {render_json(v, indent + 1)}" for k, v in value.items()]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(value, (list, tuple)):
         if len(value) == 0:
@@ -322,45 +299,32 @@ def report_envelope(command: str, scenario: Scenario, options: dict, results: di
 
 
 def _csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_plain_number(v) for v in row))
+    lines = [",".join(header)] + [",".join(format(float(v), ".17g") for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def _plain_number(v) -> str:
-    return format(float(v), ".17g")
-
-
 # ---------------------------------------------------------------------------
-# Command implementations.  Each returns (exit_code, text_payload).
+# Command implementations.  Each returns (exit_code, payload): a results
+# dict, which run_command wraps in the report envelope, or finished text.
+# They see --step and --time resolved (see run_command).
 # ---------------------------------------------------------------------------
 
 
-def _reference(scenario: Scenario, step: float | None, mode: str = "reduced"):
+def _reference(scenario: Scenario, step: float, mode: str = "reduced"):
     system, x0 = scenario.for_mode(mode)
-    step = scenario.step if step is None else step
     return integrate_trajectory(system, x0, scenario.schedule, scenario.interval, step)
 
 
 def _rendered_field(vf) -> list[str]:
-    from .expr import render
-
     return [render(c) for c in vf.components]
 
 
-def cmd_bracket(scenario: Scenario, args) -> tuple[int, str]:
-    from .fields import is_zero_field, lie_bracket
-
+def cmd_bracket(scenario: Scenario, args) -> tuple[int, dict]:
     sys_ = scenario.system
     results = {"chart": list(scenario.chart), "brackets": []}
-    fields = [("X0", sys_.drift)] + [
-        (f"X{c + 1}", vf) for c, vf in enumerate(sys_.inputs)
-    ]
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            name_a, a = fields[i]
-            name_b, b = fields[j]
+    fields = [("X0", sys_.drift)] + [(f"X{c + 1}", vf) for c, vf in enumerate(sys_.inputs)]
+    for i, (name_a, a) in enumerate(fields):
+        for name_b, b in fields[i + 1 :]:
             if name_a == "X0" and is_zero_field(a):
                 continue
             br = lie_bracket(a, b)
@@ -371,8 +335,7 @@ def cmd_bracket(scenario: Scenario, args) -> tuple[int, str]:
                     "zero": is_zero_field(br),
                 }
             )
-    report = report_envelope("bracket", scenario, _echo(args), results)
-    return 0, render_json(report) + "\n"
+    return 0, results
 
 
 def cmd_flow(scenario: Scenario, args) -> tuple[int, str]:
@@ -382,20 +345,9 @@ def cmd_flow(scenario: Scenario, args) -> tuple[int, str]:
     return 0, _csv(header, rows)
 
 
-def _sample_time(scenario: Scenario, args, default: float | None = None) -> float | None:
-    """--time, or `default` without it, checked to lie in the interval (past
-    its ends the reference would only hold its end state)."""
-    a, b = scenario.interval
-    t = default if args.time is None else args.time
-    if t is not None and not a <= t <= b:
-        raise ScenarioError(f"--time {t} must lie in [{a}, {b}]")
-    return t
-
-
 def cmd_variation(scenario: Scenario, args) -> tuple[int, str]:
     traj = _reference(scenario, args.step)
-    a, b = scenario.interval
-    t0 = _sample_time(scenario, args, 0.5 * (a + b))
+    t0 = args.time
     x = traj.point_at(t0)
     u_ref = traj.control_at(t0)
     if args.template == "needle":
@@ -414,15 +366,12 @@ def cmd_variation(scenario: Scenario, args) -> tuple[int, str]:
     if pv is None:
         return 2, "degenerate variation: the template produces no perturbation vector\n"
     svals = np.linspace(0.0, args.s_max, args.samples)
-    rows = []
-    for s in svals:
-        nu = pv.curve(float(s))
-        rows.append([s, *np.asarray(nu.coords, dtype=float)])
+    rows = [[s, *np.asarray(pv.curve(float(s)).coords, dtype=float)] for s in svals]
     return 0, _csv(["s", *scenario.chart], rows)
 
 
 def _cone_for(scenario: Scenario, args, mode: str):
-    t = args.time if args.time is not None else scenario.interval[1]
+    t = args.time
     times = [t0 for t0 in scenario.analysis["sample_times"] if t0 <= t] or [t]
     return assemble_cone(
         scenario.for_mode(mode)[0],
@@ -430,6 +379,7 @@ def _cone_for(scenario: Scenario, args, mode: str):
         t,
         times,
         per_time_budget=scenario.analysis["per_time_budget"],
+        step=args.step,
     )
 
 
@@ -442,19 +392,14 @@ def _support_block(support) -> dict:
     }
 
 
-def cmd_cone(scenario: Scenario, args) -> tuple[int, str]:
+def cmd_cone(scenario: Scenario, args) -> tuple[int, dict]:
     cone = _cone_for(scenario, args, "reduced")
     support = find_supporting_covector(cone)
     results = {
         "time": cone.time,
         "base": cone.base.coords,
         "generators": [
-            {
-                "components": g.components,
-                "t0": p.t0,
-                "order": p.order,
-                "recipe": p.recipe,
-            }
+            {"components": g.components, "t0": p.t0, "order": p.order, "recipe": p.recipe}
             for g, p in zip(cone.generators, cone.provenance)
         ],
         "support": _support_block(support),
@@ -462,8 +407,6 @@ def cmd_cone(scenario: Scenario, args) -> tuple[int, str]:
     if scenario.extended is not None:
         # on the cost-augmented chart the decrease direction is -d/dx0 and
         # the separating margin equals -lambda0 of the reported covector
-        from .fields import TangentVector
-
         ext_cone = _cone_for(scenario, args, "extended")
         d = np.zeros(ext_cone.dim)
         d[0] = -1.0
@@ -472,11 +415,10 @@ def cmd_cone(scenario: Scenario, args) -> tuple[int, str]:
             "generators": len(ext_cone.generators),
             "support": _support_block(ext_support),
         }
-    report = report_envelope("cone", scenario, _echo(args), results)
-    return 0, render_json(report) + "\n"
+    return 0, results
 
 
-def cmd_pca(scenario: Scenario, args) -> tuple[int, str]:
+def cmd_pca(scenario: Scenario, args) -> tuple[int, dict]:
     reference = _reference(scenario, args.step)
     sample_times = [
         t for t in scenario.analysis["sample_times"] if t < scenario.interval[1]
@@ -487,33 +429,26 @@ def cmd_pca(scenario: Scenario, args) -> tuple[int, str]:
         sample_times=sample_times,
         max_levels=scenario.analysis["max_levels"],
     )
-    levels = []
-    for lvl in ladder.levels:
-        levels.append(
-            {
-                "index": lvl.index,
-                "generators": [
-                    {
-                        "name": g.name,
-                        "components": g.rendered(),
-                        "parent": g.parent,
-                        "bracket_with": g.bracket_with,
-                    }
-                    for g in lvl.generators
-                ],
-                "span_dims": {str(t): d for t, d in sorted(lvl.span_dims.items())},
-                "controls_could_determine": lvl.branch_flag,
-            }
-        )
-    annihilators = {}
-    for t in ladder.sample_times:
-        basis = annihilator_at(reference.point_at(t), ladder)
-        annihilators[str(t)] = [b.components for b in basis]
+    levels = [
+        {
+            "index": lvl.index,
+            "generators": [
+                {"name": g.name, "components": g.rendered(), "parent": g.parent, "bracket_with": g.bracket_with}
+                for g in lvl.generators
+            ],
+            "span_dims": {str(t): d for t, d in sorted(lvl.span_dims.items())},
+            "controls_could_determine": lvl.branch_flag,
+        }
+        for lvl in ladder.levels
+    ]
     results = {
         "stabilized_at": ladder.stabilized_at,
         "levels": levels,
         "sample_times": list(ladder.sample_times),
-        "annihilators": annihilators,
+        "annihilators": {
+            str(t): [b.components for b in annihilator_at(reference.point_at(t), ladder)]
+            for t in ladder.sample_times
+        },
         "verdict": abnormal_verdict(ladder),
     }
     if args.covector is not None:
@@ -525,15 +460,12 @@ def cmd_pca(scenario: Scenario, args) -> tuple[int, str]:
             "max_abs_pairings": pairings,
             "worst": max(pairings.values()) if pairings else 0.0,
         }
-    report = report_envelope("pca", scenario, _echo(args), results)
-    return 0, render_json(report) + "\n"
+    return 0, results
 
 
-def _parse_covector(text) -> np.ndarray:
-    if isinstance(text, np.ndarray):
-        return text
+def _parse_covector(text: str) -> np.ndarray:
     try:
-        return np.asarray([float(v) for v in str(text).split(",")], dtype=float)
+        return np.asarray([float(v) for v in text.split(",")], dtype=float)
     except ValueError as exc:
         raise ScenarioError(f"bad covector {text!r}: {exc}") from exc
 
@@ -549,14 +481,12 @@ def _mode_for_covector(scenario: Scenario, lam0) -> str:
     raise ScenarioError(f"covector needs {m} (reduced) or {m + 1} (extended) components")
 
 
-def _integrate_candidate(scenario: Scenario, lam0, mode: str, step):
+def _integrate_candidate(scenario: Scenario, lam0, mode: str, step: float):
     system, x0 = scenario.for_mode(mode)
-    return integrate_biextremal(
-        system, x0, lam0, scenario.schedule, scenario.interval, mode, scenario.step if step is None else step
-    )
+    return integrate_biextremal(system, x0, lam0, scenario.schedule, scenario.interval, mode, step)
 
 
-def cmd_extremal(scenario: Scenario, args) -> tuple[int, str]:
+def cmd_extremal(scenario: Scenario, args) -> tuple[int, dict]:
     if args.covector is None:
         raise ScenarioError("extremal needs --covector")
     lam0 = _parse_covector(args.covector)
@@ -585,26 +515,21 @@ def cmd_extremal(scenario: Scenario, args) -> tuple[int, str]:
         search = None
         if abs(bx.lambda0) <= 1e-12:
             reference = _reference(scenario, args.step)
-            search = search_normal_lift(scenario.extended, reference)
+            search = search_normal_lift(scenario.extended, reference, step=args.step)
         cls = classify_extremal(bx, search)
-        results["classification"] = {
-            "kind": cls.kind,
-            "label": cls.label,
-            "lambda0": cls.lambda0,
-        }
+        results["classification"] = {"kind": cls.kind, "label": cls.label, "lambda0": cls.lambda0}
         if search is not None:
             results["normal_lift_search"] = {
-                "found": None if search.found is None else search.found,
+                "found": search.found,
                 "candidates": search.candidates,
                 "tolerance": search.tol,
                 "best_residual": search.best_residual,
                 "grid": search.grid_description,
             }
-    report = report_envelope("extremal", scenario, _echo(args), results)
-    return 0, render_json(report) + "\n"
+    return 0, results
 
 
-def cmd_audit(scenario: Scenario, args) -> tuple[int, str]:
+def cmd_audit(scenario: Scenario, args) -> tuple[int, dict]:
     if args.covector is None:
         raise ScenarioError("audit needs --covector")
     lam0 = _parse_covector(args.covector)
@@ -624,24 +549,18 @@ def cmd_audit(scenario: Scenario, args) -> tuple[int, str]:
         "mode": mode,
         "passed": report_data.passed,
         "conditions": [
-            {
-                "id": c.id,
-                "description": c.description,
-                "passed": c.passed,
-                "detail": c.detail,
-            }
+            {"id": c.id, "description": c.description, "passed": c.passed, "detail": c.detail}
             for c in report_data.conditions
         ],
     }
-    report = report_envelope("audit", scenario, _echo(args), results)
-    return (0 if report_data.passed else 2), render_json(report) + "\n"
+    return (0 if report_data.passed else 2), results
 
 
-def cmd_mech_check(scenario: Scenario, args) -> tuple[int, str]:
+def cmd_mech_check(scenario: Scenario, args) -> tuple[int, dict]:
     if scenario.connection is None:
         raise ScenarioError("mech-check needs a mechanics scenario")
     reference = _reference(scenario, args.step)
-    rep = generator_families(scenario.system, reference, sample_time=_sample_time(scenario, args))
+    rep = generator_families(scenario.system, reference, sample_time=args.time)
     results = {
         "passed": rep.passed,
         "lift_generators": [_rendered_field(vf) for vf in rep.z0],
@@ -659,87 +578,163 @@ def cmd_mech_check(scenario: Scenario, args) -> tuple[int, str]:
             for c in rep.checks
         ],
     }
-    report = report_envelope("mech-check", scenario, _echo(args), results)
-    return (0 if rep.passed else 2), render_json(report) + "\n"
+    return (0 if rep.passed else 2), results
 
 
-def _echo(args) -> dict:
-    out = {}
-    for key in ("time", "step", "seed", "covector", "template", "input", "u1", "l1"):
-        v = getattr(args, key, None)
-        if v is not None:
-            out[key] = v
-    return out
+# ---------------------------------------------------------------------------
+# The command table: the parser, the option checks, the report's `options`
+# echo and dispatch all read it, so each command accepts exactly the
+# options it reads.
+# ---------------------------------------------------------------------------
 
 
-_HANDLERS = {
-    "bracket": cmd_bracket,
-    "flow": cmd_flow,
-    "variation": cmd_variation,
-    "cone": cmd_cone,
-    "pca": cmd_pca,
-    "extremal": cmd_extremal,
-    "audit": cmd_audit,
-    "mech-check": cmd_mech_check,
+@dataclass(frozen=True)
+class Command:
+    help: str
+    handler: Callable[[Scenario, argparse.Namespace], tuple[int, dict | str]]
+    options: tuple[str, ...]  # the flags it reads, besides the scenario path
+    time: str | None = None  # what its --time means: a key of _TIME_RULES
+
+
+COMMANDS = {
+    "bracket": Command(
+        "print the Lie brackets of the system fields",
+        cmd_bracket, ("--out",),
+    ),
+    "flow": Command(
+        "emit the reference trajectory as CSV",
+        cmd_flow, ("--out", "--step"),
+    ),
+    "variation": Command(
+        "emit a variation curve as CSV",
+        cmd_variation,
+        ("--out", "--time", "--step", "--template", "--input", "--u1", "--l1", "--s-max", "--samples"),
+        "sample",
+    ),
+    "cone": Command(
+        "assemble the perturbation cone and report a supporting covector",
+        cmd_cone, ("--out", "--time", "--step"), "cone",
+    ),
+    "pca": Command(
+        "run the constraint ladder and report annihilators",
+        cmd_pca, ("--out", "--covector", "--step"),
+    ),
+    "extremal": Command(
+        "integrate a biextremal from an initial covector",
+        cmd_extremal, ("--out", "--covector", "--step"),
+    ),
+    "audit": Command(
+        "check the necessary conditions for a candidate covector",
+        cmd_audit, ("--out", "--covector", "--time", "--step"), "cone",
+    ),
+    "mech-check": Command(
+        "verify the mechanical generator families and jet identities",
+        cmd_mech_check, ("--out", "--time", "--step"), "sample",
+    ),
+}
+
+_OPTIONS = {  # flag: add_argument keywords (--time takes its help from the rule)
+    "--out": {"help": "write the report/CSV here instead of stdout"},
+    "--covector": {"help": "comma-separated initial covector components"},
+    "--time": {"type": float},
+    "--step": {"type": float, "help": "RK4 step of every flow along the reference (default the scenario's)"},
+    "--template": {"choices": ("needle", "commutator"), "default": "commutator"},
+    "--input": {"type": int, "default": 1, "help": "input index (1-based)"},
+    "--u1": {"help": "needle control value, comma separated"},
+    "--l1": {"type": float, "default": 1.0},
+    "--s-max": {"type": float, "default": 0.4},
+    "--samples": {"type": int, "default": 33},
+}
+
+_CHECKS = {  # flag: (accepts, what it accepts); --time follows its rule
+    "--l1": (lambda v: 0.0 < v < math.inf, "positive and finite"),
+    "--s-max": (lambda v: 0.0 <= v < math.inf, "nonnegative and finite"),
+    "--samples": (lambda v: v >= 0, "nonnegative"),
+}
+
+_TIME_RULES = {  # rule: --help text; _resolve_time applies it
+    "cone": "cone time in (a, b] of the reference interval (default b)",
+    "sample": "sample time in [a, b] of the reference interval (default the midpoint)",
 }
 
 
-_NUMERIC_OPTIONS = (  # (flag, attribute, accepts, what it accepts)
-    ("--time", "time", math.isfinite, "finite"),
-    ("--l1", "l1", lambda v: 0.0 < v < math.inf, "positive and finite"),
-    ("--s-max", "s_max", lambda v: 0.0 <= v < math.inf, "nonnegative and finite"),
-    ("--samples", "samples", lambda v: v >= 0, "nonnegative"),
-)
+def _resolve_time(rule: str, interval, t: float | None) -> float:
+    """--time under `rule`: a cone time lies in (a, b] and defaults to b; a
+    sample time lies in [a, b] (past its ends the reference would only hold
+    its end state) and defaults to the midpoint."""
+    a, b = interval
+    if rule == "cone":
+        t = b if t is None else t
+        if not a < t <= b:
+            raise ScenarioError(f"--time {t} must lie in ({a}, {b}]")
+    else:
+        t = 0.5 * (a + b) if t is None else t
+        if not a <= t <= b:
+            raise ScenarioError(f"--time {t} must lie in [{a}, {b}]")
+    return t
 
 
 def run_command(command: str, scenario: Scenario, args) -> tuple[int, str]:
-    """Dispatch one analysis; returns (exit_code, payload text)."""
-    if command not in _HANDLERS:
-        raise ScenarioError(f"unknown command {command!r}")
-    for flag, key, accepts, wanted in _NUMERIC_OPTIONS:
-        value = getattr(args, key, None)
-        if value is not None and not accepts(value):
-            raise ScenarioError(f"{flag} must be {wanted}, got {value}")
-    if command != "bracket":
+    """Dispatch one analysis; returns (exit_code, payload text).  The handler
+    sees --step defaulted to the scenario's and --time resolved by its rule;
+    the report echoes the options as given."""
+    spec = COMMANDS[command]
+    for flag in spec.options:
+        if flag in _CHECKS:
+            accepts, wanted = _CHECKS[flag]
+            value = getattr(args, flag[2:].replace("-", "_"))
+            if not accepts(value):
+                raise ScenarioError(f"{flag} must be {wanted}, got {value}")
+    echoed = ("time", "step", "covector")  # what a JSON report repeats under `options`, in order
+    options = {key: getattr(args, key) for key in echoed if getattr(args, key, None) is not None}
+    if "--step" in spec.options:  # every command that reads a step follows the reference
         scenario.require_reference(command)
-    return _HANDLERS[command](scenario, args)
+        args.step = scenario.step if args.step is None else args.step
+    if spec.time is not None:
+        args.time = _resolve_time(spec.time, scenario.interval, args.time)
+    code, payload = spec.handler(scenario, args)
+    if isinstance(payload, dict):
+        payload = render_json(report_envelope(command, scenario, options, payload)) + "\n"
+    return code, payload
+
+
+class UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one `geocon: error:` line and exit code 1 (see main), not a usage
+        # dump and exit code 2, which is kept for verdicts
+        raise UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geocon",
+        allow_abbrev=False,
         description="Geometric control workbench: brackets, variations, cones, "
         "constraint ladders and necessary-condition audits.",
     )
     parser.add_argument("--version", action="version", version=f"geocon {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("bracket", "print the Lie brackets of the system fields"),
-        ("flow", "emit the reference trajectory as CSV"),
-        ("variation", "emit a variation curve as CSV"),
-        ("cone", "assemble the perturbation cone and report a supporting covector"),
-        ("pca", "run the constraint ladder and report annihilators"),
-        ("extremal", "integrate a biextremal from an initial covector"),
-        ("audit", "check the necessary conditions for a candidate covector"),
-        ("mech-check", "verify the mechanical generator families and jet identities"),
-    ):
-        p = sub.add_parser(name, help=doc)
+    for name, spec in COMMANDS.items():
+        p = sub.add_parser(name, help=spec.help, allow_abbrev=False)  # a prefix is not an option either
         p.add_argument("scenario", help="path to the scenario JSON file")
-        p.add_argument("--out", help="write the report/CSV here instead of stdout")
-        p.add_argument("--covector", help="comma-separated initial covector components")
-        p.add_argument("--time", type=float, help="analysis time (cone time, sample time...)")
-        p.add_argument("--step", type=float, help="override the integrator step")
-        p.add_argument("--seed", type=int, help="seed echoed into the report")
-        if name == "variation":
-            p.add_argument(
-                "--template", choices=("needle", "commutator"), default="commutator"
-            )
-            p.add_argument("--input", type=int, default=1, help="input index (1-based)")
-            p.add_argument("--u1", help="needle control value, comma separated")
-            p.add_argument("--l1", type=float, default=1.0)
-            p.add_argument("--s-max", dest="s_max", type=float, default=0.4)
-            p.add_argument("--samples", type=int, default=33)
+        for flag in spec.options:
+            keywords = _OPTIONS[flag]
+            if flag == "--time":
+                keywords = dict(keywords, help=_TIME_RULES[spec.time])
+            p.add_argument(flag, **keywords)
     return parser
+
+
+def _unread(extras: list[str], command: str) -> str:
+    """The usage error for arguments the command's parser left over."""
+    flag = next((arg.split("=")[0] for arg in extras if arg.startswith("-")), None)
+    if flag is None:
+        return f"unrecognized arguments: {' '.join(extras)}"
+    return f"{flag} is not an option of {command}"
 
 
 def main(argv=None) -> int:
@@ -747,9 +742,10 @@ def main(argv=None) -> int:
     if level not in ("CRITICAL", "ERROR", "WARNING", "INFO", "DEBUG"):
         level = "WARNING"
     logging.basicConfig(level=level)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args, extras = build_parser().parse_known_args(argv)
+        if extras:
+            raise UsageError(_unread(extras, args.command))
         scenario = load_scenario(args.scenario)
         log.info("loaded scenario %s (%s)", scenario.name, scenario.digest)
         code, payload = run_command(args.command, scenario, args)
@@ -758,14 +754,8 @@ def main(argv=None) -> int:
         print(f"geocon: verdict: {exc}", file=sys.stderr)
         return 2
     except (
-        ScenarioError,
-        ExprError,
-        FieldError,
-        OcpError,
-        PcaError,
-        MechError,
-        VariationError,
-        ConeError,
+        UsageError, ScenarioError, ExprError, FieldError, OcpError,
+        PcaError, MechError, VariationError, ConeError,
     ) as exc:
         print(f"geocon: error: {exc}", file=sys.stderr)
         return 1

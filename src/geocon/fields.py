@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -205,12 +206,17 @@ def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
 
     The two product groups are assembled in the same node order for (a, b)
     and (b, a), which makes antisymmetry exact in floating point as well.
-    Each bracket is built once and kept on `a`, keyed by ``id(b)``; the
-    entry holds `b`, so the id cannot be reused while it is cached.
+    Each bracket is built once and kept on `a`, keyed by ``id(b)``.  The
+    entry holds `b` weakly, so brackets form no reference cycles; an entry
+    whose `b` has died (its id may be reused) is a miss.
     """
     if a.variables != b.variables:
         raise FieldError("bracket of fields on different charts")
-    return cached_on(a, "_brackets", lambda: (b, _bracket(a, b)), id(b))[1]
+    cache = a.__dict__.setdefault("_brackets", {})
+    entry = cache.get(id(b))
+    if entry is None or entry[0]() is not b:
+        entry = cache[id(b)] = (weakref.ref(b), _bracket(a, b))
+    return entry[1]
 
 
 def _bracket(a: VectorField, b: VectorField) -> VectorField:

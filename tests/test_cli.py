@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from geocon.cli import ScenarioError, load_scenario, load_schema, main, render_json
+from geocon.cone import assemble_cone
+from geocon.ocp import integrate_trajectory
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -291,3 +293,17 @@ def test_main_audit_mechanics_scenario(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["results"]["passed"] is True
+
+
+def test_cone_step_reaches_generator_transport(tmp_path):
+    # --step sets the step of every flow along the reference, the transport
+    # of the cone generators included
+    path = str(SCENARIOS / "polar_connection.json")
+    out = tmp_path / "cone.json"
+    assert main(["cone", path, "--step", "0.01", "--out", str(out)]) == 0
+    generators = [g["components"] for g in json.loads(out.read_text())["results"]["generators"]]
+    sc = load_scenario(path)
+    reference = integrate_trajectory(sc.system, sc.initial, sc.schedule, sc.interval, 0.01)
+    cone = assemble_cone(sc.system, reference, sc.interval[1], sc.analysis["sample_times"], sc.analysis["per_time_budget"], step=0.01)
+    assert generators == [list(g.components) for g in cone.generators]
+

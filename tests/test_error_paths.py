@@ -200,7 +200,7 @@ def test_cli_cone_time_outside_interval_is_a_tool_error(capsys):
     assert main(["cone", str(FIXTURES / "martinet.json"), "--time", "5"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("geocon: error:")
-    assert "cone time 5.0" in err
+    assert "--time 5.0 must lie in (0.0, 1.0]" in err
 
 
 @pytest.mark.parametrize(

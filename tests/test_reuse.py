@@ -15,8 +15,10 @@ import pytest
 
 from geocon import fields, variations
 from geocon.cone import assemble_cone
-from geocon.fields import lie_bracket, negate_field
+from geocon.expr import const, parse_expression
+from geocon.fields import VectorField, is_zero_field, lie_bracket, negate_field
 from geocon.ocp import build_control_affine, extend_system, integrate_trajectory, piecewise_schedule
+from geocon.pca import run_algorithm
 from geocon.variations import JetFragilityError, _detect_order, estimate_jets, sample_perturbation_set
 from tests.conftest import random_control_affine
 
@@ -88,6 +90,41 @@ def test_filled_caches_die_with_their_system():
     del system, xi0, bracket, ref, sched
     gc.collect()
     assert [r() for r in refs] == [None, None, None]
+
+
+def test_brackets_form_no_reference_cycles():
+    # a bracket entry holds the other field weakly, so self-brackets and
+    # brackets taken in both orders leave nothing for the cycle collector:
+    # dropping a system after its ladder frees its input fields at once
+    system = build_control_affine(
+        ("x1", "x2", "x3"), ["0", "0", "0"], [["1", "0", "0"], ["0", "1", "x1^2"]], [(-2.0, 2.0), (-2.0, 2.0)]
+    )
+    ref = integrate_trajectory(system, [0.0, 0.0, 0.0], piecewise_schedule([0.0], [[0.0, 1.0]]), (0.0, 1.0), 1e-2)
+    a, b = system.inputs
+    assert lie_bracket(a, a) is lie_bracket(a, a) and lie_bracket(b, a) is lie_bracket(b, a)
+    ladder = run_algorithm(system, ref)
+    refs = [weakref.ref(system), weakref.ref(a), weakref.ref(b)]
+    gc.collect()
+    gc.disable()
+    try:
+        del system, ref, ladder, a, b
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
+
+
+def test_a_bracket_entry_whose_field_died_is_a_miss():
+    a = VectorField(("x", "y"), (parse_expression("y", ("x", "y")), const(0.0)))
+    b = VectorField(("x", "y"), (const(0.0), parse_expression("x^2", ("x", "y"))))
+    first = lie_bracket(a, b)
+    key = id(b)
+    del b
+    gc.collect()
+    # a new field may reuse the dead one's id; its bracket is built afresh
+    c = VectorField(("x", "y"), (const(1.0), const(0.0)))
+    a.__dict__["_brackets"][id(c)] = a.__dict__["_brackets"].pop(key)
+    assert lie_bracket(a, c) is not first
+    assert is_zero_field(lie_bracket(a, c))
 
 
 def test_cone_generators_do_not_depend_on_cache_state():
