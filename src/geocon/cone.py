@@ -8,17 +8,15 @@ linear programs are tiny and every one goes through `solve_lp_max`: a dense
 two-phase float64 simplex (numpy, no external solver) finds a basis, and
 exact integer arithmetic certifies it optimal with one fraction-free square
 solve for the primal point and one for the dual multipliers.  When the
-certificate fails (near-degenerate data), exact dual simplex pivots repair
-the float basis; only when there is no float basis or the repair cannot
-proceed does the exact two-phase simplex over Fractions (Bland's rule)
-solve the program cold.  A DEBUG line on the ``geocon.cone`` logger says
+certificate fails (near-degenerate data), exact simplex pivots over
+Fractions continue from the float basis, or from the slack basis when the
+float pass found none; a DEBUG line on the ``geocon.cone`` logger says
 which.  Either way answers are exact for the given floating-point
 generators, and ties break to the lexicographically maximal covector.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -132,11 +130,11 @@ def assemble_cone(
 
 # ---------------------------------------------------------------------------
 # Support LPs: a float64 two-phase simplex finds a basis, exact integers
-# certify it, exact dual pivots repair it when the proof fails (the verify
-# and repair steps of Applegate, Cook, Dash & Espinoza, "Exact solutions to
-# linear programming problems", Oper. Res. Lett. 35, 2007), and the exact
-# two-phase simplex (maximization, Bland's rule) over Fractions runs cold
-# only when there is nothing to repair.
+# certify it, and when the proof fails exact pivots over Fractions start
+# from it (the verify and warm-start steps of Applegate, Cook, Dash &
+# Espinoza, "Exact solutions to linear programming problems", Oper. Res.
+# Lett. 35, 2007): dual simplex pivots to primal feasibility, then Bland's
+# primal simplex (maximization) to optimality.
 # ---------------------------------------------------------------------------
 
 F = Fraction
@@ -157,48 +155,44 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _run_simplex(T, basis, obj, allowed):
-    """Bland's rule: first improving column, smallest basis index on ties."""
-    while True:
-        enter = next((j for j in allowed if obj[j] > sum(obj[basis[i]] * T[i][j] for i in range(len(T)))), None)
-        if enter is None:
-            return
-        rows = [(T[i][-1] / T[i][enter], basis[i], i) for i in range(len(T)) if T[i][enter] > 0]
+def _solve_exact(c, A, b, basis=()):
+    """max c.x subject to A x <= b, x >= 0 by exact pivots from `basis`:
+    (feasible, x, value, pivots).
+
+    The slack tableau keeps the reduced costs in its last row.  Each
+    structural column of `basis` takes a row whose slack it leaves nonbasic,
+    or is skipped; an empty `basis` is the slack basis.  Dual simplex pivots
+    (leaving: the infeasible row with the smallest basic index; entering:
+    the smallest ratio, ties to the smallest index) reach primal
+    feasibility, on the real costs when the basis is dual feasible and
+    otherwise as if every cost were zero, for which every basis is: a
+    phase 1 without artificial columns.  Bland's primal simplex finishes.
+    """
+    m, n = len(A), len(c)
+    T = [[F(v) for v in A[i]] + [F(int(k == i)) for k in range(m)] + [F(b[i])] for i in range(m)]
+    T.append([F(v) for v in c] + [F(0)] * (m + 1))
+    current = list(range(n, n + m))
+    for j in (j for j in basis if j < n):
+        row = next((i for i in range(m) if current[i] >= n and current[i] not in basis and T[i][j]), None)
+        if row is not None:
+            _pivot(T, current, row, j)
+    dual_feasible = all(r <= 0 for r in T[m][:-1])
+    pivots = 0
+    while infeasible := [(current[i], i) for i in range(m) if T[i][-1] < 0]:
+        leave = min(infeasible)[1]
+        entering = [(T[m][j] / a if dual_feasible else 0, j) for j, a in enumerate(T[leave][:-1]) if a < 0]
+        if not entering:  # the row's slack can only be negative
+            return False, None, None, pivots
+        _pivot(T, current, leave, min(entering)[1])
+        pivots += 1
+    while (enter := next((j for j in range(n + m) if T[m][j] > 0), None)) is not None:
+        rows = [(T[i][-1] / T[i][enter], current[i], i) for i in range(m) if T[i][enter] > 0]
         if not rows:
             raise ConeError("unbounded linear program (missing box constraints?)")
-        _pivot(T, basis, min(rows)[2], enter)
-
-
-def _solve_exact(c, A, b):
-    """max c.x subject to A x <= b, x >= 0 by the exact two-phase simplex:
-    a slack per row, and an artificial per row with b < 0 (negated)."""
-    m, n = len(A), len(c)
-    negative = [i for i in range(m) if b[i] < 0]
-    T, basis = [], []
-    for i in range(m):
-        row = [F(v) for v in A[i]] + [F(int(k == i)) for k in range(m)] + [F(0)] * len(negative) + [F(b[i])]
-        basis.append(n + m + negative.index(i) if b[i] < 0 else n + i)
-        if b[i] < 0:
-            row = [-v for v in row]
-            row[basis[i]] = F(1)
-        T.append(row)
-    if negative:
-        obj1 = [F(0)] * (n + m) + [F(-1)] * len(negative)
-        _run_simplex(T, basis, obj1, range(len(obj1)))
-        if sum(obj1[basis[i]] * T[i][-1] for i in range(m)) < 0:
-            return False, None, None
-        for i in range(m):
-            if basis[i] >= n + m:  # drive degenerate artificials out when possible
-                j = next((j for j in range(n + m) if T[i][j] != 0), None)
-                if j is not None:
-                    _pivot(T, basis, i, j)
-    obj2 = [F(v) for v in c] + [F(0)] * (m + len(negative))
-    _run_simplex(T, basis, obj2, range(n + m))
-    x = [F(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = T[i][-1]
-    return True, x, sum(obj2[basis[i]] * T[i][-1] for i in range(m))
+        _pivot(T, current, min(rows)[2], enter)
+        pivots += 1
+    x_B = {j: T[i][-1] for i, j in enumerate(current)}
+    return True, [x_B.get(j, F(0)) for j in range(n)], -T[m][-1], pivots
 
 
 class _NoCertificate(Exception):
@@ -215,7 +209,7 @@ def _float_pivot(T, basis, row, col):
 def _float_simplex(T, basis, obj, n_cols, limit):
     """Dense float64 simplex on tableau T (rows = constraints, last column
     the right-hand side) over columns < n_cols, in place, to optimality.
-    Bland's rule, as in `_run_simplex`: the first improving column enters,
+    Bland's rule, as in `_solve_exact`: the first improving column enters,
     the smallest ratio leaves, ties to the smallest basic index."""
     for _ in range(limit):
         reduced = obj[:n_cols] - obj[basis] @ T[:, :n_cols]
@@ -236,9 +230,9 @@ def _float_simplex(T, basis, obj, n_cols, limit):
 
 
 def _float_basis(c, A, b) -> list[int]:
-    """Final basis of the float64 two-phase simplex on the standard form
-    `_solve_exact` builds (slacks, then artificials for b < 0): the basic
-    column of each row."""
+    """Final basis of the float64 two-phase simplex on A x + s = b (a slack
+    per row, an artificial per row with b < 0 in phase 1 only): the basic
+    column of each row, structural columns < n, slacks n..n+m-1."""
     m, n = len(A), len(c)
     negative = [i for i in range(m) if b[i] < 0]
     total = n + m + len(negative)
@@ -334,60 +328,29 @@ def _certify(c, A, b, basis):
     return [F(x_S.get(j, 0), d) for j in range(n)], F(sum(cs[j] * v for j, v in zip(S, X)), c_scale * d)
 
 
-def _repair(c, A, b, basis) -> tuple[list[int], int]:
-    """(basis, dual pivots): a rejected float basis installed in the exact
-    slack tableau by `_pivot`, each structural column taking a row whose
-    slack it leaves nonbasic, then, if exactly dual feasible, made primal
-    feasible by the dual simplex (leaving row: the infeasible one with the
-    smallest basic index; entering column: the smallest ratio, ties to the
-    smallest index).  Raises `_NoCertificate` when it cannot proceed."""
-    m, n = len(A), len(c)
-    T = [[F(v) for v in A[i]] + [F(int(k == i)) for k in range(m)] + [F(b[i])] for i in range(m)]
-    T.append([F(v) for v in c] + [F(0)] * (m + 1))  # reduced costs, kept by `_pivot`
-    current = list(range(n, n + m))
-    for j in (j for j in basis if j < n):
-        row = next((i for i in range(m) if current[i] >= n and current[i] not in basis and T[i][j]), None)
-        if row is None:
-            raise _NoCertificate("singular basis matrix")
-        _pivot(T, current, row, j)
-    if any(r > 0 for r in T[m][:-1]):
-        raise _NoCertificate("basis not dual feasible")
-    for pivots in itertools.count():
-        infeasible = [(current[i], i) for i in range(m) if T[i][-1] < 0]
-        if not infeasible:
-            return current, pivots
-        leave = min(infeasible)[1]
-        entering = [(T[m][j] / a, j) for j, a in enumerate(T[leave][:-1]) if a < 0]
-        if not entering:
-            raise _NoCertificate(f"row {leave} proves the program infeasible")
-        _pivot(T, current, leave, min(entering)[1])
-
-
 def solve_lp_max(c: Sequence[Fraction], A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]):
     """max c.x subject to A x <= b, x >= 0, exactly.
 
     Returns (feasible, x, value) with Fraction entries.  A float64 simplex
     proposes the optimal basis and `_certify` proves it exactly; when the
-    proof fails, `_certify` proves the basis `_repair` reaches from it, and
-    without a float basis or a repair the exact simplex decides cold.  The
-    optimal value is unique, so it is the same Fraction either way; x is
-    an exact optimal vertex.
+    proof fails, `_solve_exact` pivots exactly from that basis, or from the
+    slack basis when the float pass found none.  The optimal value is
+    unique, so it is the same Fraction either way; x is an exact optimal
+    vertex.
     """
-    basis = None
+    basis, start = (), "slack"
     try:
         basis = _float_basis(c, A, b)
+        start = "float"
         return (True, *_certify(c, A, b, basis))
     except _NoCertificate as exc:
-        where = f"LP with {len(A)} rows x {len(c)} columns: exact certificate failed ({exc})"
-    try:
-        if basis is None:
-            raise _NoCertificate("no float basis")
-        repaired, pivots = _repair(c, A, b, basis)
-        log.debug("%s; repaired the float basis in %d exact dual pivots", where, pivots)
-        return (True, *_certify(c, A, b, repaired))
-    except _NoCertificate as exc:
-        log.debug("%s; solved cold by the exact simplex (%s)", where, exc)
-    return _solve_exact(c, A, b)
+        reason = exc
+    feasible, x, value, pivots = _solve_exact(c, A, b, basis)
+    log.debug(
+        "LP with %d rows x %d columns: exact certificate failed (%s); solved exactly from the %s basis in %d pivots",
+        len(A), len(c), reason, start, pivots,
+    )
+    return feasible, x, value
 
 
 def _lambda_lp(gen_rows, m, objective, extra_rows=(), decided=()):

@@ -207,16 +207,25 @@ def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
     The two product groups are assembled in the same node order for (a, b)
     and (b, a), which makes antisymmetry exact in floating point as well.
     Each bracket is built once and kept on `a`, keyed by ``id(b)``.  The
-    entry holds `b` weakly, so brackets form no reference cycles; an entry
-    whose `b` has died (its id may be reused) is a miss.
+    entry holds `b` weakly, so brackets form no reference cycles, and is
+    dropped when `b` dies; an entry whose `b` is dead is a miss.
     """
     if a.variables != b.variables:
         raise FieldError("bracket of fields on different charts")
     cache = a.__dict__.setdefault("_brackets", {})
     entry = cache.get(id(b))
     if entry is None or entry[0]() is not b:
-        entry = cache[id(b)] = (weakref.ref(b), _bracket(a, b))
+        dropped = functools.partial(_drop_bracket, weakref.ref(a), id(b))
+        entry = cache[id(b)] = (weakref.ref(b, dropped), _bracket(a, b))
     return entry[1]
+
+
+def _drop_bracket(owner, key, dead):
+    """Weakref callback: pop `owner`'s entry `key` if `dead` still holds it.
+    It holds `owner` weakly, or it would close the cycle it avoids."""
+    cache = getattr(owner(), "__dict__", {}).get("_brackets", {})
+    if cache.get(key, (None,))[0] is dead:
+        del cache[key]
 
 
 def _bracket(a: VectorField, b: VectorField) -> VectorField:

@@ -233,6 +233,61 @@ def test_lp_never_misses_a_brute_force_direction(seed):
 # -- the float-first support LPs against the exact simplex -------------------
 
 
+def two_phase_simplex(c, A, b):
+    """max c.x subject to A x <= b, x >= 0 by the textbook exact two-phase
+    simplex over Fractions (Bland's rule): a slack per row, and an
+    artificial per row with b < 0 (negated).  The oracle for every exact
+    answer; (feasible, x, value)."""
+    F = Fraction
+    m, n = len(A), len(c)
+
+    def pivot(T, basis, row, col):
+        piv = T[row][col]
+        T[row] = [v / piv for v in T[row]]
+        for i in range(len(T)):
+            if i != row and T[i][col] != 0:
+                factor = T[i][col]
+                T[i] = [a - factor * p for a, p in zip(T[i], T[row])]
+        basis[row] = col
+
+    def run(T, basis, obj, allowed):
+        while True:
+            enter = next((j for j in allowed if obj[j] > sum(obj[basis[i]] * T[i][j] for i in range(m))), None)
+            if enter is None:
+                return
+            rows = [(T[i][-1] / T[i][enter], basis[i], i) for i in range(m) if T[i][enter] > 0]
+            if not rows:
+                raise ConeError("unbounded linear program")
+            pivot(T, basis, min(rows)[2], enter)
+
+    negative = [i for i in range(m) if b[i] < 0]
+    T, basis = [], []
+    for i in range(m):
+        row = [F(v) for v in A[i]] + [F(int(k == i)) for k in range(m)] + [F(0)] * len(negative) + [F(b[i])]
+        basis.append(n + m + negative.index(i) if b[i] < 0 else n + i)
+        if b[i] < 0:
+            row = [-v for v in row]
+            row[basis[i]] = F(1)
+        T.append(row)
+    if negative:
+        obj1 = [F(0)] * (n + m) + [F(-1)] * len(negative)
+        run(T, basis, obj1, range(len(obj1)))
+        if sum(obj1[basis[i]] * T[i][-1] for i in range(m)) < 0:
+            return False, None, None
+        for i in range(m):
+            if basis[i] >= n + m:  # drive degenerate artificials out when possible
+                j = next((j for j in range(n + m) if T[i][j] != 0), None)
+                if j is not None:
+                    pivot(T, basis, i, j)
+    obj2 = [F(v) for v in c] + [F(0)] * (m + len(negative))
+    run(T, basis, obj2, range(n + m))
+    x = [F(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = T[i][-1]
+    return True, x, sum(obj2[basis[i]] * T[i][-1] for i in range(m))
+
+
 def recorded_lps(cone, direction=None):
     """Every (c, A, b) that find_supporting_covector hands to solve_lp_max."""
     lps = []
@@ -262,7 +317,7 @@ def assert_attains(c, A, b, result):
 def assert_matches_exact_simplex(c, A, b):
     result = solve_lp_max(c, A, b)
     assert_attains(c, A, b, result)
-    assert result[2] == cone_module._solve_exact(c, A, b)[2]
+    assert result[2] == two_phase_simplex(c, A, b)[2]
 
 
 def random_generators(rng, m, n, rounded, antiparallel):
@@ -416,7 +471,7 @@ def test_spanning_cone_with_a_direction_reports_margin_zero():
     assert find_supporting_covector(cone) == SupportReport(None, None, None, False)
 
 
-# -- the shrinking chain, the integer certificate and the basis repair -------
+# -- the shrinking chain, the integer certificate and the exact pivots -------
 
 
 def lex_chain_pinned(gens, m, sign, extra):
@@ -542,7 +597,7 @@ def test_integer_certificate_matches_fractions_and_the_exact_simplex(
         assert got == expected
         if got is not None:
             assert_attains(*lp, (True, *got))
-            assert got[1] == cone_module._solve_exact(*lp)[2]
+            assert got[1] == two_phase_simplex(*lp)[2]
 
 
 def test_integer_certificate_rejects_each_kind_of_failure():
@@ -566,48 +621,89 @@ def test_integer_certificate_rejects_each_kind_of_failure():
         cone_module._certify([F(1)], [[F(1)]], [F(1)], [1])
 
 
+def test_slack_start_matches_the_oracle_on_small_programs():
+    # infeasible, degenerate and cost-free programs from the slack basis
+    F = Fraction
+    for c, A, b in (
+        ([F(1)], [[F(1)], [F(-1)]], [F(1), F(-2)]),  # x <= 1 and x >= 2
+        ([F(1), F(1)], [[F(1), F(1)], [F(1), F(-1)], [F(1), F(0)]], [F(1), F(-1, 2), F(1, 4)]),
+        ([F(0), F(0)], [[F(-1), F(-1)], [F(1), F(1)]], [F(-1), F(3)]),
+        ([F(-1), F(-1)], [[F(-1), F(-1)]], [F(-1)]),  # dual feasible from the start
+        ([F(-1), F(2)], [[F(-1), F(0)], [F(0), F(1)], [F(1), F(1)]], [F(-1), F(0), F(5)]),
+    ):
+        feasible, x, value, _ = cone_module._solve_exact(c, A, b)
+        expected = two_phase_simplex(c, A, b)
+        assert feasible == expected[0]
+        if feasible:
+            assert value == expected[2]
+            assert_attains(c, A, b, (feasible, x, value))
+    with pytest.raises(ConeError, match="unbounded"):
+        cone_module._solve_exact([F(1)], [[F(-1)]], [F(0)])
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(2, 24), st.booleans(), st.booleans())
-def test_repaired_basis_matches_the_exact_simplex(seed, m, n, rounded, with_direction):
-    # antiparallel pairs make the float basis fail its certificate; wherever
-    # the repair runs (from the float basis or a perturbed one), the basis it
-    # reaches is certified and has the exact simplex's optimum
+def test_exact_pivots_from_any_basis_match_the_two_phase_simplex(seed, m, n, rounded, with_direction):
+    # antiparallel pairs make the float basis fail its certificate; from the
+    # slack basis, the float basis and perturbed ones (often not optimal,
+    # singular or not a basis at all) the exact pivots reach the optimum of
+    # the two-phase simplex at an exactly feasible vertex
     rng = np.random.default_rng(seed)
     cone = make_cone(random_generators(rng, m, n, rounded, True), dim=m)
     direction = TangentVector(cone.base, rng.normal(size=m)) if with_direction else None
     for lp in recorded_lps(cone, direction)[:4]:
-        for basis in candidate_bases(lp, rng):
-            try:
-                repaired, _ = cone_module._repair(*lp, basis)
-            except cone_module._NoCertificate:
-                continue
-            x, value = cone_module._certify(*lp, repaired)
-            assert_attains(*lp, (True, x, value))
-            assert value == cone_module._solve_exact(*lp)[2]
+        expected = two_phase_simplex(*lp)
+        for basis in [()] + candidate_bases(lp, rng):
+            feasible, x, value, _ = cone_module._solve_exact(*lp, basis)
+            assert feasible == expected[0]
+            if feasible:
+                assert value == expected[2]
+                assert_attains(*lp, (feasible, x, value))
 
 
-def test_polar_connection_cone_repairs_without_a_cold_solve(caplog, capsys):
-    # both support LPs that fail the certificate on polar_connection are
-    # repaired by exact dual pivots; the report is the one the cold exact
-    # simplex gives
+def test_polar_connection_cone_pivots_from_the_float_basis(caplog, capsys):
+    # both support LPs that fail the certificate on polar_connection pivot
+    # exactly from the float basis; starting every LP from the slack basis
+    # gives the same report
     from geocon.cli import main
 
     path = str(Path(__file__).resolve().parents[1] / "scenarios" / "polar_connection.json")
-
-    def cold(*lp):
-        raise AssertionError("cold exact simplex called")
-
     with caplog.at_level(logging.DEBUG, logger="geocon.cone"):
-        with mock.patch.object(cone_module, "_solve_exact", cold):
-            assert main(["cone", path]) == 0
-    repaired = capsys.readouterr().out
+        assert main(["cone", path]) == 0
+    warm = capsys.readouterr().out
     messages = [r.getMessage() for r in caplog.records if r.name == "geocon.cone"]
     assert len(messages) == 2
-    assert all("exact certificate failed" in msg and "repaired" in msg for msg in messages)
+    assert all("exact certificate failed" in msg and "from the float basis" in msg for msg in messages)
 
-    def no_repair(*lp):
-        raise cone_module._NoCertificate("repair disabled")
+    def no_float_basis(*lp):
+        raise cone_module._NoCertificate("float pass disabled")
 
-    with mock.patch.object(cone_module, "_repair", no_repair):
-        assert main(["cone", path]) == 0
-    assert capsys.readouterr().out == repaired
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="geocon.cone"):
+        with mock.patch.object(cone_module, "_float_basis", no_float_basis):
+            assert main(["cone", path]) == 0
+    assert capsys.readouterr().out == warm
+    messages = [r.getMessage() for r in caplog.records if r.name == "geocon.cone"]
+    assert messages and all("from the slack basis" in msg for msg in messages)
+
+
+def test_sweep_panel_m8_support_starts_every_lp_from_the_float_basis(caplog):
+    # the perfbench sweep panel's system at m = 8 (panel seed 0, k = 2,
+    # switch at 0.4, sample times 0.25..1.0, budget 16): its two LPs that
+    # fail the certificate used to run the cold two-phase simplex for about
+    # 4 s each; the report was recorded with that solver
+    from tests.conftest import random_control_affine
+    from geocon.ocp import integrate_trajectory, piecewise_schedule
+
+    rng = np.random.default_rng([0, 8])
+    system = random_control_affine(rng, m=8, k=2)
+    values = np.round(rng.uniform(-1.0, 1.0, size=(2, 2)), 3).tolist()
+    x0 = np.round(rng.uniform(-0.2, 0.2, size=8), 3)
+    ref = integrate_trajectory(system, x0, piecewise_schedule([0.0, 0.4], values), (0.0, 1.0))
+    cone = assemble_cone(system, ref, 1.0, [0.25, 0.5, 0.75, 1.0], per_time_budget=16)
+    with caplog.at_level(logging.DEBUG, logger="geocon.cone"):
+        report = find_supporting_covector(cone)
+    messages = [r.getMessage() for r in caplog.records if r.name == "geocon.cone"]
+    assert len(messages) == 2
+    assert all("from the float basis" in msg for msg in messages)
+    assert report == SupportReport(None, None, None, False)

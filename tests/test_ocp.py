@@ -350,6 +350,37 @@ def test_audit_optional_grid_maximum(martinet, martinet_reference):
     assert grid.passed
 
 
+def test_box_grid_is_every_combination_of_the_axis_points():
+    import itertools
+
+    from geocon.ocp import _box_grid
+
+    # interior points of each finite side, -1, 0, 1 on an unbounded one
+    box = [(-2.0, 2.0), (-math.inf, 1.5), (0.1, 0.7)]
+    axes = [[-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [0.1 + f * (0.7 - 0.1) for f in (0.25, 0.5, 0.75)]]
+    assert [g.tolist() for g in _box_grid(box)] == [list(p) for p in itertools.product(*axes)]
+
+
+def test_grid_maximum_finds_the_gain_at_a_box_vertex():
+    # constant input fields keep the momentum at phi = dH/du = (10, -1); on
+    # the box [-2, 2]^2 the reference u = (2, 2) loses to the vertex (2, -2)
+    # by 4, although it beats every interior grid point
+    sys = build_control_affine(("x", "y"), ["0", "0"], [["1", "0"], ["0", "1"]], [(-2.0, 2.0)] * 2)
+    sched = piecewise_schedule([0.0], [[2.0, 2.0]])
+    bx = integrate_biextremal(sys, [0.0, 0.0], [10.0, -1.0], sched, (0.0, 1.0), "reduced")
+    report = audit_necessary_conditions(bx, None, sys, "reduced", hamiltonian_grid_check=True)
+    grid = next(c for c in report.conditions if c.id == "grid-maximum")
+    assert not grid.passed
+    assert grid.detail == {"max_excess": 4.0}
+    # a zero slope times an infinite bound contributes nothing
+    box = [(-2.0, 2.0), (-math.inf, math.inf)]
+    unbounded = build_control_affine(("x", "y"), ["0", "0"], [["1", "0"], ["0", "1"]], box)
+    bx = integrate_biextremal(unbounded, [0.0, 0.0], [1.0, 0.0], sched, (0.0, 1.0), "reduced")
+    report = audit_necessary_conditions(bx, None, unbounded, "reduced", hamiltonian_grid_check=True)
+    grid = next(c for c in report.conditions if c.id == "grid-maximum")
+    assert grid.passed and grid.detail == {"max_excess": 0.0}
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),

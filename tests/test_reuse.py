@@ -120,9 +120,14 @@ def test_a_bracket_entry_whose_field_died_is_a_miss():
     key = id(b)
     del b
     gc.collect()
-    # a new field may reuse the dead one's id; its bracket is built afresh
+    assert key not in a.__dict__["_brackets"]  # dropped with its field
+    # a new field may reuse the id of a dead one whose entry is still there;
+    # its bracket is built afresh
     c = VectorField(("x", "y"), (const(1.0), const(0.0)))
-    a.__dict__["_brackets"][id(c)] = a.__dict__["_brackets"].pop(key)
+    dead = VectorField(("x", "y"), (const(0.0), const(1.0)))
+    stale = weakref.ref(dead)
+    del dead
+    a.__dict__["_brackets"][id(c)] = (stale, first)
     assert lie_bracket(a, c) is not first
     assert is_zero_field(lie_bracket(a, c))
 
