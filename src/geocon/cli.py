@@ -237,19 +237,8 @@ def load_scenario(path: str) -> Scenario:
     if "sample_times" not in analysis and interval is not None:
         analysis["sample_times"] = schedule.sample_times(interval)
 
-    return Scenario(
-        name=data["name"],
-        chart=chart,
-        system=system,
-        extended=extended,
-        connection=connection,
-        initial=initial,
-        interval=interval,
-        step=step,
-        schedule=schedule,
-        analysis=analysis,
-        digest=digest,
-    )
+    return Scenario(name=data["name"], chart=chart, system=system, extended=extended, connection=connection,
+                    initial=initial, interval=interval, step=step, schedule=schedule, analysis=analysis, digest=digest)
 
 
 # ---------------------------------------------------------------------------
@@ -763,6 +752,9 @@ def main(argv=None) -> int:
         # what the generated code raises when a scenario expression leaves
         # its domain: division by zero, log of a non-positive number, ...
         print(f"geocon: error: domain fault: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError as exc:  # a derived expression deeper than the stack
+        print(f"geocon: error: expression nested too deeply: {exc}", file=sys.stderr)
         return 1
     if args.out:
         with open(args.out, "w") as fh:

@@ -11,18 +11,21 @@ Evaluation is generic over the scalar type.  Plain floats work, and so do
 (nested) :class:`Dual` numbers, which is how exact directional derivatives
 and jets of flow maps are obtained elsewhere in the package.  Flows run on
 generated code: a right-hand side (:func:`compile_flow`) and a loop of RK4
-steps with the same arithmetic (:func:`compile_segment`).
+steps with the same arithmetic (:func:`compile_segment`).  Point values
+walk the tree (:func:`evaluate`), with the same arithmetic unless checked.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 
 MAX_JET_DEPTH = 4  # nested forward-mode carriers supported up to 4th order
+MAX_DEPTH = 100  # parsed expressions nest no deeper (see _Parser): the tree walks recurse
 
 
 class ExprError(Exception):
@@ -195,10 +198,12 @@ def pow_(base: Expr, exponent: int) -> Expr:
     if n == 1:
         return base
     if isinstance(base, Const) and not (base.value == 0.0 and n < 0):
-        try:
-            return Const(base.value ** n)
-        except OverflowError:
-            pass  # keep the node; evaluation overflows to inf at run time
+        try:  # the product the generated code computes; one that is not finite keeps the node
+            folded = _ipow(base.value, n)
+            if math.isfinite(folded):
+                return Const(folded)
+        except ZeroDivisionError:
+            pass  # keep the node; evaluation raises at run time
     return Pow(base, n)
 
 
@@ -280,10 +285,16 @@ def _tokenize(src: str):
 
 
 class _Parser:
+    """Recursive descent; each method returns (tree, depth).  The depth counts
+    a level per operator, call, sign and parenthesised group and |n| levels
+    for ``x^n`` (the product the generated code unrolls), and is checked on
+    the way down as well, so no input recurses past :data:`MAX_DEPTH`."""
+
     def __init__(self, tokens, variables: frozenset[str] | None):
         self.tokens = tokens
         self.i = 0
         self.variables = variables
+        self.level = 0  # open groups, calls and signs around the current token
 
     def peek(self):
         return self.tokens[self.i]
@@ -300,54 +311,65 @@ class _Parser:
             raise ExprSyntaxError(f"expected '{kind}', found {shown!r}", tok[2] + 1)
         return tok
 
+    @staticmethod
+    def deeper(depth: int, tok) -> int:
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", tok[2] + 1)
+        return depth
+
+    def nested(self, tok, parse):
+        """parse() one level further in, its depth counting that level."""
+        self.level = self.deeper(self.level + 1, tok)
+        e, depth = parse()
+        self.level -= 1
+        return e, self.deeper(depth + 1, tok)
+
     def parse(self) -> Expr:
-        e = self.expr()
+        e, _ = self.expr()
         tok = self.peek()
         if tok[0] != "eof":
             raise ExprSyntaxError(f"unexpected {tok[1]!r}", tok[2] + 1)
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while self.peek()[0] in ("+", "-"):
+    def chain(self, ops, operand, fold):
+        e, depth = operand()
+        while self.peek()[0] in ops:
             op = self.advance()
-            rhs = self.term()
-            e = add(e, rhs) if op[0] == "+" else sub(e, rhs)
-        return e
+            rhs, rhs_depth = operand()
+            e, depth = fold[op[0]](e, rhs), self.deeper(max(depth, rhs_depth) + 1, op)
+        return e, depth
 
-    def term(self) -> Expr:
-        e = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()
-            rhs = self.unary()
-            e = mul(e, rhs) if op[0] == "*" else div(e, rhs)
-        return e
+    def expr(self):
+        return self.chain("+-", self.term, {"+": add, "-": sub})
 
-    def unary(self) -> Expr:
+    def term(self):
+        return self.chain("*/", self.unary, {"*": mul, "/": div})
+
+    def unary(self):
         if self.peek()[0] == "-":
             tok = self.advance()
-            inner = self.unary()
+            inner, depth = self.nested(tok, self.unary)
             out = neg(inner)
             if isinstance(out, Neg):
                 out = Neg(out.arg, pos=tok[2])
-            return out
+            return out, depth
         return self.power()
 
-    def power(self) -> Expr:
-        base = self.atom()
+    def power(self):
+        base, depth = self.atom()
         if self.peek()[0] == "^":
-            self.advance()
+            tok = self.advance()
             n = self.exponent()
-            return pow_(base, n)
-        return base
+            depth = self.deeper(depth + max(abs(n), 1), tok)  # before folding a huge power
+            return pow_(base, n), depth
+        return base, depth
 
     def exponent(self) -> int:
-        tok = self.peek()
-        if tok[0] == "(":
+        opened = 0
+        while self.peek()[0] == "(":
             self.advance()
-            n = self.exponent()
-            self.expect(")")
-            return n
+            opened += 1
+        tok = self.peek()
         sign = 1
         if tok[0] == "-":
             self.advance()
@@ -360,31 +382,33 @@ class _Parser:
         value = float(tok[1])
         if value != int(value) or any(c in tok[1] for c in ".eE"):
             raise ExprSyntaxError("exponent must be a constant integer", tok[2] + 1)
+        for _ in range(opened):
+            self.expect(")")
         return sign * int(value)
 
-    def atom(self) -> Expr:
+    def atom(self):
         tok = self.advance()
         kind, text, pos = tok
         if kind == "num":
-            return Const(float(text), pos=pos)
+            return Const(float(text), pos=pos), 1
         if kind == "ident":
             if self.peek()[0] == "(":
                 if text not in FUNCTIONS:
                     raise ExprSyntaxError(f"unknown function '{text}'", pos + 1)
                 self.advance()
-                arg = self.expr()
+                arg, depth = self.nested(tok, self.expr)
                 self.expect(")")
                 out = call(text, arg)
                 if isinstance(out, Call):
                     out = Call(out.fn, out.arg, pos=pos)
-                return out
+                return out, depth
             if text in FUNCTIONS:
                 raise ExprSyntaxError(f"function '{text}' needs an argument list", pos + 1)
             if self.variables is not None and text not in self.variables:
                 raise UnknownIdentifierError(text, pos + 1)
-            return Var(text, pos=pos)
+            return Var(text, pos=pos), 1
         if kind == "(":
-            e = self.expr()
+            e = self.nested(tok, self.expr)
             self.expect(")")
             return e
         shown = text if kind != "eof" else "end of input"
@@ -702,49 +726,64 @@ def _ipow(v, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Evaluation.  The recursive walker reports domain errors with the source
-# column of the offending node; compiled expressions (below) trade that
-# reporting for speed and are what the integrators use.
+# Evaluation.  The recursive walker computes operands left to right, as the
+# generated code (below) does; checked, it reports domain errors with the
+# source column of the offending node.
 # ---------------------------------------------------------------------------
 
 
-def evaluate(e: Expr, env: Mapping[str, object]):
-    if isinstance(e, Const):
+def _column(e: Expr) -> int | None:
+    return None if e.pos is None else e.pos + 1
+
+
+_PLAIN_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+
+
+def evaluate(e: Expr, env: Mapping[str, object], checked: bool = True, memo: dict | None = None):
+    """The value of `e` with the variables of `env`.
+
+    Checked (the default), a domain fault raises :class:`DomainEvalError`
+    with the column of the offending node.  With ``checked=False`` the plain
+    operators and functions run, so every value is the generated code's bit
+    for bit and a fault raises what that code raises (ZeroDivisionError,
+    ValueError, OverflowError).  `memo`, keyed by node identity, may be
+    shared by trees that share nodes: each such node is computed once.
+    """
+    t = type(e)
+    if t is Const:
         return e.value
-    if isinstance(e, Var):
+    if t is Var:
         try:
             return env[e.name]
         except KeyError:
-            raise UnknownIdentifierError(e.name, None if e.pos is None else e.pos + 1) from None
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, env)
-    if isinstance(e, Add):
-        return evaluate(e.left, env) + evaluate(e.right, env)
-    if isinstance(e, Sub):
-        return evaluate(e.left, env) - evaluate(e.right, env)
-    if isinstance(e, Mul):
-        return evaluate(e.left, env) * evaluate(e.right, env)
-    if isinstance(e, Div):
-        denom = evaluate(e.right, env)
-        if real_part(denom) == 0.0:
-            raise DomainEvalError("division by zero", None if e.pos is None else e.pos + 1)
-        return evaluate(e.left, env) / denom
-    if isinstance(e, Pow):
-        base = evaluate(e.base, env)
-        if e.exponent < 0 and real_part(base) == 0.0:
-            raise DomainEvalError(
-                "zero raised to a negative power", None if e.pos is None else e.pos + 1
-            )
-        return _ipow(base, e.exponent)
-    if isinstance(e, Call):
-        v = evaluate(e.arg, env)
-        col = None if e.pos is None else e.pos + 1
-        if e.fn == "log" and real_part(v) <= 0.0:
-            raise DomainEvalError("log of a non-positive value", col)
-        if e.fn == "sqrt" and real_part(v) < 0.0:
-            raise DomainEvalError("sqrt of a negative value", col)
-        return _FUNCTIONS[e.fn](v)
-    raise TypeError(f"not an expression node: {e!r}")  # pragma: no cover
+            raise UnknownIdentifierError(e.name, _column(e)) from None
+    if memo is None:
+        memo = {}
+    elif id(e) in memo:
+        return memo[id(e)]
+    if t in _PLAIN_OPS:
+        a, b = evaluate(e.left, env, checked, memo), evaluate(e.right, env, checked, memo)
+        if checked and t is Div and real_part(b) == 0.0:
+            raise DomainEvalError("division by zero", _column(e))
+        v = _PLAIN_OPS[t](a, b)
+    elif t is Neg:
+        v = -evaluate(e.arg, env, checked, memo)
+    elif t is Pow:
+        v = evaluate(e.base, env, checked, memo)
+        if checked and e.exponent < 0 and real_part(v) == 0.0:
+            raise DomainEvalError("zero raised to a negative power", _column(e))
+        v = _ipow(v, e.exponent)
+    elif t is Call:
+        v = evaluate(e.arg, env, checked, memo)
+        if checked and e.fn == "log" and real_part(v) <= 0.0:
+            raise DomainEvalError("log of a non-positive value", _column(e))
+        if checked and e.fn == "sqrt" and real_part(v) < 0.0:
+            raise DomainEvalError("sqrt of a negative value", _column(e))
+        v = _FUNCTIONS[e.fn](v)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")  # pragma: no cover
+    memo[id(e)] = v
+    return v
 
 
 _CODEGEN_NS = {f"_{name}": fn for name, fn in _FUNCTIONS.items()}
@@ -847,10 +886,11 @@ class _Emitter:
 
 
 def compile_expression(e: Expr, variables: Sequence[str]) -> Callable:
-    """Compile to `f(values) -> scalar` with `values` ordered like `variables`.
-
-    The compiled form raises bare ZeroDivisionError/ValueError on domain
-    faults; use :func:`evaluate` when located error reports matter.
+    """Compile to `f(values) -> scalar` with `values` ordered like `variables`,
+    for an expression evaluated many times (a schedule entry at every RK4
+    stage).  A few evaluations cost less by ``evaluate(e, env, checked=False)``,
+    which gives the same bits and raises the same bare ZeroDivisionError or
+    ValueError on a domain fault; the checked :func:`evaluate` reports its column.
     """
     rhs = compile_flow([e], variables)
     return lambda values: rhs(None, 0, 0, 0.0, values)[0]

@@ -30,6 +30,7 @@ from .expr import (
     compile_segment,
     const,
     differentiate,
+    evaluate,
     expr_sum,
     is_zero,
     mul,
@@ -156,7 +157,14 @@ class VectorField:
         return self.components, ()
 
     def __call__(self, values: Sequence) -> list:
-        return linearized_rhs(self)(0.0, values)
+        """f(values).  A slice routed to a live system runs the system's code;
+        any other field is walked, sharing one memo across its components,
+        with the generated code's arithmetic (``evaluate(..., checked=False)``)."""
+        rhs = linearized_rhs(self)
+        if rhs.args[0] is not self:
+            return rhs(0.0, values)
+        env, memo = dict(zip(self.variables, values)), {}
+        return [evaluate(c, env, False, memo) for c in self.components]
 
     def __repr__(self):
         comps = ", ".join(render(c) for c in self.components)
@@ -347,8 +355,8 @@ def linearized_rhs(owner, tangents: int = 0, covectors: int = 0, controls=None):
     `tangents` vectors moved by delta' = J delta, then `covectors` moved by
     lambda' = -J^T lambda, J = df/dx.  A vector moved alone or in a batch
     comes out bit-identical.  A slice that records (system, controls)
-    (`ControlAffineSystem.slice_field`) runs as that system while it lives
-    (held weakly, so the system's slice cache forms no reference cycle).
+    (`ocp._held_slice`) runs as that system while it lives (held weakly, so
+    the system's slice cache forms no reference cycle).
     """
     system, held = owner.__dict__.get("_held", (lambda: None, None))
     owner, controls = (owner, controls) if system() is None else (system(), held)

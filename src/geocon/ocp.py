@@ -23,7 +23,9 @@ from .expr import (
     add as expr_add,
     compile_expression,
     differentiate,
+    evaluate,
     free_variables,
+    is_zero,
     mul as expr_mul,
     parse_expression,
     substitute,
@@ -219,23 +221,11 @@ class ControlAffineSystem:
         return all(lo < 0.0 < hi for lo, hi in self.control_box)
 
     def slice_field(self, u: Sequence[float]) -> VectorField:
-        """The ordinary field drift + sum_c u^c X_c, built once per control
-        tuple and kept on the system; hex keys keep -0.0 apart from 0.0.
-        With every u^c nonzero its trees are the system's with u^c constant,
-        so it records (system, controls holding u) and runs the system's code
-        bit for bit (:func:`fields.linearized_rhs`).  A zero u^c folds u^c X_c
-        away where the system's 0.0 * X_c may divide by zero: it keeps its own."""
+        """The ordinary field drift + sum_c u^c X_c (:func:`_held_slice`)."""
         u = tuple(float(v) for v in u)
         if len(u) != self.k:
             raise OcpError(f"{len(u)} control values for {self.k} inputs")
-
-        def build():
-            vf = combine_fields(self.drift, self.inputs, u)
-            if all(u):  # -0.0 is false as well
-                vf.__dict__["_held"] = (weakref.ref(self), lambda _t, held=list(u): held)
-            return vf
-
-        return cached_on(self, "_slices", build, tuple(map(float.hex, u)))
+        return _held_slice(self, u, lambda: (combine_fields(self.drift, self.inputs, u).components, True))
 
     def flow_components(self):
         """f(x, u) over chart + controls for :func:`fields.linearized_rhs`:
@@ -247,6 +237,23 @@ class ControlAffineSystem:
                 e = expr_add(e, expr_mul(expr_var(name), vf.components[i]))
             comps.append(e)
         return comps, self.control_names
+
+
+def _held_slice(system, u: tuple[float, ...], build) -> VectorField:
+    """The slice (components, routable) = build() on `system`'s chart, kept on
+    `system` per control tuple (hex keys keep -0.0 apart from 0.0).  With
+    every u^c nonzero, a routable slice (its trees are the system's with u^c
+    constant) records (system, controls holding u) and runs the system's code
+    bit for bit (:func:`fields.linearized_rhs`).  A zero u^c folds u^c X_c
+    away where the system's 0.0 * X_c may divide by zero: it keeps its own."""
+    def make():
+        components, routable = build()
+        vf = VectorField(system.variables, components)
+        if routable and all(u):  # -0.0 is false as well
+            vf.__dict__["_held"] = (weakref.ref(system), lambda _t, held=list(u): held)
+        return vf
+
+    return cached_on(system, "_slices", make, tuple(map(float.hex, u)))
 
 
 def build_control_affine(
@@ -318,23 +325,32 @@ class ExtendedSystem:
         return self.base.control_names
 
     def slice_field(self, u: Sequence[float]) -> VectorField:
+        """The base slice under the cost with u substituted (:func:`_held_slice`).
+        Routable when the cost reads no chart variable and its derivatives by
+        them fold to zero (``1/u`` leaves ``0/u^2``): it then folds to what the
+        system's code computes.  A cost that reads x keeps its own code, since
+        identity folds (``0*e``, ``e-e``) can change a zero's sign."""
         u = tuple(float(v) for v in u)
 
         def build():
             cost = substitute(self.cost, dict(zip(self.base.control_names, u)))
-            return VectorField(self.variables, (cost,) + self.base.slice_field(u).components)
+            chart = self.base.variables
+            routable = not free_variables(self.cost) & set(chart) and all(
+                is_zero(differentiate(self.cost, x)) for x in chart)
+            return (cost,) + self.base.slice_field(u).components, routable
 
-        return cached_on(self, "_slices", build, tuple(map(float.hex, u)))
+        return _held_slice(self, u, build)
 
     def flow_components(self):
         """As the base system's, with the running cost prepended."""
         comps, control_names = self.base.flow_components()
         return [self.cost] + comps, control_names
 
-    def cost_control_gradient(self):
-        names = self.base.variables + self.base.control_names
-        return cached_on(self, "_dcost_du", lambda: tuple(
-            compile_expression(differentiate(self.cost, u), names) for u in self.base.control_names))
+    def cost_control_gradient(self, x, u) -> list:
+        """dL/du^c at the base state x and control u, walked with the generated code's arithmetic."""
+        grads = cached_on(self, "_dcost_du", lambda: [differentiate(self.cost, c) for c in self.base.control_names])
+        env = dict(zip(self.base.variables + self.base.control_names, [*x, *u]))
+        return [evaluate(g, env, False) for g in grads]
 
 
 def extend_system(sys: ControlAffineSystem, cost) -> ExtendedSystem:
@@ -468,12 +484,11 @@ def hamiltonian_control_gradient(lam, x, u, sys, mode: str = "reduced") -> np.nd
     base = system.base
     p0, p = lam[0], lam[1:]
     xbase = xv[1:]
-    args = list(xbase) + [float(v) for v in u]
-    grads = system.cost_control_gradient()
+    grads = system.cost_control_gradient(xbase, [float(v) for v in u])
     out = []
     for c, vf in enumerate(base.inputs):
         vals = np.asarray(vf(list(xbase)), dtype=float)
-        out.append(float(p0 * grads[c](args) + np.dot(p, vals)))
+        out.append(float(p0 * grads[c] + np.dot(p, vals)))
     return np.asarray(out)
 
 
@@ -688,7 +703,6 @@ def search_normal_lift(
 
     _flow(ext, schedule, a, b, state, step, covectors=n, record=record)
 
-    grads = ext.cost_control_gradient()
     rts = np.asarray([t for t, _ in recorded])
     rows = []
     for t in np.linspace(a, b, sample_count):
@@ -697,9 +711,9 @@ def search_normal_lift(
         # Psi^T: row c is column c of Psi, in Fortran order like a transposed Psi
         psi_t = np.asfortranarray(np.asarray(st[n:]).reshape(n, n))
         xbase = st[1:n]
-        args = xbase + [float(v) for v in schedule.value_at(float(rts[i]))]
+        grads = ext.cost_control_gradient(xbase, [float(v) for v in schedule.value_at(float(rts[i]))])
         for c in range(base.k):
-            rows.append(psi_t @ np.asarray([grads[c](args)] + base.inputs[c](xbase), dtype=float))
+            rows.append(psi_t @ np.asarray([grads[c]] + base.inputs[c](xbase), dtype=float))
     axis = np.linspace(-momentum_bound, momentum_bound, grid_per_axis)
     description = (
         f"p0 = -1; p in linspace(-{momentum_bound}, {momentum_bound}, {grid_per_axis})^{m}"
@@ -804,99 +818,44 @@ def audit_necessary_conditions(
     ts = bx.momentum_ts[idx]
     xs = traj.xs[idx]
     lams = bx.momenta[idx]
+    us = [traj.control_at(float(t)) for t in ts]
 
-    conditions = []
-
-    H_vals = np.asarray(
-        [
-            hamiltonian(lams[i], xs[i], traj.control_at(float(ts[i])), sys, mode)
-            for i in range(len(ts))
-        ]
-    )
+    H_vals = np.asarray([hamiltonian(lam, x, u, sys, mode) for lam, x, u in zip(lams, xs, us)])
     tol_H = 1e-8 * (1.0 + abs(float(H_vals[0])))
     drift = float(np.max(np.abs(H_vals - H_vals[0])))
-    conditions.append(
-        AuditCondition(
-            "H-constant",
-            "Hamiltonian constant along the biextremal",
-            drift <= tol_H,
-            {"drift": drift, "tolerance": tol_H, "H_initial": float(H_vals[0])},
-        )
-    )
+    conditions = [AuditCondition("H-constant", "Hamiltonian constant along the biextremal", drift <= tol_H,
+                                 {"drift": drift, "tolerance": tol_H, "H_initial": float(H_vals[0])})]
 
     worst_stat = 0.0
-    for i in range(len(ts)):
-        g = hamiltonian_control_gradient(
-            lams[i], xs[i], traj.control_at(float(ts[i])), sys, mode
-        )
+    for lam, x, u in zip(lams, xs, us):
+        g = hamiltonian_control_gradient(lam, x, u, sys, mode)
         worst_stat = max(worst_stat, float(np.max(np.abs(g))) if len(g) else 0.0)
-    conditions.append(
-        AuditCondition(
-            "stationarity",
-            "dH/du vanishes at sampled times",
-            worst_stat <= stationarity_tol,
-            {"max_abs_dHdu": worst_stat, "tolerance": stationarity_tol},
-        )
-    )
+    conditions.append(AuditCondition("stationarity", "dH/du vanishes at sampled times", worst_stat <= stationarity_tol,
+                                     {"max_abs_dHdu": worst_stat, "tolerance": stationarity_tol}))
 
+    what = "momentum supports the perturbation cone"
     if cone is not None:
-        lam_at_cone = bx.covector_at(cone.time)
-        check = is_supporting(lam_at_cone, cone)
-        conditions.append(
-            AuditCondition(
-                "supporting",
-                "momentum supports the perturbation cone",
-                bool(check.supported),
-                {
-                    "max_pairing": check.max_pairing,
-                    "cone_time": cone.time,
-                    "generators": len(cone.generators),
-                    "error": check.error,
-                },
-            )
-        )
+        check = is_supporting(bx.covector_at(cone.time), cone)
+        conditions.append(AuditCondition("supporting", what, bool(check.supported), {
+            "max_pairing": check.max_pairing, "cone_time": cone.time,
+            "generators": len(cone.generators), "error": check.error}))
     else:
-        conditions.append(
-            AuditCondition(
-                "supporting",
-                "momentum supports the perturbation cone",
-                True,
-                {"note": "no cone supplied; condition not exercised"},
-            )
-        )
+        conditions.append(AuditCondition("supporting", what, True,
+                                         {"note": "no cone supplied; condition not exercised"}))
 
-    norms = np.linalg.norm(bx.momenta, axis=1)
-    min_norm = float(np.min(norms))
-    conditions.append(
-        AuditCondition(
-            "momentum-nonzero",
-            "momentum never vanishes",
-            min_norm >= 1e-12,
-            {"min_norm": min_norm},
-        )
-    )
+    min_norm = float(np.min(np.linalg.norm(bx.momenta, axis=1)))
+    conditions.append(AuditCondition("momentum-nonzero", "momentum never vanishes", min_norm >= 1e-12,
+                                     {"min_norm": min_norm}))
 
+    what = "cost multiplier constant and nonpositive"
     if mode == "extended":
         p0 = bx.momenta[:, 0]
         drift0 = float(np.max(np.abs(p0 - p0[0])))
-        ok = drift0 <= 1e-15 and p0[0] <= 1e-12
-        conditions.append(
-            AuditCondition(
-                "lambda0",
-                "cost multiplier constant and nonpositive",
-                ok,
-                {"lambda0": float(p0[0]), "drift": drift0},
-            )
-        )
+        conditions.append(AuditCondition("lambda0", what, drift0 <= 1e-15 and p0[0] <= 1e-12,
+                                         {"lambda0": float(p0[0]), "drift": drift0}))
     else:
-        conditions.append(
-            AuditCondition(
-                "lambda0",
-                "cost multiplier constant and nonpositive",
-                True,
-                {"note": "reduced mode: multiplier identically zero by convention"},
-            )
-        )
+        conditions.append(AuditCondition("lambda0", what, True,
+                                         {"note": "reduced mode: multiplier identically zero by convention"}))
 
     if hamiltonian_grid_check and system.k > 0:
         worst = -math.inf
@@ -905,9 +864,8 @@ def audit_necessary_conditions(
             # box is sum_c max(lo_c phi_c, hi_c phi_c) - u_c phi_c, exactly;
             # a zero slope adds nothing, whatever its bounds
             what = "reference control maximizes H over the control box"
-            for i in range(len(ts)):
-                u_ref = traj.control_at(float(ts[i]))
-                phi = hamiltonian_control_gradient(lams[i], xs[i], u_ref, sys, mode)
+            for lam, x, u_ref in zip(lams, xs, us):
+                phi = hamiltonian_control_gradient(lam, x, u_ref, sys, mode)
                 terms = zip(system.control_box, u_ref, phi)
                 worst = max(worst, float(sum(max(lo * p, hi * p) - u * p for (lo, hi), u, p in terms if p)))
         else:

@@ -222,6 +222,42 @@ def test_cli_domain_fault_is_one_error_line(tmp_path, capsys, drift, message):
 
 
 @pytest.mark.parametrize(
+    "entry, column",
+    [
+        ("x1^2000", 3),  # x^n counts |n| levels, checked before 2^n is folded
+        ("(" * 600 + "x1" + ")" * 600, 101),
+        (" + ".join(["x1"] * 1500), 499),  # the 100th "+"
+        ("2^10000000", 2),
+    ],
+    ids=["power", "parentheses", "sum", "constant-power"],
+)
+def test_cli_too_deep_expression_is_one_error_line(tmp_path, capsys, entry, column):
+    from geocon.cli import main
+    from geocon.expr import MAX_DEPTH
+
+    data = json.loads((FIXTURES / "martinet.json").read_text())
+    data["system"]["drift"][2] = entry
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(data))
+    assert main(["flow", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"geocon: error: /system/drift/2: syntax error at column {column}:"
+                            f" expression nested deeper than {MAX_DEPTH} levels\n")
+
+
+def test_cli_recursion_error_is_one_error_line(monkeypatch, capsys):
+    from geocon import cli
+
+    def too_deep(*_args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "run_command", too_deep)
+    assert cli.main(["flow", str(FIXTURES / "martinet.json")]) == 1
+    assert capsys.readouterr().err == "geocon: error: expression nested too deeply: maximum recursion depth exceeded\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["flow", "martinet.json", "--step=-0.001"],

@@ -15,6 +15,7 @@ from geocon.expr import (
     Pow,
     UnknownIdentifierError,
     Var,
+    _ipow,
     add,
     call,
     compile_expression,
@@ -242,6 +243,22 @@ def test_pow_fold_survives_overflow():
     ast = pow_(Const(10.0), 400)
     assert isinstance(ast, Pow)  # fold skipped, node kept
     assert evaluate(ast, {}) == math.inf  # runtime overflows to inf quietly
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e-200, -3e-160, 1.1, -0.7]), st.integers(-7, 9))
+def test_pow_folds_to_the_left_to_right_product(base, n):
+    # a constant power folds to the value the generated code computes
+    # (expr._ipow); a product that overflows or divides by zero keeps the node
+    folded = pow_(Const(base), n)
+    try:
+        value = _ipow(base, n)
+    except ZeroDivisionError:
+        value = math.inf
+    if math.isfinite(value):
+        assert isinstance(folded, Const) and folded.value.hex() == float(value).hex()
+    else:
+        assert isinstance(folded, Pow) and folded.exponent == n
 
 
 # -- free_variables walks a shared tree once per distinct node ---------------

@@ -176,8 +176,8 @@ def test_generated_rhs_dies_with_its_owner():
     sched = piecewise_schedule([0.0], [[0.5]])
     integrate_biextremal(system, [0.1, 0.2, 0.3], [1.0, 0.0, 0.0], sched, (0.0, 0.5), step=1e-2)
     fields.integrate_flow(fields.FlowSpec(vf, 0.5, 1e-2), fields.as_point([0.1]))
-    vf([0.1])
-    assert set(system.__dict__["_flow_forms"]) == {True} and set(vf.__dict__["_flow_forms"]) == {False, True}
+    vf([0.1])  # a point value walks the trees: only the segment is compiled
+    assert set(system.__dict__["_flow_forms"]) == {True} and set(vf.__dict__["_flow_forms"]) == {True}
     refs = [weakref.ref(system), weakref.ref(vf)]
     del system, vf
     gc.collect()
@@ -196,6 +196,7 @@ def test_generated_rhs_dies_with_its_owner():
         (["log(x) + (1/y)*(1/y)", "y"], [-1.0, 0.0], ValueError),
         (["(1/y)*(1/y) + log(x)", "y"], [-1.0, 0.0], ZeroDivisionError),
         (["y", "log(x)", "1/y"], [-1.0, 0.0], ValueError),
+        (["exp(1/x)", "sqrt(y)"], [1e-300, -1.0], OverflowError),
     ],
 )
 def test_domain_faults_raise_the_plain_python_error(components, point, error):

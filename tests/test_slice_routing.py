@@ -4,8 +4,10 @@
 zero, and `fields.linearized_rhs` then runs the system's right-hand side
 and segment with u held.  The slice's trees are the system's with u^c as a
 constant, so the reference is the same slice built by `combine_fields`,
-which records nothing and compiles its own code: both must give the same
-bits, record the same samples and fail the same way.
+which records nothing and runs its own code: both must give the same
+bits, record the same samples and fail the same way.  Slices of a
+cost-extended system are routed the same way when the cost, with u
+substituted, folds to a constant.
 """
 
 import gc
@@ -18,9 +20,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geocon import fields
-from geocon.expr import jet_seed
-from geocon.fields import FlowSpec, as_point, combine_fields, eval_vector_field, integrate_flow, linearized_rhs
-from geocon.ocp import build_control_affine
+from geocon.expr import jet_seed, substitute
+from geocon.fields import (FlowSpec, VectorField, as_point, combine_fields, eval_vector_field, integrate_flow,
+                           linearized_rhs)
+from geocon.ocp import build_control_affine, extend_system
 from geocon.variations import needle_variation
 
 from tests.conftest import random_control_affine
@@ -43,6 +46,16 @@ def outcome(call):
         return [bits(v) for v in call()]
     except (ZeroDivisionError, ValueError) as exc:
         return type(exc)
+
+
+def extended_routed_and_own(extended, u):
+    routed = extended.slice_field(u)
+    cost = substitute(extended.cost, dict(zip(extended.control_names, u)))
+    base = combine_fields(extended.base.drift, extended.base.inputs, u)
+    own = VectorField(extended.variables, (cost,) + base.components)
+    assert routed == own
+    assert linearized_rhs(routed).args[0] is extended and linearized_rhs(own).args[0] is own
+    return routed, own
 
 
 @settings(max_examples=60, deadline=None)
@@ -179,3 +192,66 @@ def test_a_routed_slice_holds_its_system_weakly():
         gc.enable()
     assert integrate_flow(FlowSpec(xi, 0.1, 1e-2), x).coords.tobytes() == routed
     assert "_flow_forms" in xi.__dict__
+
+
+U_ONLY_COSTS = ["0.5*(u1^2 + u2^2)", "u1^3 - 2*u2^-2", "exp(u1)*u2^3 + u1^-2", "sin(u2)^-1 + sqrt(exp(u1))^3"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 5),
+    st.sampled_from(U_ONLY_COSTS),
+    st.lists(st.sampled_from([1.0, -1.0]) | NONZERO, min_size=2, max_size=2),
+    st.integers(0, 3),
+    st.booleans(),
+    st.booleans(),
+)
+def test_a_routed_extended_slice_is_bit_identical_to_its_own_code(seed, m, cost, u, tangents, dual_state,
+                                                                   dual_duration):
+    # the cost reads only u, so with u substituted it folds to the constant
+    # the extended system's code computes, u^n as the same left-to-right product
+    rng = np.random.default_rng(seed)
+    extended = extend_system(random_control_affine(rng, m=m, k=2), cost)
+    routed, own = extended_routed_and_own(extended, u)
+    x = draw_state(rng, m + 1, 0, 0, dual_state)
+    assert outcome(lambda: routed(x)) == outcome(lambda: own(x))
+    state = draw_state(rng, m + 1, tangents, 0, dual_state, -0.5, 0.5)
+    length = float(rng.uniform(0.0, 0.06))
+    duration = jet_seed(length, 2) if dual_duration else length
+    assert run(linearized_rhs(routed, tangents), state, 0.0, duration, 0.01) == run(
+        linearized_rhs(own, tangents), state, 0.0, duration, 0.01)
+
+
+@pytest.mark.parametrize("u", [[1.0, 0.0], [-0.0, -1.0]])
+def test_an_extended_slice_with_a_zero_control_keeps_its_own_code(u):
+    extended = extend_system(random_control_affine(np.random.default_rng(2), m=3, k=2), U_ONLY_COSTS[1])
+    vf = extended.slice_field(u)
+    assert "_held" not in vf.__dict__ and linearized_rhs(vf).args[0] is vf
+
+
+def test_an_extended_slice_whose_cost_reads_x_keeps_its_own_code():
+    # the last cost has a zero derivative by x1, but with u1 = 1 substituted
+    # the slice folds 0*e to +0.0 where the system computes 0.0 * -0.0 = -0.0
+    system = build_control_affine(("x1",), ["-x1"], [["1"], ["x1"]], [(-2.0, 2.0)] * 2)
+    for cost in ["0.5*(u1^2 + u2^2) + x1^2", "u1*x1 - u2", "(u1 - 1)*-((x1 + 1) - (1 + x1))"]:
+        extended = extend_system(system, cost)
+        vf = extended.slice_field([1.0, -1.0])
+        assert "_held" not in vf.__dict__
+    held = linearized_rhs(extended, controls=lambda _t: [1.0, -1.0])(0.0, [0.0, 0.5])
+    assert bits(vf([0.0, 0.5])[0]) == bits(0.0) and bits(held[0]) == bits(-0.0)
+    # 0*x1 folds away when parsed: this cost reads only u
+    assert "_held" in extend_system(system, "0*x1 + u1").slice_field([1.0, -1.0]).__dict__
+
+
+def test_an_extended_slice_whose_cost_derivative_stays_unfolded_keeps_its_own_code():
+    # d(1/u1)/dx folds only to 0/u1^2, which the system's Jacobian computes:
+    # at u1 = 1e-170, u1*u1 underflows and that entry divides by zero, where
+    # the slice's constant cost has no Jacobian entry at all
+    extended = extend_system(build_control_affine(("x",), ["-x"], [["1"]], [(-2.0, 2.0)]), "1/u1")
+    vf = extended.slice_field([1e-170])
+    assert linearized_rhs(vf).args[0] is vf
+    state = [0.0, 0.5, 1.0, 1.0]
+    assert isinstance(run(linearized_rhs(vf, 1), state, 0.0, 0.05, 0.01)[0], list)
+    held = linearized_rhs(extended, 1, controls=lambda _t: [1e-170])
+    assert run(held, state, 0.0, 0.05, 0.01)[0] is ZeroDivisionError
