@@ -342,7 +342,7 @@ def cmd_variation(scenario: Scenario, args) -> tuple[int, str]:
     if args.template == "needle":
         if args.u1 is None:
             raise ScenarioError("the needle template needs --u1")
-        u1 = _parse_covector(args.u1)
+        u1 = _parse_covector(args.u1, "--u1")
         if len(u1) != scenario.system.k:
             raise ScenarioError(f"--u1 needs {scenario.system.k} values")
         pv = needle_variation(scenario.system, u_ref, u1, args.l1, x, t0=t0)
@@ -452,11 +452,14 @@ def cmd_pca(scenario: Scenario, args) -> tuple[int, dict]:
     return 0, results
 
 
-def _parse_covector(text: str) -> np.ndarray:
+def _parse_covector(text: str, flag: str = "--covector") -> np.ndarray:
     try:
-        return np.asarray([float(v) for v in text.split(",")], dtype=float)
-    except ValueError as exc:
-        raise ScenarioError(f"bad covector {text!r}: {exc}") from exc
+        values = np.asarray([float(v) for v in text.split(",")], dtype=float)
+    except ValueError:
+        values = None
+    if values is None or not np.all(np.isfinite(values)):
+        raise ScenarioError(f"{flag} must be comma-separated finite numbers, got {text!r}")
+    return values
 
 
 def _mode_for_covector(scenario: Scenario, lam0) -> str:

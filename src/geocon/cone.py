@@ -4,15 +4,16 @@ supporting-covector queries.
 A cone is a deduplicated list of tangent vectors at one base point; support
 queries over the generators equal support queries over their closed convex
 conic hull, which is all the necessary-condition audit consumes.  The
-linear programs are tiny and every one goes through `solve_lp_max`: a dense
-two-phase float64 simplex (numpy, no external solver) finds a basis, and
-exact integer arithmetic certifies it optimal with one fraction-free square
-solve for the primal point and one for the dual multipliers.  When the
-certificate fails (near-degenerate data), exact simplex pivots over
-Fractions continue from the float basis, or from the slack basis when the
-float pass found none; a DEBUG line on the ``geocon.cone`` logger says
-which.  Either way answers are exact for the given floating-point
-generators, and ties break to the lexicographically maximal covector.
+linear programs are tiny and every one goes through `solve_lp_max`: one
+dense simplex (numpy, no external solver, no artificial columns) runs in
+float64 from the slack basis to find a basis, and exact integer arithmetic
+certifies it optimal with one fraction-free square solve for the primal
+point and one for the dual multipliers.  When the certificate fails
+(near-degenerate data), the same simplex runs over Fractions from the
+float basis, or from the slack basis when the float pass found none; a
+DEBUG line on the ``geocon.cone`` logger says which.  Either way answers
+are exact for the given floating-point generators, and ties break to the
+lexicographically maximal covector.
 """
 
 from __future__ import annotations
@@ -129,138 +130,98 @@ def assemble_cone(
 
 
 # ---------------------------------------------------------------------------
-# Support LPs: a float64 two-phase simplex finds a basis, exact integers
-# certify it, and when the proof fails exact pivots over Fractions start
-# from it (the verify and warm-start steps of Applegate, Cook, Dash &
-# Espinoza, "Exact solutions to linear programming problems", Oper. Res.
-# Lett. 35, 2007): dual simplex pivots to primal feasibility, then Bland's
-# primal simplex (maximization) to optimality.
+# Support LPs: one simplex, run in float64 from the slack basis to find a
+# basis, then exact integers certify that basis, and when the proof fails
+# the same simplex runs over Fractions from it (the verify and warm-start
+# steps of Applegate, Cook, Dash & Espinoza, "Exact solutions to linear
+# programming problems", Oper. Res. Lett. 35, 2007): dual simplex pivots to
+# primal feasibility, then Bland's primal simplex (maximization) to
+# optimality, with no artificial columns.
 # ---------------------------------------------------------------------------
 
 F = Fraction
 
-# float-pass tolerances; they only steer the search for a basis, never the
+# float-pass tolerance; it only steers the search for a basis, never the
 # answer, which the exact certificate (or the exact simplex) decides
 _FLOAT_TOL = 1e-9
-_FLOAT_PIVOT_TOL = 1e-11
-
-
-def _pivot(T, basis, row, col):
-    piv = T[row][col]
-    T[row] = [v / piv for v in T[row]]
-    for i in range(len(T)):
-        if i != row and T[i][col] != 0:
-            factor = T[i][col]
-            T[i] = [a - factor * b for a, b in zip(T[i], T[row])]
-    basis[row] = col
-
-
-def _solve_exact(c, A, b, basis=()):
-    """max c.x subject to A x <= b, x >= 0 by exact pivots from `basis`:
-    (feasible, x, value, pivots).
-
-    The slack tableau keeps the reduced costs in its last row.  Each
-    structural column of `basis` takes a row whose slack it leaves nonbasic,
-    or is skipped; an empty `basis` is the slack basis.  Dual simplex pivots
-    (leaving: the infeasible row with the smallest basic index; entering:
-    the smallest ratio, ties to the smallest index) reach primal
-    feasibility, on the real costs when the basis is dual feasible and
-    otherwise as if every cost were zero, for which every basis is: a
-    phase 1 without artificial columns.  Bland's primal simplex finishes.
-    """
-    m, n = len(A), len(c)
-    T = [[F(v) for v in A[i]] + [F(int(k == i)) for k in range(m)] + [F(b[i])] for i in range(m)]
-    T.append([F(v) for v in c] + [F(0)] * (m + 1))
-    current = list(range(n, n + m))
-    for j in (j for j in basis if j < n):
-        row = next((i for i in range(m) if current[i] >= n and current[i] not in basis and T[i][j]), None)
-        if row is not None:
-            _pivot(T, current, row, j)
-    dual_feasible = all(r <= 0 for r in T[m][:-1])
-    pivots = 0
-    while infeasible := [(current[i], i) for i in range(m) if T[i][-1] < 0]:
-        leave = min(infeasible)[1]
-        entering = [(T[m][j] / a if dual_feasible else 0, j) for j, a in enumerate(T[leave][:-1]) if a < 0]
-        if not entering:  # the row's slack can only be negative
-            return False, None, None, pivots
-        _pivot(T, current, leave, min(entering)[1])
-        pivots += 1
-    while (enter := next((j for j in range(n + m) if T[m][j] > 0), None)) is not None:
-        rows = [(T[i][-1] / T[i][enter], current[i], i) for i in range(m) if T[i][enter] > 0]
-        if not rows:
-            raise ConeError("unbounded linear program (missing box constraints?)")
-        _pivot(T, current, min(rows)[2], enter)
-        pivots += 1
-    x_B = {j: T[i][-1] for i, j in enumerate(current)}
-    return True, [x_B.get(j, F(0)) for j in range(n)], -T[m][-1], pivots
 
 
 class _NoCertificate(Exception):
     """The float pass gave no basis, or its basis failed the exact proof."""
 
 
-def _float_pivot(T, basis, row, col):
-    prow = T[row] / T[row, col]
-    T -= np.outer(T[:, col], prow)
-    T[row] = prow
-    basis[row] = col
+def _pivot(T, basis, row, col):
+    T[row] /= T[row, col]
+    rows, cols = np.flatnonzero(T[:, col]), np.flatnonzero(T[row])
+    rows = rows[rows != row]
+    T[np.ix_(rows, cols)] -= np.outer(T[rows, col], T[row, cols])
+    basis[row] = int(col)
 
 
-def _float_simplex(T, basis, obj, n_cols, limit):
-    """Dense float64 simplex on tableau T (rows = constraints, last column
-    the right-hand side) over columns < n_cols, in place, to optimality.
-    Bland's rule, as in `_solve_exact`: the first improving column enters,
-    the smallest ratio leaves, ties to the smallest basic index."""
-    for _ in range(limit):
-        reduced = obj[:n_cols] - obj[basis] @ T[:, :n_cols]
-        improving = np.flatnonzero(reduced > _FLOAT_TOL)
-        if improving.size == 0:
-            return
-        enter = int(improving[0])
-        col = T[:, enter]
-        rows = np.flatnonzero(col > _FLOAT_PIVOT_TOL)
-        if rows.size == 0:
-            raise _NoCertificate("unbounded in float64")
-        ratios = np.maximum(T[rows, -1], 0.0) / col[rows]
-        best = ratios.min()
-        ties = rows[ratios <= best + 1e-12 * (1.0 + best)]
-        leave = int(ties[np.argmin(basis[ties])])
-        _float_pivot(T, basis, leave, enter)
-    raise _NoCertificate("float64 iteration cap")
-
-
-def _float_basis(c, A, b) -> list[int]:
-    """Final basis of the float64 two-phase simplex on A x + s = b (a slack
-    per row, an artificial per row with b < 0 in phase 1 only): the basic
-    column of each row, structural columns < n, slacks n..n+m-1."""
+def _tableau(c, A, b, kind, basis=()):
+    """The slack tableau of max c.x, A x <= b, x >= 0 over `kind` (float or
+    Fraction) and its basis: rows [A | I | b], then the cost row [c | 0 | 0]
+    holding the reduced costs and minus the objective value; the basic
+    column of each row, structural columns < n, slacks n..n+m-1.  Each
+    structural column of `basis` takes a row whose slack it leaves
+    nonbasic, or is skipped; an empty `basis` is the slack basis."""
     m, n = len(A), len(c)
-    negative = [i for i in range(m) if b[i] < 0]
-    total = n + m + len(negative)
-    T = np.zeros((m, total + 1))
-    T[:, :n] = np.asarray(A, dtype=float).reshape(m, n)
-    T[:, n : n + m] = np.eye(m)
-    T[:, -1] = [float(v) for v in b]
-    basis = np.arange(n, n + m)
-    limit = 50 * (m + total + 1)
-    if negative:
-        arts = np.arange(n + m, total)
-        T[negative] *= -1.0
-        T[negative, arts] = 1.0
-        basis[negative] = arts
-        obj1 = np.zeros(total)
-        obj1[n + m :] = -1.0
-        _float_simplex(T, basis, obj1, total, limit)
-        if obj1[basis] @ T[:, -1] < -_FLOAT_TOL * (1.0 + float(np.max(np.abs(T[:, -1])))):
-            raise _NoCertificate("infeasible in float64")
-        for i in np.flatnonzero(basis >= n + m):
-            nonzero = np.flatnonzero(np.abs(T[i, : n + m]) > _FLOAT_PIVOT_TOL)
-            if nonzero.size == 0:
-                raise _NoCertificate("artificial left in the basis")
-            _float_pivot(T, basis, i, int(nonzero[0]))
-    obj2 = np.zeros(total)
-    obj2[:n] = [float(v) for v in c]
-    _float_simplex(T, basis, obj2, n + m, limit)
-    return [int(j) for j in basis]
+    T = np.full((m + 1, n + m + 1), kind(0), dtype=float if kind is float else object)
+    T[:m, :n] = [[kind(v) for v in row] for row in A]
+    T[range(m), range(n, n + m)] = kind(1)
+    T[:m, -1] = [kind(v) for v in b]
+    T[m, :n] = [kind(v) for v in c]
+    current = list(range(n, n + m))
+    for j in (j for j in basis if j < n):
+        row = next((i for i in range(m) if current[i] >= n and current[i] not in basis and T[i, j]), None)
+        if row is not None:
+            _pivot(T, current, row, j)
+    return T, current
+
+
+def _simplex(T, basis, tol):
+    """Pivot tableau T and its basis (from `_tableau`) in place to an optimum:
+    (outcome, pivots), outcome "optimal", "infeasible", "unbounded" or
+    "iteration cap".
+
+    Dual simplex pivots (leaving: the infeasible row with the smallest
+    basic index; entering: the smallest ratio, ties to the smallest index)
+    reach primal feasibility, on the real costs when the basis is dual
+    feasible and otherwise as if every cost were zero, for which every
+    basis is: a phase 1 without artificial columns.  Bland's primal simplex
+    finishes (the first improving column enters, the smallest ratio leaves,
+    ties to the smallest basic index).  With `tol` 0 over Fractions every
+    test is exact.  Over float64 a reduced cost within `tol` counts as
+    zero, and so does a right-hand side within `tol` times one plus the
+    largest initial one; pivot elements must exceed tol / 100, ratios
+    within tol / 1000 tie, and the run stops at an iteration cap.
+    """
+    m = len(basis)
+    cost, rhs = T[m, :-1], T[:m, -1]  # views that follow the pivots
+    rhs_tol = tol * (1 + np.abs(rhs).max(initial=0)) if tol else 0
+    pivot_tol, tie_tol, limit = (tol / 100, tol / 1000, 50 * sum(T.shape)) if tol else (0, 0, math.inf)
+    dual_feasible = not np.any(cost > tol)
+    pivots = 0
+    while pivots < limit:
+        if (infeasible := np.flatnonzero(rhs < -rhs_tol)).size:
+            leave = min(infeasible, key=basis.__getitem__)
+            cols = np.flatnonzero(T[leave, :-1] < -pivot_tol)
+            if not cols.size:  # the row's slack can only be negative
+                return "infeasible", pivots
+            ratios = np.maximum(cost[cols] / T[leave, cols], 0) if dual_feasible else np.zeros(cols.size)
+            enter = cols[np.flatnonzero(ratios <= (best := ratios.min()) + tie_tol * (1 + best))[0]]
+        else:
+            if not (improving := np.flatnonzero(cost > tol)).size:
+                return "optimal", pivots
+            enter = improving[0]
+            rows = np.flatnonzero(T[:m, enter] > pivot_tol)
+            if not rows.size:
+                return "unbounded", pivots
+            ratios = np.maximum(rhs[rows], 0) / T[rows, enter]
+            leave = min(rows[ratios <= (best := ratios.min()) + tie_tol * (1 + best)], key=basis.__getitem__)
+        _pivot(T, basis, leave, enter)
+        pivots += 1
+    return "iteration cap", pivots
 
 
 def _integer_row(row):
@@ -331,26 +292,35 @@ def _certify(c, A, b, basis):
 def solve_lp_max(c: Sequence[Fraction], A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]):
     """max c.x subject to A x <= b, x >= 0, exactly.
 
-    Returns (feasible, x, value) with Fraction entries.  A float64 simplex
-    proposes the optimal basis and `_certify` proves it exactly; when the
-    proof fails, `_solve_exact` pivots exactly from that basis, or from the
-    slack basis when the float pass found none.  The optimal value is
-    unique, so it is the same Fraction either way; x is an exact optimal
-    vertex.
+    Returns (feasible, x, value) with Fraction entries.  `_simplex` runs in
+    float64 from the slack basis to propose the optimal basis and
+    `_certify` proves it exactly; when the proof fails, `_simplex` runs
+    over Fractions from that basis, or from the slack basis when the float
+    pass found none.  The optimal value is unique, so it is the same
+    Fraction either way; x is an exact optimal vertex.
     """
     basis, start = (), "slack"
     try:
-        basis = _float_basis(c, A, b)
-        start = "float"
+        T, found = _tableau(c, A, b, float)
+        outcome, _ = _simplex(T, found, _FLOAT_TOL)
+        if outcome != "optimal":
+            raise _NoCertificate(f"{outcome} in float64")
+        basis, start = found, "float"
         return (True, *_certify(c, A, b, basis))
     except _NoCertificate as exc:
         reason = exc
-    feasible, x, value, pivots = _solve_exact(c, A, b, basis)
+    T, basis = _tableau(c, A, b, F, basis)
+    outcome, pivots = _simplex(T, basis, 0)
+    if outcome == "unbounded":
+        raise ConeError("unbounded linear program (missing box constraints?)")
     log.debug(
         "LP with %d rows x %d columns: exact certificate failed (%s); solved exactly from the %s basis in %d pivots",
         len(A), len(c), reason, start, pivots,
     )
-    return feasible, x, value
+    if outcome == "infeasible":
+        return False, None, None
+    x_B = dict(zip(basis, T[:-1, -1]))
+    return True, [x_B.get(j, F(0)) for j in range(len(c))], -T[-1, -1]
 
 
 def _lambda_lp(gen_rows, m, objective, extra_rows=(), decided=()):

@@ -555,13 +555,33 @@ def certify_in_fractions(c, A, b, basis):
     return x, sum(c[j] * v for j, v in zip(S, x_S))
 
 
+def float_basis(c, A, b):
+    """The basis the float64 pass of solve_lp_max ends on, or None when it
+    finds no optimum."""
+    T, basis = cone_module._tableau(c, A, b, float)
+    outcome, _ = cone_module._simplex(T, basis, cone_module._FLOAT_TOL)
+    return basis if outcome == "optimal" else None
+
+
+def exact_simplex(c, A, b, basis=()):
+    """The exact pass of solve_lp_max from `basis`: (feasible, x, value);
+    an unbounded program raises ConeError, as it does there."""
+    T, current = cone_module._tableau(c, A, b, Fraction, basis)
+    outcome, _ = cone_module._simplex(T, current, 0)
+    if outcome == "unbounded":
+        raise ConeError("unbounded linear program")
+    if outcome == "infeasible":
+        return False, None, None
+    x_B = dict(zip(current, T[:-1, -1]))
+    return True, [x_B.get(j, Fraction(0)) for j in range(len(c))], -T[-1, -1]
+
+
 def candidate_bases(lp, rng):
     """The float basis when there is one, and that basis with one column
     swapped for another (mostly not optimal, often not a basis)."""
     c, A, b = lp
-    try:
-        basis = cone_module._float_basis(c, A, b)
-    except cone_module._NoCertificate:
+    basis = float_basis(c, A, b)
+    if basis is None:
         return []
     out = [basis]
     for _ in range(3):
@@ -600,6 +620,28 @@ def test_integer_certificate_matches_fractions_and_the_exact_simplex(
             assert got[1] == two_phase_simplex(*lp)[2]
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(0, 24), st.booleans(), st.booleans())
+def test_a_certified_basis_is_installed_exactly_and_needs_no_pivot(seed, m, n, rounded, with_direction):
+    # the certificate and the exact engine agree: a basis that _certify
+    # accepts is the basis _tableau installs over Fractions, and from it
+    # _simplex stops at once with the oracle's optimum
+    rng = np.random.default_rng(seed)
+    cone = make_cone(random_generators(rng, m, n, rounded, False), dim=m)
+    direction = TangentVector(cone.base, rng.normal(size=m)) if with_direction else None
+    lps = recorded_lps(cone, direction)
+    lp = lps[int(rng.integers(len(lps)))]
+    for basis in candidate_bases(lp, rng):
+        try:
+            cone_module._certify(*lp, basis)
+        except cone_module._NoCertificate:
+            continue
+        T, installed = cone_module._tableau(*lp, Fraction, basis)
+        assert sorted(installed) == sorted(basis)
+        assert cone_module._simplex(T, installed, 0) == ("optimal", 0)
+        assert -T[-1, -1] == two_phase_simplex(*lp)[2]
+
+
 def test_integer_certificate_rejects_each_kind_of_failure():
     # max x0 + x1 subject to x0 + x1 <= 1, x0 - x1 <= -1/2, x0 <= 1/4, x >= 0;
     # columns 0 and 1 are x, 2..4 the slacks of the three rows.  The optimum
@@ -631,14 +673,16 @@ def test_slack_start_matches_the_oracle_on_small_programs():
         ([F(-1), F(-1)], [[F(-1), F(-1)]], [F(-1)]),  # dual feasible from the start
         ([F(-1), F(2)], [[F(-1), F(0)], [F(0), F(1)], [F(1), F(1)]], [F(-1), F(0), F(5)]),
     ):
-        feasible, x, value, _ = cone_module._solve_exact(c, A, b)
+        feasible, x, value = exact_simplex(c, A, b)
         expected = two_phase_simplex(c, A, b)
         assert feasible == expected[0]
         if feasible:
             assert value == expected[2]
             assert_attains(c, A, b, (feasible, x, value))
     with pytest.raises(ConeError, match="unbounded"):
-        cone_module._solve_exact([F(1)], [[F(-1)]], [F(0)])
+        exact_simplex([F(1)], [[F(-1)]], [F(0)])
+    with pytest.raises(ConeError, match="unbounded"):
+        solve_lp_max([F(1)], [[F(-1)]], [F(0)])
 
 
 @settings(max_examples=25, deadline=None)
@@ -654,7 +698,7 @@ def test_exact_pivots_from_any_basis_match_the_two_phase_simplex(seed, m, n, rou
     for lp in recorded_lps(cone, direction)[:4]:
         expected = two_phase_simplex(*lp)
         for basis in [()] + candidate_bases(lp, rng):
-            feasible, x, value, _ = cone_module._solve_exact(*lp, basis)
+            feasible, x, value = exact_simplex(*lp, basis)
             assert feasible == expected[0]
             if feasible:
                 assert value == expected[2]
@@ -675,35 +719,40 @@ def test_polar_connection_cone_pivots_from_the_float_basis(caplog, capsys):
     assert len(messages) == 2
     assert all("exact certificate failed" in msg and "from the float basis" in msg for msg in messages)
 
-    def no_float_basis(*lp):
-        raise cone_module._NoCertificate("float pass disabled")
+    real = cone_module._simplex
+
+    def no_float_basis(T, basis, tol):
+        return ("iteration cap", 0) if tol else real(T, basis, tol)
 
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="geocon.cone"):
-        with mock.patch.object(cone_module, "_float_basis", no_float_basis):
+        with mock.patch.object(cone_module, "_simplex", no_float_basis):
             assert main(["cone", path]) == 0
     assert capsys.readouterr().out == warm
     messages = [r.getMessage() for r in caplog.records if r.name == "geocon.cone"]
     assert messages and all("from the slack basis" in msg for msg in messages)
 
 
-def test_sweep_panel_m8_support_starts_every_lp_from_the_float_basis(caplog):
-    # the perfbench sweep panel's system at m = 8 (panel seed 0, k = 2,
-    # switch at 0.4, sample times 0.25..1.0, budget 16): its two LPs that
-    # fail the certificate used to run the cold two-phase simplex for about
-    # 4 s each; the report was recorded with that solver
+@pytest.mark.parametrize("m, fallbacks", [(7, 0), (8, 0), (9, 0), (10, 0)])
+def test_probe_systems_support_starts_no_lp_from_the_slack_basis(caplog, m, fallbacks):
+    # one system per m drawn as the perfbench sweep panel draws them (panel
+    # seed 0, k = 2, switch at 0.4, sample times 0.25..1.0, budget 16), past
+    # the sweep's m <= 6: their support LPs are degenerate with optimum 0.
+    # The float pass certifies every one of them (the fallback counts are
+    # the ones observed), and no LP falls back to exact pivots from the
+    # slack basis; the report was recorded with the cold two-phase simplex
     from tests.conftest import random_control_affine
     from geocon.ocp import integrate_trajectory, piecewise_schedule
 
-    rng = np.random.default_rng([0, 8])
-    system = random_control_affine(rng, m=8, k=2)
+    rng = np.random.default_rng([0, m])
+    system = random_control_affine(rng, m=m, k=2)
     values = np.round(rng.uniform(-1.0, 1.0, size=(2, 2)), 3).tolist()
-    x0 = np.round(rng.uniform(-0.2, 0.2, size=8), 3)
+    x0 = np.round(rng.uniform(-0.2, 0.2, size=m), 3)
     ref = integrate_trajectory(system, x0, piecewise_schedule([0.0, 0.4], values), (0.0, 1.0))
     cone = assemble_cone(system, ref, 1.0, [0.25, 0.5, 0.75, 1.0], per_time_budget=16)
     with caplog.at_level(logging.DEBUG, logger="geocon.cone"):
         report = find_supporting_covector(cone)
     messages = [r.getMessage() for r in caplog.records if r.name == "geocon.cone"]
-    assert len(messages) == 2
-    assert all("from the float basis" in msg for msg in messages)
+    assert not any("from the slack basis" in msg for msg in messages)
+    assert len(messages) == fallbacks
     assert report == SupportReport(None, None, None, False)

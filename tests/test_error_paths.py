@@ -148,7 +148,7 @@ def test_cli_bad_covector(tmp_path, capsys):
 
     scenario = Path(__file__).resolve().parents[1] / "scenarios" / "martinet.json"
     assert main(["audit", str(scenario), "--covector", "0,zz,1"]) == 1
-    assert "bad covector" in capsys.readouterr().err
+    assert capsys.readouterr().err == "geocon: error: --covector must be comma-separated finite numbers, got '0,zz,1'\n"
 
 
 def test_cli_degenerate_momentum_is_a_verdict(capsys):
@@ -292,6 +292,10 @@ def test_cli_step_that_is_not_positive_and_finite_is_one_error_line(capsys, argv
         (["variation", "polar_connection.json", "--template", "needle", "--u1", "1", "--l1", "inf"], "--l1"),
         (["variation", "polar_connection.json", "--template", "needle", "--u1", "1", "--l1", "0"], "--l1"),
         (["variation", "polar_connection.json", "--samples", "-3"], "--samples"),
+        (["pca", "heisenberg.json", "--covector", "nan,0,0"], "--covector"),
+        (["extremal", "heisenberg.json", "--covector", "inf,0,0"], "--covector"),
+        (["audit", "heisenberg.json", "--covector", "0,-inf,0"], "--covector"),
+        (["variation", "polar_connection.json", "--template", "needle", "--u1", "nan"], "--u1"),
     ],
 )
 def test_cli_bad_numeric_option_is_one_error_line_naming_it(capsys, argv, option):
