@@ -279,6 +279,13 @@ def build_control_affine(
     for c, vf in enumerate(input_vfs):
         if vf.dim != len(chart) or vf.variables != chart:
             raise OcpError(f"input field {c + 1} does not live on the declared chart")
+    # fields that read only the chart keep the system control-affine, and
+    # so do all their brackets
+    for c, vf in enumerate((drift_vf, *input_vfs)):
+        outside = set().union(*map(free_variables, vf.components)) - set(chart)
+        if outside:
+            name = f"input field {c}" if c else "drift"
+            raise OcpError(f"{name} reads names outside the chart: {sorted(outside)}")
     box = tuple((float(lo), float(hi)) for lo, hi in control_box)
     if len(box) != len(input_vfs):
         raise OcpError(f"{len(box)} control bounds for {len(input_vfs)} inputs")

@@ -1,23 +1,27 @@
 """Constraint ladder for abnormal candidates of control-affine systems.
 
-Starting from the input fields (the gradient-in-u of the Hamiltonian pairing
-must vanish), each step differentiates the pairings along the dynamics,
-which produces brackets of the drift and input fields with the current
-generators.  Every nonzero coefficient field of the resulting control
-polynomial is imposed as a new constraint; the ladder stabilizes when a
-step stops adding directions at the sampled points of the reference
-trajectory.  Covectors annihilating all adopted generators at a point are
+This is the presymplectic constraint algorithm of Gotay, Nester and Hinds on
+the sampled reference trajectory.  Level 0 holds the input fields: the
+gradient-in-u of the Hamiltonian pairing must vanish.  Along the dynamics
+d/dt <lambda, Z> = <lambda, [X0, Z]> + sum_d u^d <lambda, [X_d, Z]>, so each
+step brackets the drift, then each input in order, with the generators of
+the last level.  A bracket that is not symbolically zero is adopted when it
+raises the numerical rank of the generator values at some sample point.
+The ladder keeps those values (`ConstraintLadder.rows`), so every field is
+evaluated once per sample point and each candidate costs one rank per
+point.  It stabilizes when a step adopts nothing or the span is full at
+every sample.  Covectors annihilating all adopted generators at a point are
 the abnormal momentum candidates there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .expr import free_variables, render
+from .expr import render
 from .fields import Covector, VectorField, as_point, is_zero_field, lie_bracket
 from .ocp import Biextremal, Trajectory
 
@@ -40,36 +44,12 @@ class GeneratorRecord:
         return [render(c) for c in self.field.components]
 
 
-@dataclass(frozen=True)
-class ControlPolynomialConstraint:
-    """d/dt <lambda, Z> as a degree <= 1 polynomial in the control values."""
-
-    parent: str
-    constant_part: VectorField  # coefficient of u^0: [X0, Z]
-    linear_parts: tuple[VectorField, ...]  # coefficient of u^d: [X_d, Z]
-
-    def __post_init__(self):
-        for vf in (self.constant_part, *self.linear_parts):
-            leaked = set()
-            for comp in vf.components:
-                leaked |= free_variables(comp) - set(vf.variables)
-            if leaked:
-                raise PcaError(
-                    f"constraint coefficients may not depend on controls: {sorted(leaked)}"
-                )
-
-    @property
-    def degree(self) -> int:
-        return 1 if any(not is_zero_field(vf) for vf in self.linear_parts) else 0
-
-
 @dataclass
 class LadderLevel:
     index: int
     generators: list[GeneratorRecord]
-    constraints: list[ControlPolynomialConstraint]
     span_dims: dict[float, int]
-    branch_flag: bool  # some u-coefficient survived: controls could be determined
+    branch_flag: bool  # some input bracket is nonzero: controls could be determined
 
 
 @dataclass
@@ -78,6 +58,8 @@ class ConstraintLadder:
     sample_points: tuple[np.ndarray, ...]
     levels: list[LadderLevel]
     stabilized_at: int | None = None
+    # rows[i]: the values of all_generators(), in that order, at sample_points[i]
+    rows: list[list[np.ndarray]] = field(default_factory=list)
 
     def all_generators(self) -> list[GeneratorRecord]:
         return [g for lvl in self.levels for g in lvl.generators]
@@ -101,6 +83,10 @@ def _rank(rows: list[np.ndarray]) -> int:
     return _rank_of(np.linalg.svd(np.asarray(rows), compute_uv=False)) if rows else 0
 
 
+def _value(vf: VectorField, x) -> np.ndarray:
+    return np.asarray(vf(list(x)), dtype=float)
+
+
 def primary_constraints(system) -> ConstraintLadder:
     """Level 0: the input fields, whose pairings with the momentum vanish.
 
@@ -112,7 +98,7 @@ def primary_constraints(system) -> ConstraintLadder:
         GeneratorRecord(name=f"X{c + 1}", level=0, field=vf)
         for c, vf in enumerate(base.inputs)
     ]
-    level0 = LadderLevel(0, gens, [], {}, False)
+    level0 = LadderLevel(0, gens, {}, False)
     ladder = ConstraintLadder((), (), [level0], None)
     if base.k == 0:
         ladder.stabilized_at = 0
@@ -121,7 +107,8 @@ def primary_constraints(system) -> ConstraintLadder:
 
 def _attach_samples(ladder: ConstraintLadder, reference: Trajectory, sample_times):
     """Sample the reference at `sample_times`, by default at the schedule's
-    default analysis times before the interval end."""
+    default analysis times before the interval end, and evaluate the
+    generators there."""
     if not sample_times:
         end = reference.interval[1]
         sample_times = [t for t in reference.schedule.sample_times(reference.interval) if t < end]
@@ -134,24 +121,20 @@ def _attach_samples(ladder: ConstraintLadder, reference: Trajectory, sample_time
             raise PcaError(f"sample time {t} sits on a control switch")
     ladder.sample_times = times
     ladder.sample_points = tuple(reference.state_at(t) for t in times)
+    gens = ladder.all_generators()
+    ladder.rows = [[_value(g.field, p) for g in gens] for p in ladder.sample_points]
+    count = 0
     for lvl in ladder.levels:
-        _record_spans(ladder, lvl)
-
-
-def _record_spans(ladder: ConstraintLadder, level: LadderLevel):
-    upto = [g for l in ladder.levels[: level.index + 1] for g in l.generators]
-    for t, p in zip(ladder.sample_times, ladder.sample_points):
-        rows = [np.asarray(g.field(list(p)), dtype=float) for g in upto]
-        level.span_dims[t] = _rank(rows)
+        count += len(lvl.generators)
+        lvl.span_dims = {t: _rank(rows[:count]) for t, rows in zip(times, ladder.rows)}
 
 
 def ladder_step(ladder: ConstraintLadder, system, reference: Trajectory) -> ConstraintLadder:
     """Append one constraint level built from brackets with the last one.
 
-    For each current generator Z the derivative of <lambda, Z> along the
-    dynamics is <lambda, [X0, Z]> + sum_d u^d <lambda, [X_d, Z]>; every
-    coefficient field that is not symbolically zero and adds a direction at
-    some sample point becomes a new generator.
+    Each bracket [X_d, Z] of a partner field (drift first, then each input)
+    with a generator Z of the last level that is not symbolically zero and
+    raises the sampled rank at some sample point becomes a new generator.
     """
     if ladder.stabilized_at is not None:
         raise PcaError("ladder already stabilized")
@@ -160,60 +143,28 @@ def ladder_step(ladder: ConstraintLadder, system, reference: Trajectory) -> Cons
     base = system.base
     parents = ladder.levels[-1].generators
     level_index = len(ladder.levels)
+    partners = (base.drift, *base.inputs)
+    brackets = [[lie_bracket(x, g.field) for x in partners] for g in parents]
+    branch = any(not is_zero_field(vf) for row in brackets for vf in row[1:])
 
-    constraints = []
-    for g in parents:
-        constant = lie_bracket(base.drift, g.field)
-        linear = tuple(lie_bracket(vf, g.field) for vf in base.inputs)
-        constraints.append(
-            ControlPolynomialConstraint(parent=g.name, constant_part=constant, linear_parts=linear)
-        )
-    branch = any(c.degree == 1 for c in constraints)
-
-    existing_values = {
-        t: [np.asarray(g.field(list(p)), dtype=float) for g in ladder.all_generators()]
-        for t, p in zip(ladder.sample_times, ladder.sample_points)
-    }
-    base_ranks = {t: _rank(rows) for t, rows in existing_values.items()}
-
+    ranks = ladder.levels[-1].span_dims
     adopted: list[GeneratorRecord] = []
-
-    def consider(vf: VectorField, parent: str, partner: str):
-        nonlocal existing_values, base_ranks
-        if is_zero_field(vf):
-            return
-        expands = False
-        values = {}
-        for t, p in zip(ladder.sample_times, ladder.sample_points):
-            v = np.asarray(vf(list(p)), dtype=float)
-            values[t] = v
-            if _rank(existing_values[t] + [v]) > base_ranks[t]:
-                expands = True
-        if not expands:
-            return
-        name = f"[{partner},{parent}]"
-        adopted.append(
-            GeneratorRecord(name=name, level=level_index, field=vf, parent=parent, bracket_with=partner)
-        )
-        for t in existing_values:
-            existing_values[t].append(values[t])
-            base_ranks[t] = _rank(existing_values[t])
-
     # drift brackets first, then each input in order, scanning all parents
-    for partner_idx in range(base.k + 1):
-        for constraint in constraints:
-            if partner_idx == 0:
-                consider(constraint.constant_part, constraint.parent, "X0")
-            else:
-                consider(
-                    constraint.linear_parts[partner_idx - 1],
-                    constraint.parent,
-                    f"X{partner_idx}",
-                )
+    for d in range(len(partners)):
+        for g, row in zip(parents, brackets):
+            vf = row[d]
+            if is_zero_field(vf):
+                continue
+            values = [_value(vf, p) for p in ladder.sample_points]
+            grown = {t: _rank(rows + [v]) for t, rows, v in zip(ladder.sample_times, ladder.rows, values)}
+            if all(grown[t] <= ranks[t] for t in ladder.sample_times):
+                continue
+            adopted.append(GeneratorRecord(f"[X{d},{g.name}]", level_index, vf, g.name, f"X{d}"))
+            for rows, v in zip(ladder.rows, values):
+                rows.append(v)
+            ranks = grown
 
-    level = LadderLevel(level_index, adopted, constraints, {}, branch)
-    ladder.levels.append(level)
-    _record_spans(ladder, level)
+    ladder.levels.append(LadderLevel(level_index, adopted, dict(ranks), branch))
     return ladder
 
 
@@ -225,26 +176,17 @@ def run_algorithm(
 ) -> ConstraintLadder:
     """Iterate constraint levels until the sampled spans stop growing.
 
-    `stabilized_at` names the first level whose constraints added nothing
+    `stabilized_at` names the first level whose brackets added nothing
     (or at which the span is already full everywhere); when `max_levels`
     passes without that happening the ladder is returned non-stabilized.
     """
     ladder = primary_constraints(system)
     _attach_samples(ladder, reference, sample_times)
-    base = system.base
-    if base.k == 0:
-        ladder.stabilized_at = 0
-        return ladder
-    m = base.m
-    for i in range(1, max_levels + 1):
-        ladder_step(ladder, system, reference)
-        level = ladder.levels[-1]
-        if not level.generators:
-            ladder.stabilized_at = i
-            break
-        if all(level.span_dims[t] >= m for t in ladder.sample_times):
-            ladder.stabilized_at = i
-            break
+    m = system.base.m
+    while ladder.stabilized_at is None and len(ladder.levels) <= max_levels:
+        level = ladder_step(ladder, system, reference).levels[-1]
+        if not level.generators or min(level.span_dims.values()) >= m:
+            ladder.stabilized_at = level.index
     return ladder
 
 
@@ -262,7 +204,7 @@ def annihilator_at(x, ladder: ConstraintLadder) -> list[Covector]:
     m = point.dim
     if not gens:
         return [Covector(point, np.eye(m)[j]) for j in range(m)]
-    rows = [np.asarray(g.field(list(point.coords)), dtype=float) for g in gens]
+    rows = [_value(g.field, point.coords) for g in gens]
     _, s, vt = np.linalg.svd(np.asarray(rows))
     basis = []
     for row in vt[_rank_of(s):]:
@@ -281,8 +223,7 @@ def ladder_pairings(ladder: ConstraintLadder, bx: Biextremal) -> dict:
         for t in ladder.sample_times:
             lam = bx.covector_at(t)
             x = bx.trajectory.state_at(t)
-            v = np.asarray(g.field(list(x)), dtype=float)
-            worst = max(worst, abs(float(np.dot(lam.components, v))))
+            worst = max(worst, abs(float(np.dot(lam.components, _value(g.field, x)))))
         out[g.name] = worst
     return out
 

@@ -162,8 +162,9 @@ def _point_array(p) -> np.ndarray:
     return np.asarray(p)
 
 
-def _fd_jets(curve, l_max: int, s0: float) -> tuple[list[np.ndarray], np.ndarray]:
-    """Forward-difference jets, Richardson-extrapolated on {s0 * 2^-j}, and the curve at 0."""
+def _fd_jets(curve, l_max: int, s0: float) -> tuple[list[np.ndarray], np.ndarray, list[float]]:
+    """Forward-difference jets, Richardson-extrapolated on {s0 * 2^-j}, the
+    curve at 0, and the norm of each jet's last Richardson correction."""
     cache: dict[float, np.ndarray] = {}
 
     def ev(s: float) -> np.ndarray:
@@ -171,7 +172,7 @@ def _fd_jets(curve, l_max: int, s0: float) -> tuple[list[np.ndarray], np.ndarray
             cache[s] = np.asarray(_point_array(curve(s)), dtype=float)
         return cache[s]
 
-    jets = []
+    jets, corrections = [], []
     for l in range(1, l_max + 1):
         binom = [math.comb(l, i) * (-1.0) ** (l - i) for i in range(l + 1)]
         table = []
@@ -183,11 +184,13 @@ def _fd_jets(curve, l_max: int, s0: float) -> tuple[list[np.ndarray], np.ndarray
             table.append(acc / h**l)
         for k in range(1, len(table)):
             f = 2.0**k
+            finest = table[-1]
             table = [
                 (f * table[j + 1] - table[j]) / (f - 1.0) for j in range(len(table) - 1)
             ]
         jets.append(table[0])
-    return jets, ev(0.0)
+        corrections.append(float(np.linalg.norm(table[0] - finest)))
+    return jets, ev(0.0), corrections
 
 
 def _taylor_jets(curve, l_max: int) -> list[np.ndarray] | None:
@@ -218,7 +221,7 @@ def estimate_jets(
     """
     if l_max > MAX_ORDER:
         raise VariationError(f"jets supported up to order {MAX_ORDER}")
-    (fd, x0), taylor = _fd_jets(curve, l_max, s0), _taylor_jets(curve, l_max)
+    (fd, x0, _), taylor = _fd_jets(curve, l_max, s0), _taylor_jets(curve, l_max)
     if taylor is None:
         return fd
     floor = 1e-6 * (1.0 + float(np.linalg.norm(x0)))
@@ -251,12 +254,14 @@ class OrderReport:
 
 
 def _detect_order(curve, x: Point, l_max: int, s0: float, eps: float) -> OrderReport:
-    (fd, _), taylor = _fd_jets(curve, l_max, s0), _taylor_jets(curve, l_max)
+    (fd, _, corrections), taylor = _fd_jets(curve, l_max, s0), _taylor_jets(curve, l_max)
     for l in range(1, l_max + 1):
         a = fd[l - 1]
         b = taylor[l - 1] if taylor is not None else a
-        # a jet counts as nonzero only when both estimators clear the threshold
-        if float(np.linalg.norm(a)) > eps and float(np.linalg.norm(b)) > eps:
+        # once either estimator clears the threshold the two must agree; the
+        # finite differences clear it only by more than their last Richardson
+        # correction, so a truncation residue on a flat curve is no jet
+        if float(np.linalg.norm(b)) > eps or float(np.linalg.norm(a)) - corrections[l - 1] > eps:
             _check_agreement(l, a, b, 1e-3)
             return OrderReport(l, l, b)
     return OrderReport(math.inf, l_max, None)

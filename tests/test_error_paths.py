@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from geocon.cone import Cone, ConeError, GeneratorProvenance, is_supporting
-from geocon.expr import DomainEvalError, evaluate, jet_seed, parse_expression
+from geocon.expr import DomainEvalError, evaluate, jet_seed, mul, parse_expression, var
 from geocon.fields import (
     Covector,
     FieldError,
@@ -140,6 +140,14 @@ def test_mode_validation(martinet):
 def test_control_name_collision_rejected():
     with pytest.raises(OcpError):
         build_control_affine(("x", "u1"), ["0", "0"], [["1", "0"]], [(-1, 1)])
+
+
+def test_fields_reading_names_outside_the_chart_rejected():
+    # a drift that reads a control is no longer control-affine
+    with pytest.raises(OcpError, match=r"^drift reads names outside the chart: \['u1'\]$"):
+        build_control_affine(("x",), [mul(var("u1"), var("x"))], [["1"]], [(-1, 1)])
+    with pytest.raises(OcpError, match=r"^input field 2 reads names outside the chart: \['y'\]$"):
+        build_control_affine(("x",), ["0"], [["1"], [var("y")]], [(-1, 1)] * 2)
 
 
 def test_cli_bad_covector(tmp_path, capsys):

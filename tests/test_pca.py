@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geocon.fields import as_point, lie_bracket
+from geocon import pca
+from geocon.expr import mul, render, var
+from geocon.fields import VectorField, as_point, is_zero_field, lie_bracket
 from geocon.ocp import (
     build_control_affine,
     integrate_biextremal,
@@ -47,8 +51,6 @@ def test_ladder_step_martinet_off_line(martinet):
     sched = piecewise_schedule([0.0], [[0.0, 1.0]])
     ref = integrate_trajectory(martinet, [0.5, 0.0, 0.0], sched, (0.0, 1.0), 1e-2)
     ladder = primary_constraints(martinet)
-    import geocon.pca as pca
-
     pca._attach_samples(ladder, ref, None)
     ladder_step(ladder, martinet, ref)
     level1 = ladder.levels[1]
@@ -60,8 +62,6 @@ def test_ladder_step_martinet_off_line(martinet):
 
 def test_ladder_step_heisenberg(heisenberg, heisenberg_reference):
     ladder = primary_constraints(heisenberg)
-    import geocon.pca as pca
-
     pca._attach_samples(ladder, heisenberg_reference, None)
     ladder_step(ladder, heisenberg, heisenberg_reference)
     gens = ladder.levels[1].generators
@@ -257,3 +257,130 @@ def test_default_sample_times_are_the_scenario_quarters_before_the_end(martinet)
     ref = integrate_trajectory(martinet, [0.0, 0.0, 0.0], sched, (0.0, 1.0), 1e-2)
     assert sched.sample_times((0.0, 1.0)) == [0.25, 0.501, 0.75, 1.0]
     assert run_algorithm(martinet, ref).sample_times == (0.25, 0.501, 0.75)
+
+
+def _oracle_ladder(system, reference, max_levels=6):
+    """The ladder as first written, kept as the reference: every bracket of a
+    level is built before any is tested, every generator is evaluated again
+    at every step, and each level's spans are ranked from fresh values."""
+    base = system.base
+    end = reference.interval[1]
+    times = [t for t in reference.schedule.sample_times(reference.interval) if t < end]
+    points = [reference.state_at(t) for t in times]
+
+    def value(vf, p):
+        return np.asarray(vf(list(p)), dtype=float)
+
+    def rank(rows):
+        if not rows:
+            return 0
+        s = np.linalg.svd(np.asarray(rows), compute_uv=False)
+        return int(np.sum(s > pca.RANK_REL_TOL * s[0])) if s[0] > 0.0 else 0
+
+    def spans(gens):
+        return {t: rank([value(vf, p) for _, vf in gens]) for t, p in zip(times, points)}
+
+    levels = [([(f"X{c + 1}", vf) for c, vf in enumerate(base.inputs)], False)]
+    level_spans = [spans(levels[0][0])]
+    stabilized = 0 if base.k == 0 else None
+    for i in range(1, max_levels + 1):
+        if stabilized is not None:
+            break
+        constraints = [
+            (name, lie_bracket(base.drift, vf), [lie_bracket(x, vf) for x in base.inputs])
+            for name, vf in levels[-1][0]
+        ]
+        branch = any(not is_zero_field(vf) for _, _, linear in constraints for vf in linear)
+        gens = [g for lvl, _ in levels for g in lvl]
+        existing = {t: [value(vf, p) for _, vf in gens] for t, p in zip(times, points)}
+        base_ranks = {t: rank(rows) for t, rows in existing.items()}
+        adopted = []
+        for d in range(base.k + 1):
+            for parent, constant, linear in constraints:
+                vf = constant if d == 0 else linear[d - 1]
+                if is_zero_field(vf):
+                    continue
+                values = {t: value(vf, p) for t, p in zip(times, points)}
+                if not any(rank(existing[t] + [values[t]]) > base_ranks[t] for t in times):
+                    continue
+                adopted.append((f"[X{d},{parent}]", vf))
+                for t in times:
+                    existing[t].append(values[t])
+                    base_ranks[t] = rank(existing[t])
+        levels.append((adopted, branch))
+        level_spans.append(spans(gens + adopted))
+        if not adopted or all(level_spans[-1][t] >= base.m for t in times):
+            stabilized = i
+    summary = [
+        ([name for name, _ in gens], [[render(c) for c in vf.components] for _, vf in gens], dims, branch)
+        for (gens, branch), dims in zip(levels, level_spans)
+    ]
+    return summary, stabilized
+
+
+def _summary(ladder):
+    return [
+        ([g.name for g in lvl.generators], [g.rendered() for g in lvl.generators], lvl.span_dims, lvl.branch_flag)
+        for lvl in ladder.levels
+    ], ladder.stabilized_at
+
+
+def _resting_on_a_hyperplane(system):
+    """A variant on which x1 = 0 is invariant while u1 = 0 and the inputs
+    after the first vanish there, like martinet's bracket on its line: a
+    reference that rests there and then leaves has sample points at which
+    a candidate raises the rank and sample points at which it does not."""
+    x1 = var(system.variables[0])
+    drift = [mul(x1, c) if i == 0 else c for i, c in enumerate(system.drift.components)]
+    inputs = [list(system.inputs[0].components)]
+    inputs += [[mul(x1, c) for c in vf.components] for vf in system.inputs[1:]]
+    return build_control_affine(system.variables, drift, inputs, system.control_box)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 3), st.floats(0.2, 0.8), st.booleans())
+def test_ladder_matches_the_re_evaluating_ladder(seed, m, k, switch, rest_first):
+    # one evaluation per field and sample point decides exactly what
+    # evaluating every generator again at every step decides
+    from tests.conftest import random_control_affine
+
+    system, twin = (random_control_affine(np.random.default_rng(seed), m=m, k=k) for _ in range(2))
+    rng = np.random.default_rng([seed, 1])
+    values = rng.uniform(-1.0, 1.0, size=(2, k))
+    x0 = rng.uniform(-0.2, 0.2, size=m)
+    if rest_first:
+        system, twin = _resting_on_a_hyperplane(system), _resting_on_a_hyperplane(twin)
+        values[0, 0] = x0[0] = 0.0
+    sched = piecewise_schedule([0.0, switch], values.tolist())
+    ref = integrate_trajectory(system, x0, sched, (0.0, 1.0), 1e-2)
+    assert _summary(run_algorithm(system, ref)) == _oracle_ladder(twin, ref)
+
+
+def test_ladder_evaluates_each_field_once_per_sample_time(monkeypatch):
+    # the sweep panel of the benchmark: level-0 generators and nonzero
+    # candidate brackets are evaluated once at each sample point, no more
+    from tests.conftest import random_control_affine
+
+    calls = []
+    plain_call = VectorField.__call__
+
+    def counted(self, values):
+        calls.append(self)
+        return plain_call(self, values)
+
+    counts = []
+    for m in (3, 4, 5, 6):
+        rng = np.random.default_rng([0, m])
+        system = random_control_affine(rng, m=m, k=2)
+        sched = piecewise_schedule([0.0, 0.4], np.round(rng.uniform(-1.0, 1.0, size=(2, 2)), 3).tolist())
+        ref = integrate_trajectory(system, np.round(rng.uniform(-0.2, 0.2, size=m), 3), sched, (0.0, 1.0))
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(VectorField, "__call__", counted)
+            ladder = run_algorithm(system, ref)
+        partners = (system.drift, *system.inputs)
+        parents = [g for lvl in ladder.levels[:-1] for g in lvl.generators]
+        candidates = sum(not is_zero_field(lie_bracket(x, g.field)) for g in parents for x in partners)
+        assert len(calls) == len(ladder.sample_times) * (system.k + candidates)
+        counts.append(len(calls))
+    assert counts == [18, 18, 18, 45]

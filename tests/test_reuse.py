@@ -152,11 +152,18 @@ def _disagreeing_curve(s):
     return np.array([s if isinstance(s, float) else 2.0 * s])
 
 
+def _one_sided_curve(s):
+    """Slope 1 at float parameters, flat at derivative-carrying ones."""
+    return np.array([s if isinstance(s, float) else 0.0 * s])
+
+
 def test_estimate_jets_raises_when_the_estimators_disagree():
     with pytest.raises(JetFragilityError, match="disagree at order 1: finite differences"):
         estimate_jets(_disagreeing_curve, 1)
 
 
 def test_order_detection_raises_when_the_estimators_disagree():
-    with pytest.raises(JetFragilityError, match="disagree at order 1: finite differences"):
-        _detect_order(_disagreeing_curve, fields.as_point([0.0]), 2, 0.1, 1e-6)
+    # also when only one estimator clears the threshold
+    for curve in (_disagreeing_curve, _one_sided_curve):
+        with pytest.raises(JetFragilityError, match="disagree at order 1: finite differences"):
+            _detect_order(curve, fields.as_point([0.0]), 2, 0.1, 1e-6)
