@@ -43,7 +43,7 @@ from .ocp import (
     piecewise_schedule,
     search_normal_lift,
 )
-from .pca import PcaError, abnormal_verdict, annihilator_at, ladder_pairings, run_algorithm
+from .pca import PcaError, abnormal_verdict, ladder_pairings, run_algorithm, sample_annihilators
 from .variations import VariationError, bracket_variation, needle_variation
 
 log = logging.getLogger("geocon")
@@ -435,8 +435,8 @@ def cmd_pca(scenario: Scenario, args) -> tuple[int, dict]:
         "levels": levels,
         "sample_times": list(ladder.sample_times),
         "annihilators": {
-            str(t): [b.components for b in annihilator_at(reference.point_at(t), ladder)]
-            for t in ladder.sample_times
+            str(t): [b.components for b in basis]
+            for t, basis in zip(ladder.sample_times, sample_annihilators(ladder))
         },
         "verdict": abnormal_verdict(ladder),
     }

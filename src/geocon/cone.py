@@ -90,7 +90,6 @@ def assemble_cone(
     sample_times: Sequence[float],
     per_time_budget: int = 16,
     step: float = 1e-3,
-    **sampling_options,
 ) -> Cone:
     """Sampled perturbation vectors from each time, transported to gamma(t).
 
@@ -114,9 +113,7 @@ def assemble_cone(
     base = reference.point_at(t)
     vectors, provenance = [], []
     for t0 in sorted(sample_times):
-        sampled = sample_perturbation_set(
-            system, reference, t0, budget=per_time_budget, **sampling_options
-        )
+        sampled = sample_perturbation_set(system, reference, t0, budget=per_time_budget)
         moved = [pv.vector for pv in sampled]
         if t0 != t:
             moved = transport_vector(system, reference, t0, t, moved, step=step)

@@ -17,9 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .expr import Expr, const, evaluate, expr_sum, free_variables, mul, neg, parse_expression, var
-from .fields import Point, VectorField, composite_flow, eval_vector_field, lie_bracket
+from .fields import VectorField, composite_flow, eval_vector_field, lie_bracket
 from .ocp import ControlAffineSystem, Trajectory, build_control_affine
-from .variations import KAPPA, estimate_jets
+from .variations import JET_STEP, KAPPA, estimate_jets
 
 
 class MechError(Exception):
@@ -170,96 +170,73 @@ class GeneratorFamilyReport:
         return all(c.passed for c in self.checks)
 
 
-def _jet_of_composite(legs, x: Point, order: int, step: float = 1e-2) -> np.ndarray:
-    """Jet of a composition of flows, each leg (field, sign) run for sign*s."""
-
-    def curve(s):
-        return composite_flow([vf for vf, _ in legs], [sign * s for _, sign in legs], x, step)
-
-    jets = estimate_jets(curve, order)
-    return jets[order - 1]
-
-
 def generator_families(
     system: ControlAffineSystem,
     reference: Trajectory,
     sample_time: float | None = None,
-    tol: float = 1e-4,
-    reduction_tol: float = 1e-9,
 ) -> GeneratorFamilyReport:
     """Generator families of the acceleration system plus their identities.
 
     The first family is the vertical lifts (the input fields); the second
     is their brackets with the reference slice.  At the sample time the
-    four jet identities are verified numerically: single-flow-pair curves
+    four jet identities are verified numerically, each within 1e-4 relative
+    to its target's norm when that exceeds one: single-flow-pair curves
     produce +/- the lift at first order, and the four-flow curves produce
     +/- KAPPA times the bracket at second order.  The reduction identity
     (annihilators of the lifts cannot tell the reference slice from the
-    bare spray inside the bracket) is checked on the lift annihilator.
+    bare spray inside the bracket) is checked to 1e-9 on the lift
+    annihilator.
     """
     a, b = reference.interval
     t0 = sample_time if sample_time is not None else 0.5 * (a + b)
     x = reference.point_at(t0)
     u0 = reference.control_at(t0)
     xi0 = system.slice_field(u0)
-    spray = system.drift
     lifts = system.inputs
 
     z1 = tuple(lie_bracket(xi0, yv) for yv in lifts)
-    checks = []
+    y_vals, b_vals, checks = [], [], []
     for i, yv in enumerate(lifts):
         ei = np.zeros(system.k)
         ei[i] = 1.0
-        xi_plus = system.slice_field(np.asarray(u0) + ei)
-        xi_minus = system.slice_field(np.asarray(u0) - ei)
+        plus = system.slice_field(np.asarray(u0) + ei)
+        minus = system.slice_field(np.asarray(u0) - ei)
         y_val = np.asarray(eval_vector_field(yv, x).components, dtype=float)
         b_val = np.asarray(eval_vector_field(z1[i], x).components, dtype=float)
+        y_vals.append(y_val)
+        b_vals.append(b_val)
+        # (name, legs (field, sign) each run for sign*s, jet order, target)
+        for name, legs, order, target in (
+            ("j1 forward slice", ((plus, 1.0), (xi0, -1.0)), 1, y_val),
+            ("j1 backward slice", ((minus, 1.0), (xi0, -1.0)), 1, -y_val),
+            ("j2 commutator", ((xi0, -1.0), (minus, 1.0), (plus, 1.0), (xi0, -1.0)), 2, KAPPA * b_val),
+            ("j2 commutator swapped", ((xi0, -1.0), (plus, 1.0), (minus, 1.0), (xi0, -1.0)), 2, -KAPPA * b_val),
+        ):
 
-        j1_plus = _jet_of_composite([(xi_plus, +1.0), (xi0, -1.0)], x, 1)
-        checks.append(_check("j1 forward slice", i, j1_plus, y_val, tol))
+            def curve(s, legs=legs):
+                return composite_flow([vf for vf, _ in legs], [sign * s for _, sign in legs], x, JET_STEP)
 
-        j1_minus = _jet_of_composite([(xi_minus, +1.0), (xi0, -1.0)], x, 1)
-        checks.append(_check("j1 backward slice", i, j1_minus, -y_val, tol))
-
-        j2_plus = _jet_of_composite(
-            [(xi0, -1.0), (xi_minus, +1.0), (xi_plus, +1.0), (xi0, -1.0)], x, 2
-        )
-        checks.append(_check("j2 commutator", i, j2_plus, KAPPA * b_val, tol))
-
-        j2_minus = _jet_of_composite(
-            [(xi0, -1.0), (xi_plus, +1.0), (xi_minus, +1.0), (xi0, -1.0)], x, 2
-        )
-        checks.append(_check("j2 commutator swapped", i, j2_minus, -KAPPA * b_val, tol))
+            checks.append(_check(name, i, estimate_jets(curve, order)[order - 1], target))
 
     # annihilators of the lifts cannot see the control part of the bracket
-    lift_vals = np.stack(
-        [np.asarray(eval_vector_field(yv, x).components, dtype=float) for yv in lifts]
-    )
-    _, s, vt = np.linalg.svd(lift_vals)
+    _, s, vt = np.linalg.svd(np.stack(y_vals))
     rank = int(np.sum(s > 1e-12 * s[0])) if s[0] > 0 else 0
     reduction_err = 0.0
-    for lam in vt[rank:]:
-        for i, yv in enumerate(lifts):
-            full = np.asarray(eval_vector_field(z1[i], x).components, dtype=float)
-            bare = np.asarray(
-                eval_vector_field(lie_bracket(spray, yv), x).components, dtype=float
-            )
-            reduction_err = max(reduction_err, abs(float(np.dot(lam, full - bare))))
-    if reduction_err > reduction_tol:
-        checks.append(
-            IdentityCheck(
-                "reduction to the spray bracket",
-                -1,
-                np.array([reduction_err]),
-                np.array([0.0]),
-                reduction_err,
-                False,
-            )
-        )
+    if rank < len(vt):
+        gaps = [
+            b_val - np.asarray(eval_vector_field(lie_bracket(system.drift, yv), x).components, dtype=float)
+            for yv, b_val in zip(lifts, b_vals)
+        ]
+        for lam in vt[rank:]:
+            for gap in gaps:
+                reduction_err = max(reduction_err, abs(float(np.dot(lam, gap))))
+    if reduction_err > 1e-9:
+        lhs = np.array([reduction_err])
+        checks.append(IdentityCheck("reduction to the spray bracket", -1, lhs, np.array([0.0]), reduction_err, False))
     return GeneratorFamilyReport(tuple(lifts), z1, tuple(checks), reduction_err)
 
 
-def _check(name, index, lhs, rhs, tol) -> IdentityCheck:
+def _check(name, index, lhs, rhs) -> IdentityCheck:
     scale = max(1.0, float(np.linalg.norm(rhs)))
     err = float(np.linalg.norm(np.asarray(lhs) - np.asarray(rhs)))
-    return IdentityCheck(name, index, np.asarray(lhs), np.asarray(rhs), err, err <= tol * scale)
+    return IdentityCheck(name, index, np.asarray(lhs), np.asarray(rhs), err, err <= 1e-4 * scale)

@@ -833,9 +833,9 @@ def audit_necessary_conditions(
     conditions = [AuditCondition("H-constant", "Hamiltonian constant along the biextremal", drift <= tol_H,
                                  {"drift": drift, "tolerance": tol_H, "H_initial": float(H_vals[0])})]
 
+    grads = [hamiltonian_control_gradient(lam, x, u, sys, mode) for lam, x, u in zip(lams, xs, us)]
     worst_stat = 0.0
-    for lam, x, u in zip(lams, xs, us):
-        g = hamiltonian_control_gradient(lam, x, u, sys, mode)
+    for g in grads:
         worst_stat = max(worst_stat, float(np.max(np.abs(g))) if len(g) else 0.0)
     conditions.append(AuditCondition("stationarity", "dH/du vanishes at sampled times", worst_stat <= stationarity_tol,
                                      {"max_abs_dHdu": worst_stat, "tolerance": stationarity_tol}))
@@ -871,8 +871,7 @@ def audit_necessary_conditions(
             # box is sum_c max(lo_c phi_c, hi_c phi_c) - u_c phi_c, exactly;
             # a zero slope adds nothing, whatever its bounds
             what = "reference control maximizes H over the control box"
-            for lam, x, u_ref in zip(lams, xs, us):
-                phi = hamiltonian_control_gradient(lam, x, u_ref, sys, mode)
+            for u_ref, phi in zip(us, grads):
                 terms = zip(system.control_box, u_ref, phi)
                 worst = max(worst, float(sum(max(lo * p, hi * p) - u * p for (lo, hi), u, p in terms if p)))
         else:

@@ -197,14 +197,23 @@ def annihilator_at(x, ladder: ConstraintLadder) -> list[Covector]:
     standard covector basis when the ladder has no generators at all.
     Basis vectors are sign-fixed so their largest entry is positive.
     """
+    point = as_point(x)
+    return _annihilator(ladder, point, (_value(g.field, point.coords) for g in ladder.all_generators()))
+
+
+def sample_annihilators(ladder: ConstraintLadder) -> list[list[Covector]]:
+    """`annihilator_at` each sample point, from the generator values the
+    ladder keeps there: no field is evaluated."""
+    return [_annihilator(ladder, as_point(p), rows) for p, rows in zip(ladder.sample_points, ladder.rows)]
+
+
+def _annihilator(ladder: ConstraintLadder, point, rows) -> list[Covector]:
+    """The annihilator basis at `point` of the values `rows`, read after the check."""
     if ladder.stabilized_at is None:
         raise PcaError("annihilators are only meaningful once the ladder stabilized")
-    point = as_point(x)
-    gens = ladder.all_generators()
-    m = point.dim
-    if not gens:
-        return [Covector(point, np.eye(m)[j]) for j in range(m)]
-    rows = [_value(g.field, point.coords) for g in gens]
+    rows = list(rows)
+    if not rows:
+        return [Covector(point, np.eye(point.dim)[j]) for j in range(point.dim)]
     _, s, vt = np.linalg.svd(np.asarray(rows))
     basis = []
     for row in vt[_rank_of(s):]:

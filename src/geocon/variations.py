@@ -55,9 +55,10 @@ MAX_ORDER = 4
 # the bracket); the acceptance suite re-derives it on random field pairs.
 KAPPA = 2.0
 
-DEFAULT_S0 = 0.1
-JET_STEP = 1e-2  # integrator step for the finite-difference jet estimator
+DEFAULT_S0 = 0.1  # coarsest finite-difference step of the jet estimator
+JET_STEP = 1e-2  # integrator step of the templates' variation curves
 RICHARDSON_LEVELS = 3
+AGREEMENT_REL_TOL = 1e-3  # the jet cross-check, relative to the larger norm
 PARALLEL_COS_TOL = 1e-12
 
 
@@ -207,54 +208,47 @@ def _taylor_jets(curve, l_max: int) -> list[np.ndarray] | None:
     return jets
 
 
-def estimate_jets(
-    curve: Callable,
-    l_max: int,
-    s0: float = DEFAULT_S0,
-    rel_tol: float = 1e-3,
-) -> list[np.ndarray]:
+def zero_threshold(x) -> float:
+    """1e-6 (1 + |x|): a jet, or a vector at base point x, no larger than
+    this is zero."""
+    return 1e-6 * (1.0 + float(np.linalg.norm(np.vectorize(real_part)(_point_array(x)))))
+
+
+def estimate_jets(curve: Callable, l_max: int) -> list[np.ndarray]:
     """One-sided derivative estimates d^l curve / ds^l at 0 for l = 1..l_max.
 
     Runs both estimators whenever the curve accepts derivative-carrying
-    scalars and raises :class:`JetFragilityError` if they disagree beyond
-    `rel_tol` relative to the larger magnitude.
+    scalars and cross-checks every jet either of them puts above the zero
+    threshold of the curve's value at 0.
     """
     if l_max > MAX_ORDER:
         raise VariationError(f"jets supported up to order {MAX_ORDER}")
-    (fd, x0, _), taylor = _fd_jets(curve, l_max, s0), _taylor_jets(curve, l_max)
+    (fd, x0, _), taylor = _fd_jets(curve, l_max, DEFAULT_S0), _taylor_jets(curve, l_max)
     if taylor is None:
         return fd
-    floor = 1e-6 * (1.0 + float(np.linalg.norm(x0)))
+    floor = zero_threshold(x0)
     for l, (a, b) in enumerate(zip(fd, taylor), start=1):
         if max(float(np.linalg.norm(a)), float(np.linalg.norm(b))) > floor:
-            _check_agreement(l, a, b, rel_tol)
+            _check_agreement(l, a, b)
     return taylor
 
 
-def _check_agreement(l: int, a: np.ndarray, b: np.ndarray, rel_tol: float):
+def _check_agreement(l: int, a: np.ndarray, b: np.ndarray):
     """The cross-check: the order-l estimates may differ by at most
-    `rel_tol` times the larger norm, else :class:`JetFragilityError`."""
+    AGREEMENT_REL_TOL times the larger norm, else :class:`JetFragilityError`."""
     scale = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
-    if float(np.linalg.norm(a - b)) > rel_tol * scale:
+    if float(np.linalg.norm(a - b)) > AGREEMENT_REL_TOL * scale:
         raise JetFragilityError(
             f"jet estimators disagree at order {l}: "
             f"finite differences {a.tolist()} vs derivative transport {b.tolist()}"
         )
 
 
-def default_order_epsilon(x: Point) -> float:
-    return 1e-6 * (1.0 + float(np.linalg.norm(np.vectorize(real_part)(x.coords))))
-
-
-@dataclass(frozen=True)
-class OrderReport:
-    order: float  # math.inf when no jet fires below l_max
-    jets_checked: int
-    vector: np.ndarray | None
-
-
-def _detect_order(curve, x: Point, l_max: int, s0: float, eps: float) -> OrderReport:
-    (fd, _, corrections), taylor = _fd_jets(curve, l_max, s0), _taylor_jets(curve, l_max)
+def _detect_order(curve, x: Point, l_max: int) -> tuple[int, np.ndarray] | None:
+    """(order, jet) of the first jet above the zero threshold at x, or None
+    when the curve is flat up to `l_max`."""
+    eps = zero_threshold(x)
+    (fd, _, corrections), taylor = _fd_jets(curve, l_max, DEFAULT_S0), _taylor_jets(curve, l_max)
     for l in range(1, l_max + 1):
         a = fd[l - 1]
         b = taylor[l - 1] if taylor is not None else a
@@ -262,9 +256,9 @@ def _detect_order(curve, x: Point, l_max: int, s0: float, eps: float) -> OrderRe
         # finite differences clear it only by more than their last Richardson
         # correction, so a truncation residue on a flat curve is no jet
         if float(np.linalg.norm(b)) > eps or float(np.linalg.norm(a)) - corrections[l - 1] > eps:
-            _check_agreement(l, a, b, 1e-3)
-            return OrderReport(l, l, b)
-    return OrderReport(math.inf, l_max, None)
+            _check_agreement(l, a, b)
+            return l, b
+    return None
 
 
 def order_and_vector(
@@ -274,29 +268,25 @@ def order_and_vector(
     x: Point,
     t0: float = 0.0,
     l_max: int = MAX_ORDER,
-    s0: float = DEFAULT_S0,
-    step: float = JET_STEP,
     descriptor: str = "custom",
-    eps_order: float | None = None,
 ) -> PerturbationVector | None:
     """Smallest order with a nonvanishing jet, packaged with its recipe.
 
     Returns None when every jet up to `l_max` stays below the threshold
     (order infinity: the curve is flat to the tested order).
     """
-    eps = default_order_epsilon(x) if eps_order is None else eps_order
 
     def curve(s):
-        return variation_curve(xi0, seq, tau2, x, s, step)
+        return variation_curve(xi0, seq, tau2, x, s, JET_STEP)
 
-    rep = _detect_order(curve, x, l_max, s0, eps)
-    if rep.order is math.inf:
+    found = _detect_order(curve, x, l_max)
+    if found is None:
         return None
     return PerturbationVector(
         base=x,
         time=t0,
-        order=int(rep.order),
-        vector=TangentVector(x, rep.vector),
+        order=found[0],
+        vector=TangentVector(x, found[1]),
         recipe=(descriptor, tau2),
         curve=curve,
     )
@@ -314,12 +304,11 @@ def needle_variation(
     l1: float,
     x: Point,
     t0: float = 0.0,
-    step: float = JET_STEP,
-    check_tol: float = 1e-6,
 ) -> PerturbationVector | None:
     """Pontryagin-style needle: flow back along the reference for l1*s, then
     along the u1-slice for l1*s.  Closed form l1 * (xi_u1 - xi_uref)(x); the
-    numerically estimated first jet must agree within `check_tol`.
+    numerically estimated first jet must agree within 1e-6 (relative to the
+    closed form's norm, when that exceeds one).
 
     Returns None when u1 produces the reference slice (degenerate needle).
     """
@@ -337,18 +326,16 @@ def needle_variation(
     v0 = np.asarray(eval_vector_field(xi0, x).components, dtype=float)
     v1 = np.asarray(eval_vector_field(xi1, x).components, dtype=float)
     closed = l1 * (v1 - v0)
-    eps = default_order_epsilon(x)
-    if float(np.linalg.norm(closed)) <= eps:
+    if float(np.linalg.norm(closed)) <= zero_threshold(x):
         return None
     tau2 = _needle_schedule(l1)
 
     def curve(sv):
-        return variation_curve(xi0, [xi1], tau2, x, sv, step)
+        return variation_curve(xi0, [xi1], tau2, x, sv, JET_STEP)
 
-    jets = estimate_jets(curve, 1, s0=DEFAULT_S0)
-    j1 = jets[0]
+    j1 = estimate_jets(curve, 1)[0]
     scale = max(1.0, float(np.linalg.norm(closed)))
-    if float(np.linalg.norm(j1 - closed)) > check_tol * scale:
+    if float(np.linalg.norm(j1 - closed)) > 1e-6 * scale:
         raise ConventionError(
             f"needle first jet {j1.tolist()} does not match the closed form {closed.tolist()}"
         )
@@ -381,11 +368,10 @@ def bracket_variation(
     zj: VectorField,
     x: Point,
     t0: float = 0.0,
-    step: float = JET_STEP,
-    direction_tol: float = 1e-4,
     descriptor: str | None = None,
 ) -> PerturbationVector | None:
-    """Order-2 commutator recipe whose jet is KAPPA * [xi0, zj](x).
+    """Order-2 commutator recipe whose jet is KAPPA * [xi0, zj](x), within
+    1e-4 relative to the larger norm.
 
     The four flows run xi0 backward, zj backward, xi0 forward, zj forward,
     each for duration s.  Returns None when the bracket vanishes at x
@@ -393,22 +379,11 @@ def bracket_variation(
     """
     bracket = lie_bracket(xi0, zj)
     b = np.asarray(eval_vector_field(bracket, x).components, dtype=float)
-    eps = default_order_epsilon(x)
-    if float(np.linalg.norm(b)) <= eps:
+    if float(np.linalg.norm(b)) <= zero_threshold(x):
         return None
     tau2 = commutator_schedule()
     seq = [negate_field(zj), xi0, zj]
-    pv = order_and_vector(
-        xi0,
-        seq,
-        tau2,
-        x,
-        t0=t0,
-        l_max=2,
-        step=step,
-        descriptor=descriptor or "commutator",
-        eps_order=eps,
-    )
+    pv = order_and_vector(xi0, seq, tau2, x, t0=t0, l_max=2, descriptor=descriptor or "commutator")
     if pv is None or pv.order != 2:
         got = "infinity" if pv is None else str(pv.order)
         raise ConventionError(
@@ -418,7 +393,7 @@ def bracket_variation(
     v = pv.vector.components
     target = KAPPA * b
     scale = max(float(np.linalg.norm(v)), float(np.linalg.norm(target)))
-    if float(np.linalg.norm(v - target)) > direction_tol * scale:
+    if float(np.linalg.norm(v - target)) > 1e-4 * scale:
         raise ConventionError(
             f"commutator jet {v.tolist()} is not KAPPA times the bracket {b.tolist()}"
         )
@@ -438,17 +413,16 @@ def resolve_bracket_ratio(jet: np.ndarray, bracket: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _default_control_grid(system, u_ref: np.ndarray) -> list[np.ndarray]:
-    """Symmetric 3^k grid around the reference control, clipped to the box."""
+def _control_grid(system, u_ref: np.ndarray) -> list[np.ndarray]:
+    """Symmetric 3^k grid around the reference control: each control steps
+    by half its room to the nearer bound of the box, or by 1 when both
+    bounds are infinite."""
     k = len(u_ref)
     deltas = []
     for c in range(k):
         lo, hi = system.control_box[c]
-        if math.isfinite(lo) and math.isfinite(hi):
-            room = min(u_ref[c] - lo, hi - u_ref[c])
-            deltas.append(max(0.0, 0.5 * room))
-        else:
-            deltas.append(1.0)
+        room = min(u_ref[c] - lo, hi - u_ref[c])
+        deltas.append(max(0.0, 0.5 * room) if math.isfinite(room) else 1.0)
     grid = []
     for flat in range(3**k):
         g = np.array([(flat // 3**c) % 3 - 1 for c in range(k)], dtype=float)
@@ -470,31 +444,22 @@ def sample_perturbation_set(
     system,
     reference,
     t0: float,
-    max_order: int = 2,
     budget: int = 16,
-    control_grid: Sequence[Sequence[float]] | None = None,
-    l1: float = 1.0,
-    step: float = JET_STEP,
 ) -> list[PerturbationVector]:
     """A finite sample of perturbation vectors at gamma(t0).
 
-    Order 1: needle vectors over a control grid (symmetric around the
-    reference control by default).  Order 2: commutator recipes of the
-    reference slice against each input field (or against grid slices for
-    extended systems).  Vectors parallel to an earlier one are dropped,
-    and at most `budget` vectors are returned.
+    Order 1: needle vectors of rate 1 over a 3^k control grid around the
+    reference control.  Order 2: commutator recipes of the reference slice
+    against each input field (or against grid slices for extended
+    systems).  Vectors parallel to an earlier one are dropped, and at most
+    `budget` vectors are returned.
     """
-    if max_order > 2:
-        raise VariationError("sampling is implemented for orders 1 and 2")
     a, b_end = reference.interval
     if not (a <= t0 <= b_end):
         raise VariationError(f"t0 = {t0} outside the reference interval [{a}, {b_end}]")
     x = reference.point_at(t0)
     u_ref = np.asarray(reference.control_at(t0), dtype=float)
-    if control_grid is None:
-        grid = _default_control_grid(system, u_ref)
-    else:
-        grid = [np.asarray(u, dtype=float) for u in control_grid]
+    grid = _control_grid(system, u_ref)
 
     out: list[PerturbationVector] = []
 
@@ -509,26 +474,23 @@ def sample_perturbation_set(
     for u1 in grid:
         if np.allclose(u1, u_ref, rtol=0.0, atol=0.0):
             continue
-        push(needle_variation(system, u_ref, u1, l1, x, t0=t0, step=step))
+        push(needle_variation(system, u_ref, u1, 1.0, x, t0=t0))
         if len(out) >= budget:
             return out[:budget]
 
-    if max_order >= 2:
-        xi0 = system.slice_field(u_ref)
-        if system is not system.base:  # cost-extended
-            partners = [
-                (system.slice_field(u1), f"commutator slice u={u1.tolist()}")
-                for u1 in grid
-                if not np.allclose(u1, u_ref, rtol=0.0, atol=0.0)
-            ]
-        else:
-            partners = [
-                (vf, f"commutator input {c + 1}") for c, vf in enumerate(system.inputs)
-            ]
-        for zj, descr in partners:
-            push(bracket_variation(xi0, zj, x, t0=t0, step=step, descriptor=descr))
-            if len(out) >= budget:
-                break
+    xi0 = system.slice_field(u_ref)
+    if system is not system.base:  # cost-extended
+        partners = [
+            (system.slice_field(u1), f"commutator slice u={u1.tolist()}")
+            for u1 in grid
+            if not np.allclose(u1, u_ref, rtol=0.0, atol=0.0)
+        ]
+    else:
+        partners = [(vf, f"commutator input {c + 1}") for c, vf in enumerate(system.inputs)]
+    for zj, descr in partners:
+        push(bracket_variation(xi0, zj, x, t0=t0, descriptor=descr))
+        if len(out) >= budget:
+            break
     return out[:budget]
 
 

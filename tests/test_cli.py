@@ -307,3 +307,57 @@ def test_cone_step_reaches_generator_transport(tmp_path):
     cone = assemble_cone(sc.system, reference, sc.interval[1], sc.analysis["sample_times"], sc.analysis["per_time_budget"], step=0.01)
     assert generators == [list(g.components) for g in cone.generators]
 
+
+
+def test_a_half_bounded_control_box_keeps_the_needles_inside(tmp_path, capsys):
+    # each needle control steps by half its room to the nearer bound of the
+    # box, also when the other bound is infinite
+    scenario = {
+        "name": "half_bounded",
+        "chart": ["x1", "x2"],
+        "controls": ["u1"],
+        "system": {"drift": ["x2", "0"], "inputs": [["0", "1"]], "control_box": [["-inf", 2.0]]},
+        "reference": {
+            "initial": [0.0, 0.0],
+            "interval": [0.0, 1.0],
+            "step": 0.01,
+            "controls": {"type": "piecewise", "breaks": [0.0], "values": [[1.5]]},
+        },
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "report.json"
+    assert main(["cone", str(path), "--out", str(out)]) == 0
+    generators = json.loads(out.read_text())["results"]["generators"]
+    assert {g["recipe"] for g in generators if g["order"] == 1} == {
+        "needle u1=[1.25] l1=1.0",
+        "needle u1=[1.75] l1=1.0",
+    }
+    assert main(["audit", str(path), "--covector", "0,1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+
+
+def test_pca_evaluates_no_field_after_the_ladder(tmp_path, monkeypatch):
+    # the annihilators come from the generator values the ladder keeps
+    from geocon import cli
+    from geocon.fields import VectorField
+
+    laddered, late_calls = [], []
+    plain_call, plain_run = VectorField.__call__, cli.run_algorithm
+
+    def counted(self, values):
+        if laddered:
+            late_calls.append(self)
+        return plain_call(self, values)
+
+    def run(*args, **kwargs):
+        laddered.append(plain_run(*args, **kwargs))
+        return laddered[-1]
+
+    monkeypatch.setattr(VectorField, "__call__", counted)
+    monkeypatch.setattr(cli, "run_algorithm", run)
+    for name in ("martinet", "heisenberg", "flat_connection", "polar_connection"):
+        laddered.clear()
+        assert main(["pca", str(SCENARIOS / f"{name}.json"), "--out", str(tmp_path / "report.json")]) == 0
+        assert len(laddered) == 1 and laddered[0].sample_times
+    assert late_calls == []

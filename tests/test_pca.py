@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geocon import pca
+from geocon.cli import load_scenario
 from geocon.expr import mul, render, var
 from geocon.fields import VectorField, as_point, is_zero_field, lie_bracket
 from geocon.ocp import (
@@ -384,3 +387,33 @@ def test_ladder_evaluates_each_field_once_per_sample_time(monkeypatch):
         assert len(calls) == len(ladder.sample_times) * (system.k + candidates)
         counts.append(len(calls))
     assert counts == [18, 18, 18, 45]
+
+
+def _annihilator_case(case):
+    """A fixture scenario by name, or a random system by seed (odd seeds
+    rest on a hyperplane first), with its reference."""
+    from tests.conftest import random_control_affine
+
+    if isinstance(case, str):
+        sc = load_scenario(str(Path(__file__).resolve().parents[1] / "scenarios" / f"{case}.json"))
+        return sc.system, integrate_trajectory(sc.system, sc.initial, sc.schedule, sc.interval, 1e-2)
+    rng = np.random.default_rng([case, 3])
+    m, k = 2 + case % 4, 1 + case % 2
+    system = random_control_affine(rng, m=m, k=k)
+    values = rng.uniform(-1.0, 1.0, size=(2, k))
+    x0 = rng.uniform(-0.2, 0.2, size=m)
+    if case % 2:
+        system = _resting_on_a_hyperplane(system)
+        values[0, 0] = x0[0] = 0.0
+    return system, integrate_trajectory(system, x0, piecewise_schedule([0.0, 0.5], values.tolist()), (0.0, 1.0), 1e-2)
+
+
+@pytest.mark.parametrize("case", ["martinet", "heisenberg", "flat_connection", "polar_connection", 0, 1, 2, 3])
+def test_kept_values_give_the_annihilators_of_fresh_ones(case):
+    # the annihilators the pca command reports come from the ladder's kept
+    # rows; they are bit-identical to evaluating the generators again
+    system, ref = _annihilator_case(case)
+    ladder = run_algorithm(system, ref)
+    kept = [[b.components.tobytes() for b in basis] for basis in pca.sample_annihilators(ladder)]
+    fresh = [[b.components.tobytes() for b in annihilator_at(ref.point_at(t), ladder)] for t in ladder.sample_times]
+    assert kept == fresh

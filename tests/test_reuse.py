@@ -73,7 +73,7 @@ def test_sampling_compiles_each_right_hand_side_at_most_once(monkeypatch):
     system = random_control_affine(np.random.default_rng(11), m=4, k=2)
     sched = piecewise_schedule([0.0, 0.5], [[0.4, -0.3], [-0.2, 0.6]])
     ref = integrate_trajectory(system, [0.1, -0.2, 0.3, 0.05], sched, (0.0, 1.0), 1e-2)
-    sampled = [sample_perturbation_set(system, ref, t, step=5e-2) for t in (0.25, 0.75)]
+    sampled = [sample_perturbation_set(system, ref, t) for t in (0.25, 0.75)]
     assert all(sampled)
     assert len(calls) == len(set(calls))
 
@@ -82,7 +82,7 @@ def test_filled_caches_die_with_their_system():
     system = random_control_affine(np.random.default_rng(5), m=3, k=2)
     sched = piecewise_schedule([0.0], [[0.5, -0.5]])
     ref = integrate_trajectory(system, [0.1, 0.2, 0.3], sched, (0.0, 0.5), 1e-2)
-    assert sample_perturbation_set(system, ref, 0.25, step=5e-2)
+    assert sample_perturbation_set(system, ref, 0.25)
     xi0 = system.slice_field([0.5, -0.5])  # filled by the sampling above, with its brackets
     bracket = lie_bracket(xi0, system.inputs[0])
     assert system.slice_field([0.5, -0.5]) is xi0 and lie_bracket(xi0, system.inputs[0]) is bracket
@@ -166,4 +166,4 @@ def test_order_detection_raises_when_the_estimators_disagree():
     # also when only one estimator clears the threshold
     for curve in (_disagreeing_curve, _one_sided_curve):
         with pytest.raises(JetFragilityError, match="disagree at order 1: finite differences"):
-            _detect_order(curve, fields.as_point([0.0]), 2, 0.1, 1e-6)
+            _detect_order(curve, fields.as_point([0.0]), 2)

@@ -1,3 +1,6 @@
+import importlib
+import inspect
+
 import numpy as np
 import pytest
 
@@ -169,12 +172,7 @@ def test_bracket_ratio_constant_across_pairs():
 
 
 def test_sample_perturbation_set_martinet_origin(martinet, martinet_reference):
-    pvs = sample_perturbation_set(
-        martinet,
-        martinet_reference,
-        0.5,
-        control_grid=[(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)],
-    )
+    pvs = sample_perturbation_set(martinet, martinet_reference, 0.5)
     # the degenerate brackets (2 x1 dz vanishes on the reference line) are omitted
     assert all(pv.order == 1 for pv in pvs)
     dirs = {tuple(np.sign(pv.vector.components).astype(int)) for pv in pvs}
@@ -256,3 +254,26 @@ def test_sampled_set_closed_under_cone_operations(martinet, martinet_reference):
     assert cone_contains(cone, v + w)
     # the sampled cone lies in the degenerate plane: dz escapes it
     assert not cone_contains(cone, np.array([0.0, 0.0, 1.0]))
+
+
+# Sampling takes no tuning knobs: tolerances, steps, the needle rate and the
+# control grid are constants of the module, and a new parameter must be
+# added here on purpose.
+PARAMETERS = {
+    "cone.assemble_cone": ["system", "reference", "t", "sample_times", "per_time_budget", "step"],
+    "variations.sample_perturbation_set": ["system", "reference", "t0", "budget"],
+    "variations.needle_variation": ["system", "u_ref", "u1", "l1", "x", "t0"],
+    "variations.bracket_variation": ["xi0", "zj", "x", "t0", "descriptor"],
+    "variations.order_and_vector": ["xi0", "seq", "tau2", "x", "t0", "l_max", "descriptor"],
+    "variations.estimate_jets": ["curve", "l_max"],
+    "variations._detect_order": ["curve", "x", "l_max"],
+    "variations._fd_jets": ["curve", "l_max", "s0"],
+    "mech.generator_families": ["system", "reference", "sample_time"],
+}
+
+
+@pytest.mark.parametrize("name", PARAMETERS)
+def test_sampling_functions_take_exactly_their_pinned_parameters(name):
+    module, function = name.split(".")
+    fn = getattr(importlib.import_module(f"geocon.{module}"), function)
+    assert list(inspect.signature(fn).parameters) == PARAMETERS[name]
