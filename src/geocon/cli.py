@@ -701,7 +701,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """geocon's parser; for a `command` of the table, with its subparser alone."""
     parser = _Parser(
         prog="geocon",
         allow_abbrev=False,
@@ -710,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"geocon {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, spec in COMMANDS.items():
+    for name, spec in COMMANDS.items() if command not in COMMANDS else [(command, COMMANDS[command])]:
         p = sub.add_parser(name, help=spec.help, allow_abbrev=False)  # a prefix is not an option either
         p.add_argument("scenario", help="path to the scenario JSON file")
         for flag in spec.options:
@@ -735,7 +736,8 @@ def main(argv=None) -> int:
         level = "WARNING"
     logging.basicConfig(level=level)
     try:
-        args, extras = build_parser().parse_known_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args, extras = build_parser(argv[0] if argv else None).parse_known_args(argv)
         if extras:
             raise UsageError(_unread(extras, args.command))
         scenario = load_scenario(args.scenario)

@@ -328,19 +328,19 @@ def _lambda_lp(gen_rows, m, objective, extra_rows=(), decided=()):
     on the free coordinates.
 
     The decided values are substituted into every row, and a row with no
-    free coefficient, which they satisfy, is dropped; the free coordinates
-    are shifted by y = lambda + 1 to reach standard form.  Exact throughout.
+    free coefficient, which they satisfy, is dropped, as is a repeat of an
+    earlier (row, rhs) pair; the free coordinates are shifted by
+    y = lambda + 1 to reach standard form.  Exact throughout.
     """
     k = len(decided)
-    A, b = [], []
+    rows = {}  # (free coefficients, rhs) in first-seen order
     for coeffs, rhs in [(g, 0) for g in gen_rows] + list(extra_rows):
-        free = list(coeffs[k:])
+        free = tuple(coeffs[k:])
         if any(free):
-            A.append(free)
             ints, scale = _integer_row([rhs, *free, *(-a * v for a, v in zip(coeffs, decided))])
-            b.append(F(sum(ints), scale))
-    A += [[F(int(i == j)) for i in range(m - k)] for j in range(m - k)]
-    b += [F(2)] * (m - k)
+            rows[free, F(sum(ints), scale)] = None
+    A = [list(free) for free, _ in rows] + [[F(int(i == j)) for i in range(m - k)] for j in range(m - k)]
+    b = [rhs for _, rhs in rows] + [F(2)] * (m - k)
     _, _, value = solve_lp_max(list(objective), A, b)
     return value - sum(objective)
 

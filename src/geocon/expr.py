@@ -787,7 +787,7 @@ def evaluate(e: Expr, env: Mapping[str, object], checked: bool = True, memo: dic
 
 
 _CODEGEN_NS = {f"_{name}": fn for name, fn in _FUNCTIONS.items()}
-_CODEGEN_NS.update(_ipow=_ipow, _range=range, _float=float, _fin=all_finite, __builtins__={})
+_CODEGEN_NS.update(_ipow=_ipow, _range=range, _float=float, _list=list, _sum=sum, _fin=all_finite, __builtins__={})
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 _MAX_NESTING = 40  # inline depth before a subexpression gets a local (the parser caps nesting)
 
@@ -935,14 +935,14 @@ def _compile(name: str, params: str, body: list[str]) -> Callable:
 
 def compile_flow(components, chart, controls=(), jacobian=None) -> Callable:
     """``rhs(u, tangents, covectors, t, state)`` -> f(x, u(t)) and blocks,
-    f = `components` over `chart` + `controls`, x = state[:len(chart)], and
-    ``u(t)`` the control values as a list.  With `jacobian` (rows of df/dx),
+    f = `components` over `chart` + `controls`, x = state[:len(chart)], and u
+    the control values as a list or ``u(t)``.  With `jacobian` (rows of df/dx),
     J is evaluated once; the rows of each of `tangents` vectors after x,
     then the columns of each of `covectors` vectors follow (:func:`_block_terms`).
     """
     n = len(chart)
     em, f, J, f_lines, j_lines = _emit_flow(components, chart, controls, jacobian)
-    body = ["_u = _ctl(_t)"] if controls else []
+    body = ["_u = _ctl if _ctl.__class__ is _list else _ctl(_t)"] if controls else []
     body += [f"_a{i} = " + (f"_s[{i}]" if i < n else f"_u[{i - n}]") for i in sorted(em.loaded)]
     body += [*f_lines, f"_out = [{', '.join(f)}]"]
     if jacobian is not None:
@@ -955,14 +955,14 @@ def compile_flow(components, chart, controls=(), jacobian=None) -> Callable:
 
 
 def compile_segment(components, chart, controls=(), jacobian=None) -> Callable:
-    """``segment(u, tangents, covectors, t0, h, steps, state, record)`` ->
-    (t, state) after `steps` RK4 steps of size h on :func:`compile_flow`'s
-    right-hand side, with its operations and those of the update in the
-    order four calls would take; the time after step i is ``t0 + i*h``.
-    ``record(t, state)`` follows each step; a state that is not finite
-    (:func:`all_finite`) ends the segment instead.  f and J are written once,
-    in a loop over the four stages; then each block vector runs its four
-    stages, unrolled on locals, on the J of each stage.
+    """``segment(u, tangents, covectors, t0, h, steps, last, t1, state, record)``
+    -> (t, state): one leg, `steps` RK4 steps of size h and one of size `last`
+    landing at t1, operation for operation as :func:`fields._rk4_steps` on
+    :func:`compile_flow`'s right-hand side.  A list u is loaded once per leg.
+    A float leg (float state and `last`) screens each state by a sum of
+    ``x * 0.0`` (:func:`all_finite` confirms); others run :func:`all_finite`.
+    f and J are written once, in a loop over the four stages; then each block
+    vector runs its four stages, unrolled on locals, on the J of each stage.
     """
     def rk4_sum(x: str, k: str) -> str:  # the update of fields._rk4_steps
         return f"{x} + _sixth * ({k.format(0)} + 2.0 * {k.format(1)} + 2.0 * {k.format(2)} + {k.format(3)})"
@@ -972,13 +972,15 @@ def compile_segment(components, chart, controls=(), jacobian=None) -> Callable:
     loads = [i for i in sorted(em.loaded) if i < n]
     a, x = _tuple(f"_a{i}" for i in loads), [f"_x{i}" for i in range(n)]
     nonzero = [(i, j) for i, row in enumerate(J) for j in range(n) if row[j]]
-    stage = ["_u = _ctl(_tt)"] * bool(controls) + [f"_a{i} = _u[{i - n}]" for i in sorted(em.loaded) if i >= n]
+    held = [f"_a{i} = _u[{i - n}]" for i in sorted(em.loaded) if i >= n]
+    stage = ["if not _held:", "    _u = _ctl(_tt)", *_indent(held)] if controls else []
     stage += [*f_lines, f"_F[_p] = {_tuple(f)}"]
     if jacobian is not None:
         stage += ["if _nb:", *_indent(j_lines), f"    _G[_p] = {_tuple(J[i][j] for i, j in nonzero)}"]
     stage += ["if _p < 3:", "    _w = _h if _p == 2 else _half", "    _tt = _t + _w",
               f"    {a} = {_tuple(f'_x{i} + _w * {f[i]}' for i in loads)}"]
-    step = [f"{a} = {_tuple(f'_x{i}' for i in loads)}", "_tt = _t", "for _p in _range(4):", *_indent(stage),
+    step = ["if _i > _steps:", "    _h = _hl", "    _half, _sixth = 0.5 * _h, _h * (1.0 / 6.0)",
+            f"{a} = {_tuple(f'_x{i}' for i in loads)}", "_tt = _t", "for _p in _range(4):", *_indent(stage),
             f"{_tuple(_tuple(f'_K{s}_{i}' for i in range(n)) for s in range(4))} = _F",
             f"{_tuple(x)} = {_tuple(rk4_sum(x[i], f'_K{{}}_{i}') for i in range(n))}"]
     if jacobian is not None:
@@ -994,8 +996,12 @@ def compile_segment(components, chart, controls=(), jacobian=None) -> Callable:
             vec += [f"_nbk += {_tuple(rk4_sum(d[i], f'_r{{}}_{i}') for i in range(n))}", f"_k += {n}"]
             step += [f"    for _ in _range({count}):", *_indent(vec, 2)]
         step += ["    _blk = _nbk"]
-    step += ["_t = _T + _i * _h", f"_st = [{', '.join(x)}] + _blk", "if not _fin(_st):", "    break",
-             "if _rec is not None:", "    _rec(_t, _st)"]
+    zero = " + ".join([f"{v} * 0.0" for v in x] + ["_sum(_blk) * 0.0"] * (jacobian is not None))
+    state = f"[{', '.join(x)}] + _blk"
+    step += ["_t = _T + _i * _h if _i <= _steps else _tl", f"if ({zero} != 0.0 if _fl else True)"
+             f" and not _fin({state}):", "    return _t, None", "if _rec is not None:", f"    _rec(_t, {state})"]
     head = ["_half, _sixth = 0.5 * _h, _h * (1.0 / 6.0)", f"{', '.join(x)}, *_blk = _s",
-            "_F, _G, _t, _st, _nb = [None] * 4, [None] * 4, _T, _s, _nt or _nc", "for _i in _range(1, _steps + 1):"]
-    return _compile("_segment", "_ctl, _nt, _nc, _T, _h, _steps, _s, _rec", [*head, *_indent(step), "return _t, _st"])
+            "_F, _G, _t, _nb, _fl = [None] * 4, [None] * 4, _T, _nt or _nc, _x0.__class__ is _hl.__class__ is _float",
+            "_held = _ctl.__class__ is _list", "if _held:", "    _u = _ctl", *_indent(held)]
+    body = [*head, "for _i in _range(1, _steps + 2):", *_indent(step), f"return _t, {state}"]
+    return _compile("_segment", "_ctl, _nt, _nc, _T, _h, _steps, _hl, _tl, _s, _rec", body)

@@ -276,20 +276,22 @@ def _check_step_count(duration, step: float):
         raise FieldError(f"|duration|/step = {steps:.3g} exceeds the {MAX_FLOW_STEPS:.0e} step guard")
 
 
-def _rk4_steps(rhs, t0, h, steps: int, x: list, record):
-    """(t, x) after `steps` RK4 steps of size h on any rhs(t, x), or after the
-    first whose state is not finite; `record(t, x)` follows each other step.
-    The segments of :func:`expr.compile_segment` keep this contract and arithmetic."""
-    t, half, sixth = t0, 0.5 * h, h * (1.0 / 6.0)
-    for i in range(1, steps + 1):
+def _rk4_steps(rhs, t0, h, steps: int, last, t1, x, record):
+    """(t, x) after `steps` RK4 steps of size h on any rhs(t, x), then one of size `last`
+    landing at t1, each followed by `record(t, x)`; the first non-finite state ends
+    the leg as (its time, None).  :func:`expr.compile_segment` keeps this contract and arithmetic."""
+    t = t0
+    for i in range(1, steps + 2):
+        h = last if i > steps else h
+        half, sixth = 0.5 * h, h * (1.0 / 6.0)
         k1 = rhs(t, x)
         k2 = rhs(t + half, [xi + half * ki for xi, ki in zip(x, k1)])
         k3 = rhs(t + half, [xi + half * ki for xi, ki in zip(x, k2)])
         k4 = rhs(t + h, [xi + h * ki for xi, ki in zip(x, k3)])
         x = [xi + sixth * (a + 2.0 * b + 2.0 * c + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
-        t = t0 + i * h
+        t = t0 + i * h if i <= steps else t1
         if not _finite(x):
-            break
+            return t, None
         if record is not None:
             record(t, x)
     return t, x
@@ -298,33 +300,29 @@ def _rk4_steps(rhs, t0, h, steps: int, x: list, record):
 def rk4_path(rhs, x0: list, t0: float, duration, step: float, record=None) -> list:
     """Integrate dx/dt = rhs(t, x) over `duration` starting at (t0, x0).
 
-    `record(t, x)` is called after every accepted step when provided.
-    `duration` may be any generic scalar; the trailing partial step keeps
-    the landing exact.  A real duration equal to 0.0 takes no step: x0 comes
-    back copied (recorded at t0).  An rhs from :func:`linearized_rhs` runs as
-    its generated segment, any other callable in :func:`_rk4_steps`.
+    `record(t, x)` follows every step when given; `duration` may be any
+    generic scalar, and the last, partial step lands exactly.  A real duration
+    equal to 0.0 takes no step: x0 comes back copied (recorded at t0).  One call
+    of its generated segment runs the leg of an rhs from :func:`linearized_rhs`,
+    :func:`_rk4_steps` that of any other; a non-finite state raises DivergenceError.
     """
     _check_step_count(duration, step)
-    x = list(x0)
     if isinstance(duration, numbers.Real) and duration == 0.0:
+        x = list(x0)
         if record is not None:
             record(t0, x)
         return x
     total = real_part(duration)
     n_full = int(abs(total) / step)
     h = step if total >= 0.0 else -step
+    leg = (t0, h, n_full, duration - n_full * h, t0 + total, x0, record)
     if getattr(rhs, "func", None) is _generated_rhs:
         owner, controls, tangents, covectors = rhs.args
-        segment = functools.partial(_flow_code(True, owner, tangents or covectors), controls, tangents, covectors)
+        t, x = _flow_code(True, owner, tangents or covectors)(controls, tangents, covectors, *leg)
     else:
-        segment = functools.partial(_rk4_steps, rhs)
-    t, x = segment(t0, h, n_full, x, record)
-    if _finite(x):  # the trailing partial step lands on t0 + duration exactly
-        t, x = t0 + real_part(duration), segment(t, duration - n_full * h, 1, x, None)[1]
-    if not _finite(x):
+        t, x = _rk4_steps(rhs, *leg)
+    if x is None:
         raise DivergenceError(t)
-    if record is not None:
-        record(t, x)
     return x
 
 
@@ -351,7 +349,8 @@ def linearized_rhs(owner, tangents: int = 0, covectors: int = 0, controls=None):
     """rhs(t, state) for x' = f(x, u(t)) carrying a flat block after x.
 
     `owner` (a VectorField or a system) gives f by `flow_components()`;
-    `controls(t)` returns the control values as a list.  The block holds
+    `controls` is the list of control values, held for all t, or a callable
+    whose `controls(t)` returns that list.  The block holds
     `tangents` vectors moved by delta' = J delta, then `covectors` moved by
     lambda' = -J^T lambda, J = df/dx.  A vector moved alone or in a batch
     comes out bit-identical.  A slice that records (system, controls)

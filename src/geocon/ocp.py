@@ -250,7 +250,7 @@ def _held_slice(system, u: tuple[float, ...], build) -> VectorField:
         components, routable = build()
         vf = VectorField(system.variables, components)
         if routable and all(u):  # -0.0 is false as well
-            vf.__dict__["_held"] = (weakref.ref(system), lambda _t, held=list(u): held)
+            vf.__dict__["_held"] = (weakref.ref(system), list(u))
         return vf
 
     return cached_on(system, "_slices", make, tuple(map(float.hex, u)))
@@ -399,18 +399,11 @@ def _flow(
     pieces = schedule.segments((min(t0, t1), max(t0, t1)))
     if t1 < t0:
         pieces = [(b, a) for a, b in reversed(pieces)]
-    for a, b in pieces:
-        rhs = linearized_rhs(system, tangents, covectors, _segment_controls(schedule, a, b))
-        state = rk4_path(rhs, state, a, b - a, step, record=record)
+    timed = lambda t: [float(v) for v in schedule.value_at(t)]  # noqa: E731 - expression-in-t controls
+    for a, b in pieces:  # a piecewise control is held on its piece: a list, loaded once per leg
+        controls = timed if schedule.breaks is None else [float(v) for v in schedule.value_at(0.5 * (a + b))]
+        state = rk4_path(linearized_rhs(system, tangents, covectors, controls), state, a, b - a, step, record=record)
     return state
-
-
-def _segment_controls(schedule: ControlSchedule, a: float, b: float):
-    """u(t) as a list of floats on the switch-free piece between a and b."""
-    if schedule.breaks is None:
-        return lambda t: [float(v) for v in schedule.value_at(t)]
-    held = [float(v) for v in schedule.value_at(0.5 * (a + b))]
-    return lambda _t: held
 
 
 def _landing_recorder(ts: list, states: list):
@@ -473,7 +466,7 @@ def hamiltonian(lam, x, u, sys, mode: str = "reduced") -> float:
     xv = np.asarray(x.coords if isinstance(x, Point) else x, dtype=float)
     if len(lam) != len(system.variables) or len(xv) != len(system.variables):
         raise OcpError("covector/state dimension does not match the mode")
-    f = linearized_rhs(system, controls=lambda _t: [float(v) for v in u])(0.0, list(xv))
+    f = linearized_rhs(system, controls=[float(v) for v in u])(0.0, list(xv))
     return float(sum(li * fi for li, fi in zip(lam, f)))
 
 
@@ -514,8 +507,7 @@ def hamilton_rhs(x, lam, u, sys, mode: str = "reduced"):
     n = len(system.variables)
     if len(xv) != n or len(lv) != n:
         raise OcpError("state/momentum dimension does not match the mode")
-    held = [float(v) for v in u]
-    rhs = linearized_rhs(system, covectors=1, controls=lambda _t: held)
+    rhs = linearized_rhs(system, covectors=1, controls=[float(v) for v in u])
     out = rhs(0.0, xv + lv)
     return np.asarray(out[:n]), np.asarray(out[n:])
 

@@ -134,7 +134,8 @@ def ladder_step(ladder: ConstraintLadder, system, reference: Trajectory) -> Cons
 
     Each bracket [X_d, Z] of a partner field (drift first, then each input)
     with a generator Z of the last level that is not symbolically zero and
-    raises the sampled rank at some sample point becomes a new generator.
+    raises the sampled rank at some sample point becomes a new generator,
+    until the span is full at every sample point.
     """
     if ladder.stabilized_at is not None:
         raise PcaError("ladder already stabilized")
@@ -149,20 +150,20 @@ def ladder_step(ladder: ConstraintLadder, system, reference: Trajectory) -> Cons
 
     ranks = ladder.levels[-1].span_dims
     adopted: list[GeneratorRecord] = []
-    # drift brackets first, then each input in order, scanning all parents
-    for d in range(len(partners)):
-        for g, row in zip(parents, brackets):
-            vf = row[d]
-            if is_zero_field(vf):
-                continue
-            values = [_value(vf, p) for p in ladder.sample_points]
-            grown = {t: _rank(rows + [v]) for t, rows, v in zip(ladder.sample_times, ladder.rows, values)}
-            if all(grown[t] <= ranks[t] for t in ladder.sample_times):
-                continue
-            adopted.append(GeneratorRecord(f"[X{d},{g.name}]", level_index, vf, g.name, f"X{d}"))
-            for rows, v in zip(ladder.rows, values):
-                rows.append(v)
-            ranks = grown
+    # drift brackets first, then each input in order, over all parents, until the span is full
+    for d, g, vf in ((d, g, row[d]) for d in range(len(partners)) for g, row in zip(parents, brackets)):
+        if min(ranks.values()) >= base.m:
+            break
+        if is_zero_field(vf):
+            continue
+        values = [_value(vf, p) for p in ladder.sample_points]
+        grown = {t: _rank(rows + [v]) for t, rows, v in zip(ladder.sample_times, ladder.rows, values)}
+        if all(grown[t] <= ranks[t] for t in ladder.sample_times):
+            continue
+        adopted.append(GeneratorRecord(f"[X{d},{g.name}]", level_index, vf, g.name, f"X{d}"))
+        for rows, v in zip(ladder.rows, values):
+            rows.append(v)
+        ranks = grown
 
     ladder.levels.append(LadderLevel(level_index, adopted, dict(ranks), branch))
     return ladder

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from geocon.cli import COMMANDS, build_parser, main
+from geocon import cli
+from geocon.cli import COMMANDS, UsageError, build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIO = str(ROOT / "scenarios" / "martinet.json")
@@ -87,6 +88,55 @@ def test_help_lists_exactly_the_options_of_the_table_row(capsys, command):
     assert done.value.code == 0
     listed = set(re.findall(r"(?<![\w-])--[a-z0-9][a-z0-9-]*", capsys.readouterr().out))
     assert listed == {"--help", *COMMANDS[command].options}
+
+
+def parsed(capsys, parser, argv):
+    """(namespace, extras), the usage error or the exit code of `argv`, with
+    what the parser printed."""
+    try:
+        args, extras = parser.parse_known_args(argv)
+        outcome = vars(args), extras
+    except UsageError as exc:
+        outcome = "usage error", str(exc)
+    except SystemExit as done:
+        outcome = "exit", done.code
+    return outcome, capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_command_parser_parses_as_the_whole_table(capsys, command):
+    options = [word for flag in COMMANDS[command].options for word in (flag, VALUES[flag][0])]
+    unread = next(flag for flag in VALUES if flag not in COMMANDS[command].options)
+    for argv in (
+        [command, SCENARIO],
+        [command, SCENARIO, *options],
+        [command, SCENARIO, *options, unread, VALUES[unread][0], "extra"],
+        [command, "--step", "fast", SCENARIO] if "--step" in options else [command],
+        [command, "--help"],
+    ):
+        assert parsed(capsys, build_parser(command), argv) == parsed(capsys, build_parser(), argv)
+    assert parsed(capsys, build_parser(command), [command, "--help"])[1].out.startswith(f"usage: geocon {command} ")
+    assert list(build_parser(command)._subparsers._group_actions[0].choices) == [command]
+
+
+@pytest.mark.parametrize("argv", [["frobnicate", SCENARIO], ["--version"], [], ["--help"]])
+def test_a_parser_for_no_command_of_the_table_is_the_whole_table(capsys, argv):
+    assert parsed(capsys, build_parser(argv[0] if argv else None), argv) == parsed(capsys, build_parser(), argv)
+    assert list(build_parser("frobnicate")._subparsers._group_actions[0].choices) == list(COMMANDS)
+
+
+def test_main_builds_the_parser_of_its_command_only(monkeypatch, capsys):
+    asked = []
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: asked.append(command) or build_parser(command))
+    assert main(["bracket", SCENARIO]) == 0
+    assert main(["frobnicate", SCENARIO]) == 1
+    monkeypatch.setattr(cli.sys, "argv", ["geocon", "pca", SCENARIO, "--time", "0.5"])
+    assert main() == 1
+    assert asked == ["bracket", "frobnicate", "pca"]
+    errors = capsys.readouterr().err.splitlines()[-2:]
+    unknown = parsed(capsys, build_parser(), ["frobnicate", SCENARIO])[0]
+    assert unknown[0] == "usage error" and "(choose from 'bracket', 'flow', " in unknown[1]
+    assert errors == [f"geocon: error: {unknown[1]}", "geocon: error: --time is not an option of pca"]
 
 
 def test_version_exits_zero(capsys):

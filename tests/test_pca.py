@@ -360,8 +360,10 @@ def test_ladder_matches_the_re_evaluating_ladder(seed, m, k, switch, rest_first)
 
 
 def test_ladder_evaluates_each_field_once_per_sample_time(monkeypatch):
-    # the sweep panel of the benchmark: level-0 generators and nonzero
-    # candidate brackets are evaluated once at each sample point, no more
+    # the sweep panel of the benchmark: level-0 generators and the nonzero
+    # candidate brackets scanned are evaluated once at each sample point, no
+    # more; a step scans no candidate once the span is full at every sample
+    # point, which it is after the last adoption of a full level
     from tests.conftest import random_control_affine
 
     calls = []
@@ -382,11 +384,18 @@ def test_ladder_evaluates_each_field_once_per_sample_time(monkeypatch):
             patch.setattr(VectorField, "__call__", counted)
             ladder = run_algorithm(system, ref)
         partners = (system.drift, *system.inputs)
-        parents = [g for lvl in ladder.levels[:-1] for g in lvl.generators]
-        candidates = sum(not is_zero_field(lie_bracket(x, g.field)) for g in parents for x in partners)
+        candidates = 0
+        for parents, level in zip(ladder.levels, ladder.levels[1:]):
+            scan = [(f"X{d}", g.name) for d, x in enumerate(partners) for g in parents.generators
+                    if not is_zero_field(lie_bracket(x, g.field))]
+            if min(parents.span_dims.values()) >= m:
+                scan = []
+            elif min(level.span_dims.values()) >= m:
+                scan = scan[: scan.index((level.generators[-1].bracket_with, level.generators[-1].parent)) + 1]
+            candidates += len(scan)
         assert len(calls) == len(ladder.sample_times) * (system.k + candidates)
         counts.append(len(calls))
-    assert counts == [18, 18, 18, 45]
+    assert counts == [9, 12, 15, 21]
 
 
 def _annihilator_case(case):

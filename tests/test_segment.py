@@ -1,10 +1,13 @@
 """Differential tests of the generated RK4 segment.
 
-`fields.rk4_path` runs a right-hand side from `fields.linearized_rhs` as
-its generated segment (`expr.compile_segment`) and any other callable in
-the step loop `fields._rk4_steps`.  Wrapping the same rhs in a lambda
-forces the loop, which is the reference: both paths must give the same
-bits, record the same samples and fail the same way.
+`fields.rk4_path` runs a whole leg, the full steps and then the landing
+step, as one call: of the generated segment (`expr.compile_segment`) for a
+right-hand side from `fields.linearized_rhs`, of the step loop
+`fields._rk4_steps` for any other callable.  Wrapping the same rhs in a
+lambda forces the loop, which is the reference: both paths must give the
+same bits, record the same samples and fail the same way.  `two_call_leg`
+below is a second reference: the full steps, then the landing as a step of
+its own.
 """
 
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geocon import fields
-from geocon.expr import Dual, jet_seed
+from geocon.expr import Dual, all_finite, jet_seed
 from geocon.fields import DivergenceError, linearized_rhs, rk4_path, vector_field
 
 from tests.conftest import random_control_affine
@@ -24,12 +27,12 @@ def bits(v):
     return (bits(v.re), bits(v.du)) if isinstance(v, Dual) else float(v).hex()
 
 
-def run(rhs, state, t0, duration, step):
-    """(outcome, recorded samples) of one rk4_path call, in bits."""
+def run(rhs, state, t0, duration, step, leg=rk4_path):
+    """(outcome, recorded samples) of one rk4_path (or `leg`) call, in bits."""
     samples = []
     record = lambda t, x: samples.append((bits(t), [bits(v) for v in x]))  # noqa: E731
     try:
-        outcome = [bits(v) for v in rk4_path(rhs, state, t0, duration, step, record)]
+        outcome = [bits(v) for v in leg(rhs, state, t0, duration, step, record)]
     except DivergenceError as exc:
         outcome = ("diverged", bits(exc.time))
     except (ZeroDivisionError, ValueError) as exc:
@@ -37,10 +40,37 @@ def run(rhs, state, t0, duration, step):
     return outcome, samples
 
 
+def rk4_step(rhs, t, h, x):
+    half, sixth = 0.5 * h, h * (1.0 / 6.0)
+    k1 = rhs(t, x)
+    k2 = rhs(t + half, [xi + half * ki for xi, ki in zip(x, k1)])
+    k3 = rhs(t + half, [xi + half * ki for xi, ki in zip(x, k2)])
+    k4 = rhs(t + h, [xi + h * ki for xi, ki in zip(x, k3)])
+    return [xi + sixth * (a + 2.0 * b + 2.0 * c + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+
+
+def two_call_leg(rhs, x0, t0, duration, step, record):
+    """A leg of nonzero duration as the full steps, then the landing step as
+    a step of its own from where they end, at the time t0 + duration."""
+    total = fields.real_part(duration)
+    n_full = int(abs(total) / step)
+    h = step if total >= 0.0 else -step
+    t, x = t0, list(x0)
+    for i in range(1, n_full + 2):
+        x = rk4_step(rhs, t, h if i <= n_full else duration - n_full * h, x)
+        t = t0 + i * h if i <= n_full else t0 + total
+        if not all_finite(x):
+            raise DivergenceError(t)
+        record(t, x)
+    return x
+
+
 def assert_segment_matches_loop(rhs, state, t0, duration, step):
     segment = run(rhs, state, t0, duration, step)
     loop = run(lambda t, x: rhs(t, x), state, t0, duration, step)
     assert segment == loop
+    if fields.real_part(duration) != 0.0:
+        assert segment == run(rhs, state, t0, duration, step, two_call_leg)
     return segment
 
 
@@ -138,3 +168,54 @@ def test_zero_duration_is_the_identity():
     # a Dual duration with zero real part still carries its seed
     flowed = fields.integrate_flow(fields.FlowSpec(vector_field(("x",), ["1"]), jet_seed(0.0, 1)), fields.as_point([2.0]))
     assert bits(flowed.coords[0]) == bits(Dual(2.0, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 5),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.booleans(),
+    st.integers(1, 6),
+    st.sampled_from(["whole steps", "partial step", "dual", "dual whole steps"]),
+    st.booleans(),
+)
+def test_a_leg_with_held_controls_is_one_call_of_the_step_loop(seed, m, tangents, covectors, dual_state, steps,
+                                                               duration_kind, backward):
+    # held (a list) and callable controls of the same values give the same
+    # bits, and both match the loop and the two-call leg, with and without
+    # a partial landing step (0.125 * steps is a whole number of steps)
+    rng = np.random.default_rng(seed)
+    system = random_control_affine(rng, m=m)
+    u = [float(v) for v in rng.uniform(-2.0, 2.0, size=system.k)]
+    state = draw_state(rng, m, tangents, covectors, dual_state, -0.5, 0.5)
+    length = 0.125 * steps + (0.0 if "whole" in duration_kind else float(rng.uniform(0.0, 0.125)))
+    duration = jet_seed(length, 2) if "dual" in duration_kind else length
+    duration = -duration if backward else duration
+    held = run(linearized_rhs(system, tangents, covectors, u), state, 0.5, duration, 0.125)
+    assert held == assert_segment_matches_loop(linearized_rhs(system, tangents, covectors, lambda _t: list(u)),
+                                               state, 0.5, duration, 0.125)
+    assert held[0][0] == "diverged" or len(held[1]) == steps + 1
+
+
+@pytest.mark.parametrize(
+    "components, state, tangents, covectors, duration, recorded",
+    [
+        # x' = exp(y) with y' = 10 from y = 707.5: the RK4 sum overflows in
+        # the step from y = 708, here the landing step, partial or of zero length
+        (["exp(y)", "10"], [0.0, 707.5], 0, 0, 0.0575, 5),
+        (["exp(y)", "10"], [0.0, 707.5], 0, 0, 0.05, 5),
+        (["exp(-y)", "10"], [0.0, -707.5], 0, 0, -0.0575, 5),
+        (["exp(y)", "10"], [0.0, 707.5, 1.0, 0.0, 0.0, 1.0], 1, 1, jet_seed(0.0575, 1), 5),
+        # x = 0 stays put while its tangent or covector overflows first in
+        # the step that starts at |t| = 1.08
+        (["1000*x"], [0.0, 1.0], 1, 0, 1.085, 108),
+        (["1000*x"], [0.0, 1.0], 0, 1, -1.085, 108),
+    ],
+)
+def test_divergence_at_the_landing_step_is_at_the_landing_time(components, state, tangents, covectors, duration,
+                                                               recorded):
+    rhs = linearized_rhs(vector_field(("x", "y")[: len(components)], components), tangents, covectors)
+    outcome, samples = assert_segment_matches_loop(rhs, state, 0.0, duration, 1e-2)
+    assert outcome == ("diverged", bits(fields.real_part(duration))) and len(samples) == recorded
