@@ -2,8 +2,9 @@
 
 A small expression language used throughout the package for vector-field
 components, cost functions and Christoffel symbols: decimal constants,
-variables, ``sin cos exp log sqrt``, the four arithmetic operations and
-integer powers.  Trees are immutable; the only rewriting ever applied is
+variables (Unicode identifiers, see :func:`_tokenize`), ``sin cos exp log
+sqrt``, the four arithmetic operations and integer powers, parsed by
+precedence climbing.  Trees are immutable; the only rewriting ever applied is
 constant folding plus zero/one elimination, so numerical behaviour stays
 predictable (no CAS-grade simplification).
 
@@ -19,6 +20,8 @@ from __future__ import annotations
 
 import math
 import operator
+import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -230,65 +233,61 @@ def is_zero(e: Expr) -> bool:
     return _is_const(e, 0.0)
 
 
+# Each binary operator once: its symbol, precedence (higher binds tighter;
+# unary minus, ^ and atoms rank above both levels), folding constructor and
+# plain operation.  The parser, the renderer, substitution, evaluation and the
+# code generator read this table.
+_Op = namedtuple("_Op", "symbol prec fold apply")
+_BINARY = {
+    Add: _Op("+", 1, add, operator.add),
+    Sub: _Op("-", 1, sub, operator.sub),
+    Mul: _Op("*", 2, mul, operator.mul),
+    Div: _Op("/", 2, div, operator.truediv),
+}
+_INFIX = {op.symbol: op for op in _BINARY.values()}
+_PREC_NEG, _PREC_POW, _PREC_ATOM = 3, 4, 5
+
+
 # ---------------------------------------------------------------------------
 # Parser.  Precedence: ^  >  unary -  >  * /  >  + -, left associative.
 # Exponents must be constant integers (optionally signed / parenthesized).
 # ---------------------------------------------------------------------------
 
-_TOK_OPS = set("+-*/^()")
+_TOKEN = re.compile(r"(?P<num>\.?\d[\d.]*(?:[eE][+-]?\d+)?)|(?P<ident>[^\W\d_]\w*)|(?P<op>[-+*/^()])|(?P<space>\s+)|.")
 
 
 def _tokenize(src: str):
+    """(kind, text, 0-based column) triples, the last one "eof"; an operator's
+    kind is its symbol.  Character classes are Unicode, as in Python's ``re``:
+    whitespace separates tokens; a number is a decimal digit (or "." before
+    one), more digits and dots and an optional exponent [eE][+-]?digits, and
+    must read as a finite double; an identifier is an alphanumeric character
+    other than a decimal digit (a letter, or a sign such as ² or ½), then
+    alphanumerics and "_"; any other character is an error."""
     tokens = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _TOK_OPS:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
-            j = i
-            while j < n and (src[j].isdigit() or src[j] == "."):
-                j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            text = src[i:j]
+    for m in _TOKEN.finditer(src):
+        kind, text, pos = m.lastgroup, m.group(), m.start()
+        if kind is None:
+            raise ExprSyntaxError(f"unexpected character '{text}'", pos + 1)
+        if kind == "num":
             try:
                 value = float(text)
             except ValueError:
-                raise ExprSyntaxError(f"bad number '{text}'", i + 1) from None
+                raise ExprSyntaxError(f"bad number '{text}'", pos + 1) from None
             if not math.isfinite(value):
-                raise ExprSyntaxError(f"number '{text}' overflows a double", i + 1)
-            tokens.append(("num", text, i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(("ident", src[i:j], i))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character '{ch}'", i + 1)
-    tokens.append(("eof", "", n))
+                raise ExprSyntaxError(f"number '{text}' overflows a double", pos + 1)
+        if kind != "space":
+            tokens.append((text if kind == "op" else kind, text, pos))
+    tokens.append(("eof", "", len(src)))
     return tokens
 
 
 class _Parser:
-    """Recursive descent; each method returns (tree, depth).  The depth counts
-    a level per operator, call, sign and parenthesised group and |n| levels
-    for ``x^n`` (the product the generated code unrolls), and is checked on
-    the way down as well, so no input recurses past :data:`MAX_DEPTH`."""
+    """Precedence climbing over the tokens of :func:`_tokenize`; each method
+    returns (tree, depth).  The depth counts a level per operator, call, sign
+    and parenthesised group and |n| levels for ``x^n`` (the product the
+    generated code unrolls), and is checked on the way down as well, so no
+    input recurses past :data:`MAX_DEPTH`."""
 
     def __init__(self, tokens, variables: frozenset[str] | None):
         self.tokens = tokens
@@ -296,20 +295,17 @@ class _Parser:
         self.variables = variables
         self.level = 0  # open groups, calls and signs around the current token
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
+    def take(self, kind: str, wanted: str | None = None):
+        """The next token, consumed, if it is a `kind`; else None, or with
+        `wanted` the error "expected `wanted`, found ..."."""
         tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.advance()
-        if tok[0] != kind:
+        if tok[0] == kind:
+            self.i += 1
+            return tok
+        if wanted is not None:
             shown = tok[1] if tok[0] != "eof" else "end of input"
-            raise ExprSyntaxError(f"expected '{kind}', found {shown!r}", tok[2] + 1)
-        return tok
+            raise ExprSyntaxError(f"expected {wanted}, found {shown!r}", tok[2] + 1)
+        return None
 
     @staticmethod
     def deeper(depth: int, tok) -> int:
@@ -325,94 +321,68 @@ class _Parser:
         return e, self.deeper(depth + 1, tok)
 
     def parse(self) -> Expr:
-        e, _ = self.expr()
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise ExprSyntaxError(f"unexpected {tok[1]!r}", tok[2] + 1)
+        e, _ = self.binary()
+        kind, text, pos = self.tokens[self.i]
+        if kind != "eof":
+            raise ExprSyntaxError(f"unexpected {text!r}", pos + 1)
         return e
 
-    def chain(self, ops, operand, fold):
-        e, depth = operand()
-        while self.peek()[0] in ops:
-            op = self.advance()
-            rhs, rhs_depth = operand()
-            e, depth = fold[op[0]](e, rhs), self.deeper(max(depth, rhs_depth) + 1, op)
+    def binary(self, prec: int = 1):
+        """Operands joined by the binary operators of precedence `prec` and up."""
+        e, depth = self.unary()
+        tok = self.tokens[self.i]
+        while (op := _INFIX.get(tok[0])) and op.prec >= prec:
+            self.i += 1
+            rhs, rhs_depth = self.binary(op.prec + 1)
+            e, depth = op.fold(e, rhs), self.deeper(max(depth, rhs_depth) + 1, tok)
+            tok = self.tokens[self.i]
         return e, depth
 
-    def expr(self):
-        return self.chain("+-", self.term, {"+": add, "-": sub})
-
-    def term(self):
-        return self.chain("*/", self.unary, {"*": mul, "/": div})
-
     def unary(self):
-        if self.peek()[0] == "-":
-            tok = self.advance()
+        """A negated operand, or an atom with an optional ``^`` suffix."""
+        if tok := self.take("-"):
             inner, depth = self.nested(tok, self.unary)
             out = neg(inner)
-            if isinstance(out, Neg):
-                out = Neg(out.arg, pos=tok[2])
-            return out, depth
-        return self.power()
-
-    def power(self):
+            return (Neg(out.arg, pos=tok[2]) if isinstance(out, Neg) else out), depth
         base, depth = self.atom()
-        if self.peek()[0] == "^":
-            tok = self.advance()
-            n = self.exponent()
-            depth = self.deeper(depth + max(abs(n), 1), tok)  # before folding a huge power
-            return pow_(base, n), depth
-        return base, depth
+        if not (tok := self.take("^")):
+            return base, depth
+        n = self.exponent()
+        depth = self.deeper(depth + max(abs(n), 1), tok)  # before folding a huge power
+        return pow_(base, n), depth
 
     def exponent(self) -> int:
         opened = 0
-        while self.peek()[0] == "(":
-            self.advance()
+        while self.take("("):
             opened += 1
-        tok = self.peek()
-        sign = 1
-        if tok[0] == "-":
-            self.advance()
-            sign = -1
-            tok = self.peek()
-        if tok[0] != "num":
-            shown = tok[1] if tok[0] != "eof" else "end of input"
-            raise ExprSyntaxError(f"expected integer exponent, found {shown!r}", tok[2] + 1)
-        self.advance()
-        value = float(tok[1])
-        if value != int(value) or any(c in tok[1] for c in ".eE"):
+        sign = -1 if self.take("-") else 1
+        tok = self.take("num", "integer exponent")
+        if any(c in tok[1] for c in ".eE"):
             raise ExprSyntaxError("exponent must be a constant integer", tok[2] + 1)
         for _ in range(opened):
-            self.expect(")")
-        return sign * int(value)
+            self.take(")", "')'")
+        return sign * int(float(tok[1]))
 
     def atom(self):
-        tok = self.advance()
-        kind, text, pos = tok
-        if kind == "num":
-            return Const(float(text), pos=pos), 1
-        if kind == "ident":
-            if self.peek()[0] == "(":
-                if text not in FUNCTIONS:
-                    raise ExprSyntaxError(f"unknown function '{text}'", pos + 1)
-                self.advance()
-                arg, depth = self.nested(tok, self.expr)
-                self.expect(")")
-                out = call(text, arg)
-                if isinstance(out, Call):
-                    out = Call(out.fn, out.arg, pos=pos)
-                return out, depth
-            if text in FUNCTIONS:
-                raise ExprSyntaxError(f"function '{text}' needs an argument list", pos + 1)
-            if self.variables is not None and text not in self.variables:
-                raise UnknownIdentifierError(text, pos + 1)
-            return Var(text, pos=pos), 1
-        if kind == "(":
-            e = self.nested(tok, self.expr)
-            self.expect(")")
+        if tok := self.take("num"):
+            return Const(float(tok[1]), pos=tok[2]), 1
+        if tok := self.take("("):
+            e = self.nested(tok, self.binary)
+            self.take(")", "')'")
             return e
-        shown = text if kind != "eof" else "end of input"
-        raise ExprSyntaxError(f"expected operand, found {shown!r}", pos + 1)
+        _, name, pos = tok = self.take("ident", "operand")
+        if self.take("("):
+            if name not in FUNCTIONS:
+                raise ExprSyntaxError(f"unknown function '{name}'", pos + 1)
+            arg, depth = self.nested(tok, self.binary)
+            self.take(")", "')'")
+            out = call(name, arg)
+            return (Call(out.fn, out.arg, pos=pos) if isinstance(out, Call) else out), depth
+        if name in FUNCTIONS:
+            raise ExprSyntaxError(f"function '{name}' needs an argument list", pos + 1)
+        if self.variables is not None and name not in self.variables:
+            raise UnknownIdentifierError(name, pos + 1)
+        return Var(name, pos=pos), 1
 
 
 def parse_expression(src: str, variables: Iterable[str] | None = None) -> Expr:
@@ -426,57 +396,41 @@ def parse_expression(src: str, variables: Iterable[str] | None = None) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Rendering.  The output reparses to an equal tree (positions ignored).
+# Rendering.  The output reparses to an equal tree (positions ignored), except
+# where a constant is not finite: it renders as ``inf``, ``-inf`` or ``nan``,
+# which do not reparse.
 # ---------------------------------------------------------------------------
-
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
 def _prec(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(e, Neg):
-        return _PREC_NEG
-    if isinstance(e, Const) and e.value < 0:
+    t = type(e)
+    if t in _BINARY:
+        return _BINARY[t].prec
+    if t is Neg or (t is Const and e.value < 0):
         return _PREC_NEG  # "-2" binds like a unary minus once re-read
-    if isinstance(e, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
-
-
-def _const_text(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
+    return _PREC_POW if t is Pow else _PREC_ATOM
 
 
 def render(e: Expr, min_prec: int = 0) -> str:
-    p = _prec(e)
-    if isinstance(e, Const):
-        s = _const_text(e.value)
-    elif isinstance(e, Var):
+    t = type(e)
+    if t in _BINARY:
+        op = _BINARY[t]
+        middle = f" {op.symbol} " if op.prec == 1 else op.symbol  # spaces around + and -
+        s = render(e.left, op.prec) + middle + render(e.right, op.prec + 1)
+    elif t is Const:
+        v = e.value
+        s = str(int(v)) if v.is_integer() and abs(v) < 1e16 else repr(v)
+    elif t is Var:
         s = e.name
-    elif isinstance(e, Call):
+    elif t is Call:
         s = f"{e.fn}({render(e.arg)})"
-    elif isinstance(e, Neg):
+    elif t is Neg:
         s = f"-{render(e.arg, _PREC_NEG)}"
-    elif isinstance(e, Add):
-        s = f"{render(e.left, _PREC_ADD)} + {render(e.right, _PREC_ADD + 1)}"
-    elif isinstance(e, Sub):
-        s = f"{render(e.left, _PREC_ADD)} - {render(e.right, _PREC_ADD + 1)}"
-    elif isinstance(e, Mul):
-        s = f"{render(e.left, _PREC_MUL)}*{render(e.right, _PREC_MUL + 1)}"
-    elif isinstance(e, Div):
-        s = f"{render(e.left, _PREC_MUL)}/{render(e.right, _PREC_MUL + 1)}"
-    elif isinstance(e, Pow):
+    elif t is Pow:
         s = f"{render(e.base, _PREC_ATOM)}^{e.exponent}"
     else:  # pragma: no cover
         raise TypeError(f"not an expression node: {e!r}")
-    if p < min_prec:
-        return f"({s})"
-    return s
+    return f"({s})" if _prec(e) < min_prec else s
 
 
 # ---------------------------------------------------------------------------
@@ -519,14 +473,7 @@ def substitute(e: Expr, mapping: Mapping[str, "Expr | float"]) -> Expr:
         return neg(substitute(e.arg, mapping))
     if isinstance(e, Pow):
         return pow_(substitute(e.base, mapping), e.exponent)
-    a, b = substitute(e.left, mapping), substitute(e.right, mapping)
-    if isinstance(e, Add):
-        return add(a, b)
-    if isinstance(e, Sub):
-        return sub(a, b)
-    if isinstance(e, Mul):
-        return mul(a, b)
-    return div(a, b)
+    return _BINARY[type(e)].fold(substitute(e.left, mapping), substitute(e.right, mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -541,10 +488,8 @@ def differentiate(e: Expr, name: str) -> Expr:
         return Const(1.0) if e.name == name else Const(0.0)
     if isinstance(e, Neg):
         return neg(differentiate(e.arg, name))
-    if isinstance(e, Add):
-        return add(differentiate(e.left, name), differentiate(e.right, name))
-    if isinstance(e, Sub):
-        return sub(differentiate(e.left, name), differentiate(e.right, name))
+    if isinstance(e, (Add, Sub)):
+        return _BINARY[type(e)].fold(differentiate(e.left, name), differentiate(e.right, name))
     if isinstance(e, Mul):
         return add(
             mul(differentiate(e.left, name), e.right),
@@ -736,9 +681,6 @@ def _column(e: Expr) -> int | None:
     return None if e.pos is None else e.pos + 1
 
 
-_PLAIN_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
-
-
 def evaluate(e: Expr, env: Mapping[str, object], checked: bool = True, memo: dict | None = None):
     """The value of `e` with the variables of `env`.
 
@@ -761,11 +703,11 @@ def evaluate(e: Expr, env: Mapping[str, object], checked: bool = True, memo: dic
         memo = {}
     elif id(e) in memo:
         return memo[id(e)]
-    if t in _PLAIN_OPS:
+    if t in _BINARY:
         a, b = evaluate(e.left, env, checked, memo), evaluate(e.right, env, checked, memo)
         if checked and t is Div and real_part(b) == 0.0:
             raise DomainEvalError("division by zero", _column(e))
-        v = _PLAIN_OPS[t](a, b)
+        v = _BINARY[t].apply(a, b)
     elif t is Neg:
         v = -evaluate(e.arg, env, checked, memo)
     elif t is Pow:
@@ -788,7 +730,6 @@ def evaluate(e: Expr, env: Mapping[str, object], checked: bool = True, memo: dic
 
 _CODEGEN_NS = {f"_{name}": fn for name, fn in _FUNCTIONS.items()}
 _CODEGEN_NS.update(_ipow=_ipow, _range=range, _float=float, _list=list, _sum=sum, _fin=all_finite, __builtins__={})
-_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 _MAX_NESTING = 40  # inline depth before a subexpression gets a local (the parser caps nesting)
 
 
@@ -828,8 +769,8 @@ class _Emitter:
         if k is not None:
             return k
         t = type(e)
-        if t in _BINARY_OPS:
-            op = (_BINARY_OPS[t], self._op(e.left), self._op(e.right))
+        if t in _BINARY:
+            op = (_BINARY[t].symbol, self._op(e.left), self._op(e.right))
         elif t is Const:
             v = e.value
             op = ("leaf", repr(v) if math.isfinite(v) else f"_float('{v}')")

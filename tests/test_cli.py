@@ -203,6 +203,24 @@ def test_main_mech_check(tmp_path):
     assert report["results"]["bracket_generators"] == [["-1", "0", "0", "0"]]
 
 
+@pytest.mark.parametrize(
+    "drift, input1, components",
+    [
+        (["1e200", "0", "0"], ["0", "1e200*x1", "0"], ["0", "inf", "0"]),  # 1e200*1e200 folds to inf
+        (["x1*(1e308*10)", "0", "0"], ["1", "0", "0"], ["nan", "0", "0"]),  # 0*inf folds to nan
+    ],
+)
+def test_bracket_renders_a_non_finite_constant(tmp_path, capsys, drift, input1, components):
+    data = json.loads((SCENARIOS / "martinet.json").read_text())
+    data["system"]["drift"] = drift
+    data["system"]["inputs"][0] = input1
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(data))
+    assert main(["bracket", str(p)]) == 0
+    first = json.loads(capsys.readouterr().out)["results"]["brackets"][0]
+    assert first == {"pair": "[X0,X1]", "components": components, "zero": False}
+
+
 def test_main_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["pca", str(missing)]) == 1

@@ -10,6 +10,7 @@ from geocon.expr import (
     Const,
     DomainEvalError,
     Dual,
+    ExprError,
     ExprSyntaxError,
     Mul,
     Pow,
@@ -33,6 +34,7 @@ from geocon.expr import (
     substitute,
     var,
 )
+from tests import expr_oracle
 
 
 def test_parse_linear_combination():
@@ -44,10 +46,41 @@ def test_parse_power():
     assert parse_expression("x^2") == Pow(Var("x"), 2)
 
 
-def test_parse_trailing_operator_column():
-    with pytest.raises(ExprSyntaxError) as err:
-        parse_expression("x1*")
-    assert err.value.column == 4
+_E, _U = ExprSyntaxError, UnknownIdentifierError
+_PARSE_ERRORS = [  # source, error type, message (after "syntax error at column c: "), column
+    ("x@", _E, "unexpected character '@'", 2),
+    ("1.2.3", _E, "bad number '1.2.3'", 1),
+    ("1e400", _E, "number '1e400' overflows a double", 1),
+    ("", _E, "expected operand, found 'end of input'", 1),
+    ("x*", _E, "expected operand, found 'end of input'", 3),
+    ("x1*", _E, "expected operand, found 'end of input'", 4),
+    ("(x", _E, "expected ')', found 'end of input'", 3),
+    ("(x))", _E, "unexpected ')'", 4),
+    ("2 3", _E, "unexpected '3'", 3),
+    ("x^2^3", _E, "unexpected '^'", 4),
+    ("x^2.5", _E, "exponent must be a constant integer", 3),
+    ("x^1e2", _E, "exponent must be a constant integer", 3),
+    ("x^y", _E, "expected integer exponent, found 'y'", 3),
+    ("x^-", _E, "expected integer exponent, found 'end of input'", 4),
+    ("x^(-(2))", _E, "expected integer exponent, found '('", 5),
+    ("x^(2", _E, "expected ')', found 'end of input'", 5),
+    ("x^101", _E, "expression nested deeper than 100 levels", 2),
+    ("tanh(x)", _E, "unknown function 'tanh'", 1),
+    ("sin", _E, "function 'sin' needs an argument list", 1),
+    ("sin + 1", _E, "function 'sin' needs an argument list", 1),
+    ("x + y1", _U, "unknown identifier 'y1' at column 5", 5),
+]
+
+
+@pytest.mark.parametrize("src, kind, message, column", _PARSE_ERRORS, ids=[r[0] or "empty" for r in _PARSE_ERRORS])
+def test_parse_error_message_and_column(src, kind, message, column):
+    with pytest.raises(ExprError) as err:
+        parse_expression(src, variables=["x", "x1"])
+    assert type(err.value) is kind
+    assert err.value.column == column
+    if kind is _E:
+        message = f"syntax error at column {column}: {message}"
+    assert str(err.value) == message
 
 
 def test_parse_unknown_identifier():
@@ -227,6 +260,15 @@ def test_render_roundtrip_with_functions():
     assert parse_expression(render(ast)) == ast
 
 
+def test_render_non_finite_constants():
+    # folding can leave a constant that is not finite; it renders as its
+    # repr, which does not reparse (inf and nan read as identifiers)
+    assert [render(Const(v)) for v in (math.inf, -math.inf, math.nan)] == ["inf", "-inf", "nan"]
+    assert render(mul(Const(1e200), Const(1e200))) == "inf"
+    assert render(mul(Var("x"), neg(Const(math.inf)))) == "x*-inf"
+    assert render(Const(1e200)) == "1e+200" and render(Const(-3.0)) == "-3"
+
+
 def test_call_constant_folding_keeps_domain_errors():
     # log of a nonpositive constant must not fold away the error
     ast = call("log", Const(-1.0))
@@ -259,6 +301,82 @@ def test_pow_folds_to_the_left_to_right_product(base, n):
         assert isinstance(folded, Const) and folded.value.hex() == float(value).hex()
     else:
         assert isinstance(folded, Pow) and folded.exponent == n
+
+
+# -- the parser against the recursive-descent parser it replaced ------------
+
+
+def _shape(e):
+    """`e` as nested tuples of node type and field values, `pos` included."""
+    fields = (getattr(e, f.name) for f in dataclasses.fields(e))
+    return (type(e).__name__, *(_shape(v) if dataclasses.is_dataclass(v) else repr(v) for v in fields))
+
+
+def _outcome(parse, src, variables=None):
+    try:
+        return _shape(parse(src, variables))
+    except ExprError as exc:
+        return type(exc).__name__, str(exc), exc.column
+
+
+# one non-ASCII letter (θ) and one non-ASCII decimal digit (٣, Arabic-Indic three)
+_ALPHABET = [*"+-*/^() .eE0123456789xyθ٣", "x_1", "x1", "sin", "sqrt", "1e5", "2.", "\t"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    src=st.lists(st.sampled_from(_ALPHABET), max_size=24).map("".join) | _polynomials(4).map(render),
+    variables=st.sampled_from([None, ("x", "y", "x1", "θ")]),
+)
+def test_parser_matches_the_recursive_descent_oracle(src, variables):
+    # the same tree, every pos included, or the same error type, message and column
+    assert _outcome(parse_expression, src, variables) == _outcome(expr_oracle.parse_expression, src, variables)
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "x1^2000",
+        "(" * 600 + "x1" + ")" * 600,
+        " + ".join(["x1"] * 1500),
+        "2^10000000",
+        "(" * 99 + "x1" + ")" * 99,
+        "-" * 99 + "x1",
+        "-" * 100 + "x1",
+        "sin(" * 49 + "x1" + ")" * 49,
+        "x1^99",
+        "-x1^99",
+        "x1" + "*x1" * 99,
+        "x1" + "*x1" * 100,
+    ],
+    ids=lambda src: f"{src[:12]}..{len(src)}",
+)
+def test_deep_inputs_match_the_recursive_descent_oracle(src):
+    assert _outcome(parse_expression, src) == _outcome(expr_oracle.parse_expression, src)
+
+
+@pytest.mark.parametrize(
+    "src, now, before",
+    [
+        ("²", Var("²", pos=0), (1, "bad number '²'")),
+        ("1²", (2, "unexpected '²'"), (1, "bad number '1²'")),
+        ("½ + x", Add(Var("½", pos=0), Var("x", pos=4)), (1, "unexpected character '½'")),
+        ("x²", Var("x²", pos=0), Var("x²", pos=0)),
+    ],
+    ids=["digit", "after-a-number", "fraction", "inside-an-identifier"],
+)
+def test_numeric_characters_other_than_decimal_digits_start_identifiers(src, now, before):
+    # the one difference from the recursive-descent parser: a character that
+    # is alphanumeric but neither a letter nor a decimal digit (², ½, Ⅻ) now
+    # starts an identifier; it used to start a number ("bad number") if it
+    # was a digit, and was an unexpected character otherwise
+    for parse, expected in ((parse_expression, now), (expr_oracle.parse_expression, before)):
+        if isinstance(expected, tuple):
+            column, message = expected
+            expected = ("ExprSyntaxError", f"syntax error at column {column}: {message}", column)
+        else:
+            expected = _shape(expected)
+        assert _outcome(parse, src) == expected
 
 
 # -- free_variables walks a shared tree once per distinct node ---------------
