@@ -11,6 +11,7 @@ accepts only the options it reads (the command table `COMMANDS`).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -20,6 +21,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -65,6 +67,11 @@ def load_schema() -> dict:
         return json.load(fh)
 
 
+@functools.cache
+def _validator() -> jsonschema.Draft202012Validator:
+    return jsonschema.Draft202012Validator(load_schema())
+
+
 @dataclass
 class Scenario:
     name: str
@@ -91,152 +98,102 @@ class Scenario:
         return self.system, self.initial
 
 
-def _pointer(path_iterable) -> str:
-    parts = [str(p) for p in path_iterable]
-    return "/" + "/".join(parts) if parts else ""
+def _at(pointer: str, build, *args):
+    """build(*args), with an error the model raises on bad input put at `pointer`."""
+    try:
+        return build(*args)
+    except (ExprError, FieldError, OcpError, MechError, ArithmeticError) as exc:
+        raise ScenarioError(f"{pointer}: {exc}") from exc
 
 
-def _bound(value, where: str) -> float:
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if text in ("inf", "+inf", "infinity"):
-            return math.inf
-        if text in ("-inf", "-infinity"):
-            return -math.inf
-        raise ScenarioError(f"{where}: bound {value!r} is not a number or inf")
-    return float(value)
+def _parse(exprs, variables, where: str, count: int | None = None):
+    """The expressions at `where`, `count` of them when it is given."""
+    parsed = [_at(f"{where}/{i}", parse_expression, src, variables) for i, src in enumerate(exprs)]
+    if count is not None and len(parsed) != count:
+        raise ScenarioError(f"{where}: one component per variable required, {len(parsed)} for {count}")
+    return parsed
 
 
-def _parse_block(exprs, variables, where: str):
-    out = []
-    for i, src in enumerate(exprs):
-        try:
-            out.append(parse_expression(src, variables))
-        except ExprError as exc:
-            raise ScenarioError(f"{where}/{i}: {exc}") from exc
-    return out
-
-
-def _inputs_and_box(block, variables, where: str):
-    """The `inputs` (one field per control) and `control_box` of `block`."""
-    inputs = []
-    for c, comps in enumerate(block["inputs"]):
-        parsed = _parse_block(comps, variables, f"{where}/inputs/{c}")
-        if len(parsed) != len(variables):
-            raise ScenarioError(f"{where}/inputs/{c}: wrong component count")
-        inputs.append(parsed)
-    box = [
-        (_bound(lo, f"{where}/control_box/{i}"), _bound(hi, f"{where}/control_box/{i}"))
-        for i, (lo, hi) in enumerate(block["control_box"])
-    ]
-    return inputs, box
+def _non_finite(node, where: str = ""):
+    """(pointer, value) of each NaN or infinity in a decoded JSON document."""
+    if isinstance(node, float) and not math.isfinite(node):
+        yield where, node
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node if isinstance(node, list) else ()):
+        yield from _non_finite(child, f"{where}/{str(key).replace('~', '~0').replace('/', '~1')}")  # RFC 6901
 
 
 def load_scenario(path: str) -> Scenario:
-    """Parse and validate a scenario file; defaults are filled here."""
+    """Parse and validate a scenario file; defaults are filled here.
+    `schema.json` holds the shapes; this checks the rules that relate one
+    field to another and refuses NaN and the infinities, which Python's
+    `json` reads.  Every error names the JSON pointer of what it refuses."""
     try:
-        with open(path, "rb") as fh:
-            raw_bytes = fh.read()
+        raw_bytes = Path(path).read_bytes()
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
     digest = "sha256:" + hashlib.sha256(raw_bytes).hexdigest()
+    constants = []  # the NaN and infinity literals read; only if there is one does a walk find where
     try:
-        data = json.loads(raw_bytes)
+        data = json.loads(raw_bytes, parse_constant=lambda name: constants.append(name) or float(name))
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
-
-    validator = jsonschema.Draft202012Validator(load_schema())
-    errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
-    if errors:
-        e = errors[0]
-        raise ScenarioError(f"schema violation at {_pointer(e.absolute_path) or '/'}: {e.message}")
+    for where, value in _non_finite(data) if constants else ():
+        raise ScenarioError(f"{where or '/'}: {json.dumps(value)} is not a finite number")
+    error = min(_validator().iter_errors(data), key=lambda e: list(e.absolute_path), default=None)
+    if error is not None:
+        raise ScenarioError(f"schema violation at /{'/'.join(map(str, error.absolute_path))}: {error.message}")
 
     if ("system" in data) == ("mechanics" in data):
         raise ScenarioError("exactly one of /system or /mechanics must be present")
-
-    chart = tuple(data["chart"])
-    controls = tuple(data["controls"])
+    chart, controls = tuple(data["chart"]), tuple(data["controls"])
     if len(set(chart + controls)) != len(chart) + len(controls):
         raise ScenarioError("/chart and /controls names must be distinct")
-
     connection = None
     if "system" in data:
         block = data["system"]
-        drift = _parse_block(block["drift"], chart, "/system/drift")
-        if len(drift) != len(chart):
-            raise ScenarioError("/system/drift: one component per chart variable required")
-        inputs, box = _inputs_and_box(block, chart, "/system")
-        try:
-            system = build_control_affine(chart, drift, inputs, box, controls)
-        except OcpError as exc:
-            raise ScenarioError(f"/system: {exc}") from exc
+        drift = _parse(block["drift"], chart, "/system/drift", len(chart))
+        inputs = [_parse(comps, chart, f"/system/inputs/{c}", len(chart)) for c, comps in enumerate(block["inputs"])]
+        system = _at("/system", build_control_affine, chart, drift, inputs, block["control_box"], controls)
     else:
         block = data["mechanics"]
-        coords = tuple(block["coordinates"])
-        vels = tuple(block["velocities"])
+        coords, vels, gamma = tuple(block["coordinates"]), tuple(block["velocities"]), block["christoffel"]
         if chart != coords + vels:
             raise ScenarioError("/chart must equal /mechanics/coordinates followed by /mechanics/velocities")
         n = len(coords)
-        gamma = block["christoffel"]
         if len(gamma) != n or any(len(r) != n or any(len(c) != n for c in r) for r in gamma):
             raise ScenarioError(f"/mechanics/christoffel must be {n}x{n}x{n}")
-        parsed_gamma = [
-            [_parse_block(gamma[i][j], coords, f"/mechanics/christoffel/{i}/{j}") for j in range(n)]
-            for i in range(n)
-        ]
-        inputs, box = _inputs_and_box(block, coords, "/mechanics")
-        try:
-            connection = connection_spec(coords, vels, parsed_gamma)
-            q_fields = [VectorField(coords, tuple(comps)) for comps in inputs]
-            system = build_acc_system(connection, q_fields, box, controls)
-        except (MechError, OcpError, ExprError, ArithmeticError) as exc:
-            # the symmetry check evaluates the Christoffel symbols
-            raise ScenarioError(f"/mechanics: {exc}") from exc
-
-    extended = None
-    if "cost" in data:
-        try:
-            extended = extend_system(system, data["cost"])
-        except (OcpError, ExprError) as exc:
-            raise ScenarioError(f"/cost: {exc}") from exc
+        gamma = [[_parse(cell, coords, f"/mechanics/christoffel/{i}/{j}") for j, cell in enumerate(row)]
+                 for i, row in enumerate(gamma)]
+        inputs = [_parse(comps, coords, f"/mechanics/inputs/{c}", n) for c, comps in enumerate(block["inputs"])]
+        connection = _at("/mechanics", connection_spec, coords, vels, gamma)  # checks symmetry by evaluating
+        q_fields = [VectorField(coords, tuple(comps)) for comps in inputs]
+        system = _at("/mechanics", build_acc_system, connection, q_fields, block["control_box"], controls)
+    extended = _at("/cost", extend_system, system, data["cost"]) if "cost" in data else None
 
     initial = interval = schedule = None
     step = 1e-3
     if "reference" in data:
-        ref = data["reference"]
+        ref, ctrl = data["reference"], data["reference"]["controls"]
         initial = np.asarray(ref["initial"], dtype=float)
         if len(initial) != len(chart):
             raise ScenarioError("/reference/initial: one value per chart variable required")
-        interval = (float(ref["interval"][0]), float(ref["interval"][1]))
-        if not interval[0] < interval[1]:
+        a, b = interval = tuple(map(float, ref["interval"]))
+        if not a < b:
             raise ScenarioError("/reference/interval: must run forward")
-        step = float(ref.get("step", 1e-3))
-        ctrl = ref["controls"]
-        if ctrl["type"] == "piecewise":
-            if "breaks" not in ctrl or "values" not in ctrl:
-                raise ScenarioError("/reference/controls: piecewise needs breaks and values")
-            if any(len(row) != len(controls) for row in ctrl["values"]):
-                raise ScenarioError("/reference/controls/values: one value per control required")
-            try:
-                schedule = piecewise_schedule(ctrl["breaks"], ctrl["values"])
-            except OcpError as exc:
-                raise ScenarioError(f"/reference/controls: {exc}") from exc
+        for i, t in enumerate(data.get("analysis", {}).get("sample_times", ())):
+            if not a < t <= b:
+                raise ScenarioError(f"/analysis/sample_times/{i}: {t} is outside the reference interval ({a}, {b}]")
+        step = float(ref.get("step", step))
+        if ctrl["type"] == "expressions":
+            schedule = _at("/reference/controls/exprs", expression_schedule, ctrl["exprs"], len(controls))
+        elif any(len(row) != len(controls) for row in ctrl["values"]):
+            raise ScenarioError("/reference/controls/values: one value per control required")
         else:
-            if "exprs" not in ctrl:
-                raise ScenarioError("/reference/controls: expressions need exprs")
-            try:
-                schedule = expression_schedule(ctrl["exprs"], len(controls))
-            except (OcpError, ExprError) as exc:
-                raise ScenarioError(f"/reference/controls/exprs: {exc}") from exc
-
-    analysis = dict(data.get("analysis", {}))
-    analysis.setdefault("per_time_budget", 16)
-    analysis.setdefault("max_levels", 6)
-    analysis.setdefault("hamiltonian_grid_check", False)
-    analysis.setdefault("tolerances", {})
-    if "sample_times" not in analysis and interval is not None:
+            schedule = _at("/reference/controls", piecewise_schedule, ctrl["breaks"], ctrl["values"])
+    analysis = {"per_time_budget": 16, "max_levels": 6, "hamiltonian_grid_check": False, "tolerances": {},
+                **data.get("analysis", {})}
+    if interval is not None and "sample_times" not in analysis:
         analysis["sample_times"] = schedule.sample_times(interval)
-
     return Scenario(name=data["name"], chart=chart, system=system, extended=extended, connection=connection,
                     initial=initial, interval=interval, step=step, schedule=schedule, analysis=analysis, digest=digest)
 

@@ -334,7 +334,10 @@ class _Parser:
         while (op := _INFIX.get(tok[0])) and op.prec >= prec:
             self.i += 1
             rhs, rhs_depth = self.binary(op.prec + 1)
-            e, depth = op.fold(e, rhs), self.deeper(max(depth, rhs_depth) + 1, tok)
+            out = op.fold(e, rhs)
+            if getattr(out, "right", None) is rhs and out.left is e:  # not folded away: the operator's column
+                out = type(out)(e, rhs, pos=tok[2])
+            e, depth = out, self.deeper(max(depth, rhs_depth) + 1, tok)
             tok = self.tokens[self.i]
         return e, depth
 
@@ -349,7 +352,8 @@ class _Parser:
             return base, depth
         n = self.exponent()
         depth = self.deeper(depth + max(abs(n), 1), tok)  # before folding a huge power
-        return pow_(base, n), depth
+        out = pow_(base, n)
+        return (Pow(base, n, pos=tok[2]) if isinstance(out, Pow) and out.base is base else out), depth
 
     def exponent(self) -> int:
         opened = 0

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -379,3 +381,85 @@ def test_pca_evaluates_no_field_after_the_ladder(tmp_path, monkeypatch):
         assert main(["pca", str(SCENARIOS / f"{name}.json"), "--out", str(tmp_path / "report.json")]) == 0
         assert len(laddered) == 1 and laddered[0].sample_times
     assert late_calls == []
+
+
+GONE = object()
+
+
+def put(*path_and_value):
+    """A damage that sets the value at a path of a scenario (GONE deletes it)."""
+    *path, value = path_and_value
+
+    def damage(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        if value is GONE:
+            del doc[path[-1]]
+        else:
+            doc[path[-1]] = value
+
+    return damage
+
+
+FLAT_MECHANICS = json.loads((SCENARIOS / "flat_connection.json").read_text())["mechanics"]
+
+# one damaged fixture per load rule, with the pointer its error names first
+LOAD_RULES = {
+    "drift expression": ("martinet", put("system", "drift", 1, "x1 +"), "/system/drift/1"),
+    "drift length": ("martinet", put("system", "drift", ["0", "0"]), "/system/drift"),
+    "input expression": ("martinet", put("system", "inputs", 1, 2, "x1^^2"), "/system/inputs/1/2"),
+    "input length": ("martinet", put("system", "inputs", 0, ["1", "0"]), "/system/inputs/0"),
+    "bound order": ("martinet", put("system", "control_box", 0, [2.0, -2.0]), "/system"),
+    "bound count": ("martinet", put("system", "control_box", [[-2.0, 2.0]]), "/system"),
+    "bound text": ("martinet", put("system", "control_box", 0, 1, "two"), "/system/control_box/0/1"),
+    "bound spelling": ("heisenberg", put("system", "control_box", 1, 0, "-Infinity"), "/system/control_box/1/0"),
+    "box shape": ("martinet", put("system", "control_box", 0, [-2.0]), "/system/control_box/0"),
+    "both blocks": ("martinet", put("mechanics", FLAT_MECHANICS), "exactly one of /system or /mechanics"),
+    "neither block": ("martinet", put("system", GONE), "exactly one of /system or /mechanics"),
+    "names distinct": ("martinet", put("controls", ["x1", "u2"]), "/chart"),
+    "chart order": ("flat_connection", put("chart", ["x1", "x2", "v2", "v1"]), "/chart"),
+    "christoffel shape": ("flat_connection", put("mechanics", "christoffel", 1, [["0", "0"]]), "/mechanics/christoffel"),
+    "christoffel expression": ("polar_connection", put("mechanics", "christoffel", 0, 1, 1, "-q"), "/mechanics/christoffel/0/1/1"),
+    "christoffel symmetry": ("polar_connection", put("mechanics", "christoffel", 1, 0, 1, "2/r"), "/mechanics"),
+    "christoffel domain": ("flat_connection", put("mechanics", "christoffel", 0, 0, 1, "1/(x1-x1)"), "/mechanics"),
+    "christoffel overflow": ("flat_connection", put("mechanics", "christoffel", 0, 0, 1, "exp(1000*x1)"), "/mechanics"),
+    "mechanics input expression": ("flat_connection", put("mechanics", "inputs", 0, 1, "("), "/mechanics/inputs/0/1"),
+    "mechanics input length": ("flat_connection", put("mechanics", "inputs", 0, ["1"]), "/mechanics/inputs/0"),
+    "mechanics bound count": ("flat_connection", put("mechanics", "control_box", [[-2.0, 2.0]] * 2), "/mechanics"),
+    "mechanics bound text": ("polar_connection", put("mechanics", "control_box", 0, 0, "-"), "/mechanics/control_box/0/0"),
+    "cost expression": ("martinet", put("cost", "u1 *"), "/cost"),
+    "cost name": ("heisenberg", put("cost", "u3"), "/cost"),
+    "initial length": ("martinet", put("reference", "initial", [0.0, 0.0]), "/reference/initial"),
+    "interval order": ("martinet", put("reference", "interval", [1.0, 1.0]), "/reference/interval"),
+    "piecewise breaks": ("martinet", put("reference", "controls", "breaks", GONE), "/reference/controls"),
+    "piecewise values": ("heisenberg", put("reference", "controls", "values", GONE), "/reference/controls"),
+    "values width": ("martinet", put("reference", "controls", "values", [[0.0]]), "/reference/controls/values"),
+    "breaks align": ("martinet", put("reference", "controls", "breaks", [0.0, 0.5]), "/reference/controls"),
+    "schedule type": ("martinet", put("reference", "controls", "type", "steps"), "/reference/controls/type"),
+    "expressions exprs": ("martinet", put("reference", "controls", {"type": "expressions"}), "/reference/controls"),
+    "exprs expression": ("martinet", put("reference", "controls", {"type": "expressions", "exprs": ["t", "t +"]}), "/reference/controls/exprs"),
+    "exprs count": ("heisenberg", put("reference", "controls", {"type": "expressions", "exprs": ["t"]}), "/reference/controls/exprs"),
+    "analysis key": ("martinet", put("analysis", "cone_time", 0.5), "/analysis"),
+    "analysis value": ("martinet", put("analysis", "per_time_budget", 0), "/analysis/per_time_budget"),
+    "NaN initial": ("martinet", put("reference", "initial", [math.nan, 0.0, 0.0]), "/reference/initial/0"),
+    "NaN tolerance": ("martinet", put("analysis", "tolerances", {"stationarity": math.nan}), "/analysis/tolerances/stationarity"),
+    "Infinity bound": ("heisenberg", put("system", "control_box", 0, 1, math.inf), "/system/control_box/0/1"),
+    "-Infinity time": ("martinet", put("analysis", "sample_times", [0.5, -math.inf]), "/analysis/sample_times/1"),
+    "NaN under an unknown key": ("martinet", put("a~/b", math.nan), "/a~0~1b"),
+    "NaN time": ("polar_connection", put("analysis", "sample_times", [math.nan]), "/analysis/sample_times/0"),
+    "time before": ("heisenberg", put("analysis", "sample_times", [-5.0, 0.5]), "/analysis/sample_times/0"),
+    "time at start": ("martinet", put("analysis", "sample_times", [0.5, 0.0]), "/analysis/sample_times/1"),
+    "time after": ("flat_connection", put("analysis", "sample_times", [0.25, 1.0, 1.5]), "/analysis/sample_times/2"),
+}
+
+
+@pytest.mark.parametrize("fixture, damage, pointer", LOAD_RULES.values(), ids=LOAD_RULES)
+def test_each_load_rule_names_its_pointer(tmp_path, capsys, fixture, damage, pointer):
+    doc = json.loads((SCENARIOS / f"{fixture}.json").read_text())
+    damage(doc)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))  # NaN and the infinities are written as Python's json reads them
+    assert main(["bracket", str(path)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    message = line.removeprefix("geocon: error: ").removeprefix("schema violation at ")
+    assert re.match(re.escape(pointer) + "[: ]", message), line
