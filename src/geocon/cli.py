@@ -185,7 +185,8 @@ def load_scenario(path: str) -> Scenario:
                 raise ScenarioError(f"/analysis/sample_times/{i}: {t} is outside the reference interval ({a}, {b}]")
         step = float(ref.get("step", step))
         if ctrl["type"] == "expressions":
-            schedule = _at("/reference/controls/exprs", expression_schedule, ctrl["exprs"], len(controls))
+            exprs = _parse(ctrl["exprs"], ("t",), "/reference/controls/exprs")
+            schedule = _at("/reference/controls/exprs", expression_schedule, exprs, len(controls))
         elif any(len(row) != len(controls) for row in ctrl["values"]):
             raise ScenarioError("/reference/controls/values: one value per control required")
         else:

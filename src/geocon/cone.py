@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .fields import Covector, Point, TangentVector
-from .variations import parallel, sample_perturbation_set
+from .variations import keep_new_direction, sample_perturbation_set
 
 log = logging.getLogger(__name__)
 
@@ -58,7 +58,7 @@ class Cone:
         for g in self.generators:
             if g.base.dim != self.base.dim:
                 raise ConeError("generator dimension mismatch")
-            if not np.allclose(g.base.coords, self.base.coords, atol=1e-9):
+            if g.base is not self.base and not np.allclose(g.base.coords, self.base.coords, atol=1e-9):
                 raise ConeError("generators must be based at the cone's base point")
             if g.norm == 0.0:
                 raise ConeError("zero generators are excluded")
@@ -95,8 +95,9 @@ def assemble_cone(
 
     Sample times must lie in (a, t] and avoid control switch times; the
     vectors sampled at one time ride the linearized reference flow to the
-    cone's base point in one integration, then parallel duplicates are
-    merged.
+    cone's base point in one integration; a zero vector, or one parallel
+    to an earlier generator (:func:`keep_new_direction`, each norm computed
+    once), is dropped.  Every generator shares the cone's base Point.
     """
     a, b = reference.interval
     if not (a < t <= b):
@@ -111,7 +112,7 @@ def assemble_cone(
     from .ocp import transport_vector  # local import keeps the module graph acyclic
 
     base = reference.point_at(t)
-    vectors, provenance = [], []
+    vectors, provenance, directions = [], [], []
     for t0 in sorted(sample_times):
         sampled = sample_perturbation_set(system, reference, t0, budget=per_time_budget)
         moved = [pv.vector for pv in sampled]
@@ -119,10 +120,9 @@ def assemble_cone(
             moved = transport_vector(system, reference, t0, t, moved, step=step)
         for pv, w in zip(sampled, moved):
             w = w.components
-            if float(np.linalg.norm(w)) == 0.0 or any(parallel(v.components, w) for v in vectors):
-                continue
-            vectors.append(TangentVector(base, w.copy()))
-            provenance.append(GeneratorProvenance(t0, pv.order, pv.recipe[0]))
+            if keep_new_direction(directions, w):
+                vectors.append(TangentVector(base, w.copy()))
+                provenance.append(GeneratorProvenance(t0, pv.order, pv.recipe[0]))
     return Cone(base, t, tuple(vectors), tuple(provenance))
 
 

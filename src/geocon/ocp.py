@@ -462,11 +462,11 @@ def _system_for_mode(sys, mode: str):
 def hamiltonian(lam, x, u, sys, mode: str = "reduced") -> float:
     """<lambda, f(x, u)>; the p0 * cost term participates in extended mode."""
     system = _system_for_mode(sys, mode)
-    lam = np.asarray(lam.components if isinstance(lam, Covector) else lam, dtype=float)
-    xv = np.asarray(x.coords if isinstance(x, Point) else x, dtype=float)
+    lam = np.asarray(lam.components if isinstance(lam, Covector) else lam, dtype=float).tolist()
+    xv = np.asarray(x.coords if isinstance(x, Point) else x, dtype=float).tolist()
     if len(lam) != len(system.variables) or len(xv) != len(system.variables):
         raise OcpError("covector/state dimension does not match the mode")
-    f = linearized_rhs(system, controls=[float(v) for v in u])(0.0, list(xv))
+    f = linearized_rhs(system, controls=[float(v) for v in u])(0.0, xv)
     return float(sum(li * fi for li, fi in zip(lam, f)))
 
 
@@ -474,20 +474,16 @@ def hamiltonian_control_gradient(lam, x, u, sys, mode: str = "reduced") -> np.nd
     """dH/du per control: <lambda, X_c(x)>, plus p0 dF/du_c in extended mode."""
     system = _system_for_mode(sys, mode)
     lam = np.asarray(lam.components if isinstance(lam, Covector) else lam, dtype=float)
-    xv = np.asarray(x.coords if isinstance(x, Point) else x, dtype=float)
+    xv = np.asarray(x.coords if isinstance(x, Point) else x, dtype=float).tolist()
     if mode == "reduced":
-        out = []
-        for vf in system.inputs:
-            vals = vf(list(xv))
-            out.append(float(np.dot(lam, np.asarray(vals, dtype=float))))
-        return np.asarray(out)
+        return np.asarray([float(np.dot(lam, np.asarray(vf(xv), dtype=float))) for vf in system.inputs])
     base = system.base
     p0, p = lam[0], lam[1:]
     xbase = xv[1:]
     grads = system.cost_control_gradient(xbase, [float(v) for v in u])
     out = []
     for c, vf in enumerate(base.inputs):
-        vals = np.asarray(vf(list(xbase)), dtype=float)
+        vals = np.asarray(vf(xbase), dtype=float)
         out.append(float(p0 * grads[c] + np.dot(p, vals)))
     return np.asarray(out)
 

@@ -84,7 +84,7 @@ def _rank(rows: list[np.ndarray]) -> int:
 
 
 def _value(vf: VectorField, x) -> np.ndarray:
-    return np.asarray(vf(list(x)), dtype=float)
+    return np.asarray(vf(x.tolist()), dtype=float)
 
 
 def primary_constraints(system) -> ConstraintLadder:

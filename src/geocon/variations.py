@@ -211,7 +211,8 @@ def _taylor_jets(curve, l_max: int) -> list[np.ndarray] | None:
 def zero_threshold(x) -> float:
     """1e-6 (1 + |x|): a jet, or a vector at base point x, no larger than
     this is zero."""
-    return 1e-6 * (1.0 + float(np.linalg.norm(np.vectorize(real_part)(_point_array(x)))))
+    arr = _point_array(x)  # derivative carriers are stripped from an object array only
+    return 1e-6 * (1.0 + float(np.linalg.norm(np.vectorize(real_part)(arr) if arr.dtype == object else arr)))
 
 
 def estimate_jets(curve: Callable, l_max: int) -> list[np.ndarray]:
@@ -430,14 +431,16 @@ def _control_grid(system, u_ref: np.ndarray) -> list[np.ndarray]:
     return grid
 
 
-def parallel(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether nonzero `a` and `b` point the same way: cosine within
-    PARALLEL_COS_TOL of one.  The duplicate test for perturbation vectors
-    and cone generators."""
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
+def keep_new_direction(kept: list, v: np.ndarray) -> bool:
+    """Append (v, |v|) to `kept`, a list of such pairs, unless v is zero or
+    points the way of a kept vector w: cosine within PARALLEL_COS_TOL of one,
+    ``np.dot(w, v) / (|w| |v|)``.  Each norm is computed once.  The duplicate
+    test for perturbation vectors and cone generators; True when v was kept."""
+    nv = np.linalg.norm(v)
+    if nv == 0.0 or any(float(np.dot(w, v) / (nw * nv)) >= 1.0 - PARALLEL_COS_TOL for w, nw in kept):
         return False
-    return float(np.dot(a, b) / (na * nb)) >= 1.0 - PARALLEL_COS_TOL
+    kept.append((v, nv))
+    return True
 
 
 def sample_perturbation_set(
@@ -451,7 +454,9 @@ def sample_perturbation_set(
     Order 1: needle vectors of rate 1 over a 3^k control grid around the
     reference control.  Order 2: commutator recipes of the reference slice
     against each input field (or against grid slices for extended
-    systems).  Vectors parallel to an earlier one are dropped, and at most
+    systems).  A vector parallel to an earlier one is dropped
+    (:func:`keep_new_direction`; needles and brackets at or below the zero
+    threshold are never built, so no zero vector arrives), and at most
     `budget` vectors are returned.
     """
     a, b_end = reference.interval
@@ -462,17 +467,14 @@ def sample_perturbation_set(
     grid = _control_grid(system, u_ref)
 
     out: list[PerturbationVector] = []
+    directions: list = []
 
     def push(pv):
-        if pv is None:
-            return
-        for kept in out:
-            if parallel(kept.vector.components, pv.vector.components):
-                return
-        out.append(pv)
+        if pv is not None and keep_new_direction(directions, pv.vector.components):
+            out.append(pv)
 
     for u1 in grid:
-        if np.allclose(u1, u_ref, rtol=0.0, atol=0.0):
+        if np.array_equal(u1, u_ref):
             continue
         push(needle_variation(system, u_ref, u1, 1.0, x, t0=t0))
         if len(out) >= budget:
@@ -483,7 +485,7 @@ def sample_perturbation_set(
         partners = [
             (system.slice_field(u1), f"commutator slice u={u1.tolist()}")
             for u1 in grid
-            if not np.allclose(u1, u_ref, rtol=0.0, atol=0.0)
+            if not np.array_equal(u1, u_ref)
         ]
     else:
         partners = [(vf, f"commutator input {c + 1}") for c, vf in enumerate(system.inputs)]

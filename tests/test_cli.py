@@ -437,7 +437,7 @@ LOAD_RULES = {
     "breaks align": ("martinet", put("reference", "controls", "breaks", [0.0, 0.5]), "/reference/controls"),
     "schedule type": ("martinet", put("reference", "controls", "type", "steps"), "/reference/controls/type"),
     "expressions exprs": ("martinet", put("reference", "controls", {"type": "expressions"}), "/reference/controls"),
-    "exprs expression": ("martinet", put("reference", "controls", {"type": "expressions", "exprs": ["t", "t +"]}), "/reference/controls/exprs"),
+    "exprs expression": ("martinet", put("reference", "controls", {"type": "expressions", "exprs": ["t", "t +"]}), "/reference/controls/exprs/1"),
     "exprs count": ("heisenberg", put("reference", "controls", {"type": "expressions", "exprs": ["t"]}), "/reference/controls/exprs"),
     "analysis key": ("martinet", put("analysis", "cone_time", 0.5), "/analysis"),
     "analysis value": ("martinet", put("analysis", "per_time_budget", 0), "/analysis/per_time_budget"),

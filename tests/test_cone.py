@@ -115,6 +115,7 @@ def test_assemble_single_time_identity_transport(martinet, martinet_reference):
     assert cone.time == 1.0
     assert all(p.t0 == 1.0 for p in cone.provenance)
     assert np.allclose(cone.base.coords, [0.0, 1.0, 0.0], atol=1e-12)
+    assert all(g.base is cone.base for g in cone.generators)  # so Cone skips its base check
 
 
 def test_assemble_constant_drift_leaves_generators_untouched():

@@ -24,7 +24,15 @@ from geocon.fields import (
     rk4_path,
     vector_field,
 )
-from geocon.ocp import OcpError, hamiltonian, hamilton_rhs, build_control_affine
+from geocon import pca
+from geocon.ocp import (
+    OcpError,
+    build_control_affine,
+    extend_system,
+    hamilton_rhs,
+    hamiltonian,
+    hamiltonian_control_gradient,
+)
 from geocon.variations import VariationError, end_time_variation, estimate_jets, variation_curve
 
 FIXTURES = Path(__file__).resolve().parents[1] / "scenarios"
@@ -135,6 +143,26 @@ def test_mode_validation(martinet):
     with pytest.raises(OcpError):
         # extended mode needs a cost attached
         hamiltonian([0.0] * 4, [0.0] * 4, (0.0, 1.0), martinet, "extended")
+
+
+def test_audit_and_ladder_point_values_fault_as_the_field_does():
+    # the state comes from a numpy array, but the helpers hand the generated
+    # code Python floats, so input 1/x at x = 0 raises as vf([0.0, ...]) does
+    # instead of giving inf with a RuntimeWarning
+    system = build_control_affine(("x", "y"), ["1", "0"], [["0", "1/x"]], [(-1.0, 1.0)])
+    extended = extend_system(system, "0.5*u1^2")
+    x, lam = np.array([0.0, 1.0]), np.array([0.0, 1.0])
+    x_ext, lam_ext = np.array([0.0, 0.0, 1.0]), np.array([-1.0, 0.0, 1.0])
+    faults = [
+        lambda: system.inputs[0]([0.0, 1.0]),
+        lambda: hamiltonian(lam, x, [0.5], system),
+        lambda: hamiltonian_control_gradient(lam, x, [0.5], system),
+        lambda: hamiltonian_control_gradient(lam_ext, x_ext, [0.5], extended, "extended"),
+        lambda: pca._value(system.inputs[0], x),
+    ]
+    for call in faults:
+        with pytest.raises(ZeroDivisionError):
+            call()
 
 
 def test_control_name_collision_rejected():
