@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -194,72 +194,54 @@ def _fd_jets(curve, l_max: int, s0: float) -> tuple[list[np.ndarray], np.ndarray
     return jets, ev(0.0), corrections
 
 
-def _taylor_jets(curve, l_max: int) -> list[np.ndarray] | None:
-    """Jets from one evaluation at a dual-seeded parameter, or None."""
-    try:
-        out = _point_array(curve(jet_seed(0.0, l_max)))
-    except (TypeError, AttributeError, ValueError):
-        return None
-    jets = []
-    for l in range(1, l_max + 1):
-        jets.append(
-            np.array([jet_coefficient(c, l, l_max) for c in out], dtype=float)
-        )
-    return jets
+def _taylor_jets(curve, l_max: int) -> list[np.ndarray]:
+    """Jets from one evaluation at a dual-seeded parameter."""
+    out = _point_array(curve(jet_seed(0.0, l_max)))
+    return [np.array([jet_coefficient(c, l, l_max) for c in out], dtype=float) for l in range(1, l_max + 1)]
 
 
 def zero_threshold(x) -> float:
     """1e-6 (1 + |x|): a jet, or a vector at base point x, no larger than
-    this is zero."""
-    arr = _point_array(x)  # derivative carriers are stripped from an object array only
-    return 1e-6 * (1.0 + float(np.linalg.norm(np.vectorize(real_part)(arr) if arr.dtype == object else arr)))
+    this is zero.  The norm is taken without overflow, so the threshold is
+    finite wherever |x| is."""
+    return 1e-6 * (1.0 + math.hypot(*map(real_part, _point_array(x))))
 
 
-def estimate_jets(curve: Callable, l_max: int) -> list[np.ndarray]:
-    """One-sided derivative estimates d^l curve / ds^l at 0 for l = 1..l_max.
+def _jets(curve: Callable, l_max: int, x=None) -> tuple[list[np.ndarray], int | None]:
+    """The jets d^l curve / ds^l at 0 for l = 1..l_max, by derivative
+    transport, and the first order whose jet is nonzero at base point `x`
+    (by default the curve at 0), or None when the curve is flat to `l_max`.
 
-    Runs both estimators whenever the curve accepts derivative-carrying
-    scalars and cross-checks every jet either of them puts above the zero
-    threshold of the curve's value at 0.
+    Both estimators run on every jet.  An order is nonzero when the
+    derivative transport clears the zero threshold, or the finite
+    differences clear it by more than their last Richardson correction (so a
+    truncation residue on a flat curve is no jet).  At every nonzero order
+    the two estimates must agree within AGREEMENT_REL_TOL times the larger
+    norm, else :class:`JetFragilityError`: a jet only one of them sees is a
+    disagreement, not a zero.
     """
     if l_max > MAX_ORDER:
         raise VariationError(f"jets supported up to order {MAX_ORDER}")
-    (fd, x0, _), taylor = _fd_jets(curve, l_max, DEFAULT_S0), _taylor_jets(curve, l_max)
-    if taylor is None:
-        return fd
-    floor = zero_threshold(x0)
-    for l, (a, b) in enumerate(zip(fd, taylor), start=1):
-        if max(float(np.linalg.norm(a)), float(np.linalg.norm(b))) > floor:
-            _check_agreement(l, a, b)
-    return taylor
+    (fd, x0, corrections), taylor = _fd_jets(curve, l_max, DEFAULT_S0), _taylor_jets(curve, l_max)
+    eps = zero_threshold(x0 if x is None else x)
+    order = None
+    for l, (a, b, c) in enumerate(zip(fd, taylor, corrections), start=1):
+        na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+        if nb > eps or na - c > eps:
+            if float(np.linalg.norm(a - b)) > AGREEMENT_REL_TOL * max(na, nb):
+                raise JetFragilityError(
+                    f"jet estimators disagree at order {l}: "
+                    f"finite differences {a.tolist()} vs derivative transport {b.tolist()}"
+                )
+            order = order or l
+    return taylor, order
 
 
-def _check_agreement(l: int, a: np.ndarray, b: np.ndarray):
-    """The cross-check: the order-l estimates may differ by at most
-    AGREEMENT_REL_TOL times the larger norm, else :class:`JetFragilityError`."""
-    scale = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
-    if float(np.linalg.norm(a - b)) > AGREEMENT_REL_TOL * scale:
-        raise JetFragilityError(
-            f"jet estimators disagree at order {l}: "
-            f"finite differences {a.tolist()} vs derivative transport {b.tolist()}"
-        )
-
-
-def _detect_order(curve, x: Point, l_max: int) -> tuple[int, np.ndarray] | None:
-    """(order, jet) of the first jet above the zero threshold at x, or None
-    when the curve is flat up to `l_max`."""
-    eps = zero_threshold(x)
-    (fd, _, corrections), taylor = _fd_jets(curve, l_max, DEFAULT_S0), _taylor_jets(curve, l_max)
-    for l in range(1, l_max + 1):
-        a = fd[l - 1]
-        b = taylor[l - 1] if taylor is not None else a
-        # once either estimator clears the threshold the two must agree; the
-        # finite differences clear it only by more than their last Richardson
-        # correction, so a truncation residue on a flat curve is no jet
-        if float(np.linalg.norm(b)) > eps or float(np.linalg.norm(a)) - corrections[l - 1] > eps:
-            _check_agreement(l, a, b)
-            return l, b
-    return None
+def estimate_jets(curve: Callable, l_max: int) -> list[np.ndarray]:
+    """One-sided derivative estimates d^l curve / ds^l at 0 for l = 1..l_max,
+    cross-checked as :func:`_jets` does.  The curve must accept
+    derivative-carrying scalars."""
+    return _jets(curve, l_max)[0]
 
 
 def order_and_vector(
@@ -271,7 +253,8 @@ def order_and_vector(
     l_max: int = MAX_ORDER,
     descriptor: str = "custom",
 ) -> PerturbationVector | None:
-    """Smallest order with a nonvanishing jet, packaged with its recipe.
+    """Smallest order with a nonvanishing jet at x (:func:`_jets`),
+    packaged with its recipe.
 
     Returns None when every jet up to `l_max` stays below the threshold
     (order infinity: the curve is flat to the tested order).
@@ -280,14 +263,14 @@ def order_and_vector(
     def curve(s):
         return variation_curve(xi0, seq, tau2, x, s, JET_STEP)
 
-    found = _detect_order(curve, x, l_max)
-    if found is None:
+    jets, order = _jets(curve, l_max, x)
+    if order is None:
         return None
     return PerturbationVector(
         base=x,
         time=t0,
-        order=found[0],
-        vector=TangentVector(x, found[1]),
+        order=order,
+        vector=TangentVector(x, jets[order - 1]),
         recipe=(descriptor, tau2),
         curve=curve,
     )
@@ -308,8 +291,9 @@ def needle_variation(
 ) -> PerturbationVector | None:
     """Pontryagin-style needle: flow back along the reference for l1*s, then
     along the u1-slice for l1*s.  Closed form l1 * (xi_u1 - xi_uref)(x); the
-    numerically estimated first jet must agree within 1e-6 (relative to the
-    closed form's norm, when that exceeds one).
+    first jet, found by :func:`order_and_vector`, must agree within 1e-6
+    (relative to the closed form's norm, when that exceeds one), and the
+    closed form is returned.
 
     Returns None when u1 produces the reference slice (degenerate needle).
     """
@@ -329,25 +313,14 @@ def needle_variation(
     closed = l1 * (v1 - v0)
     if float(np.linalg.norm(closed)) <= zero_threshold(x):
         return None
-    tau2 = _needle_schedule(l1)
-
-    def curve(sv):
-        return variation_curve(xi0, [xi1], tau2, x, sv, JET_STEP)
-
-    j1 = estimate_jets(curve, 1)[0]
-    scale = max(1.0, float(np.linalg.norm(closed)))
-    if float(np.linalg.norm(j1 - closed)) > 1e-6 * scale:
+    descriptor = f"needle u1={list(map(float, u1))} l1={l1}"
+    pv = order_and_vector(xi0, [xi1], _needle_schedule(l1), x, t0, 1, descriptor)
+    j1 = np.zeros_like(closed) if pv is None else pv.vector.components
+    if float(np.linalg.norm(j1 - closed)) > 1e-6 * max(1.0, float(np.linalg.norm(closed))):
         raise ConventionError(
             f"needle first jet {j1.tolist()} does not match the closed form {closed.tolist()}"
         )
-    return PerturbationVector(
-        base=x,
-        time=t0,
-        order=1,
-        vector=TangentVector(x, closed),
-        recipe=(f"needle u1={list(map(float, u1))} l1={l1}", tau2),
-        curve=curve,
-    )
+    return replace(pv, vector=TangentVector(x, closed))
 
 
 @functools.lru_cache(maxsize=64)

@@ -1,16 +1,17 @@
 """Differential tests: each exact scalar fast path against the numpy
 expression it replaced, which is kept here as the oracle."""
 
+import math
 import numbers
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geocon import pca
 from geocon.cone import Cone, ConeError, GeneratorProvenance
-from geocon.expr import Dual, real_part
+from geocon.expr import Dual
 from geocon.fields import Point, TangentVector, lie_bracket, linearized_rhs, rk4_path
 from geocon.ocp import extend_system, hamiltonian, hamiltonian_control_gradient
 from geocon.variations import PARALLEL_COS_TOL, keep_new_direction, zero_threshold
@@ -133,14 +134,21 @@ def test_ladder_point_values_match_the_float64_path(seed, m):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=1, max_size=7))
+@example([1.35e154]).via("overflowed the unscaled norm")
+@example([1e154, 1e154]).via("overflowed the unscaled norm")
+@example([1e200]).via("overflowed the unscaled norm")
 def test_zero_threshold_is_the_same_for_float_and_object_arrays(values):
     x = np.asarray(values, dtype=float)
     duals = np.empty(len(values), dtype=object)
     duals[:] = [Dual(Dual(v, 1.0), Dual(0.5, 0.0)) for v in values]
-    with np.errstate(over="ignore"):  # a norm past the float range is inf on both paths
-        before = 1e-6 * (1.0 + float(np.linalg.norm(np.vectorize(real_part)(x))))
-        for arg in [x, Point(x), list(values), x.astype(object), duals, Point(duals)]:
-            assert np.float64(zero_threshold(arg)).tobytes() == np.float64(before).tobytes()
+    threshold = zero_threshold(x)  # a RuntimeWarning fails the suite
+    for arg in [Point(x), list(values), x.astype(object), duals, Point(duals)]:
+        assert np.float64(zero_threshold(arg)).tobytes() == np.float64(threshold).tobytes()
+    big = float(np.max(np.abs(x)))  # the norm scaled by the largest entry does not overflow early
+    norm = big * float(np.linalg.norm(x / big)) if big > 0.0 else 0.0
+    if math.isfinite(norm):
+        assert math.isfinite(threshold)
+        assert threshold == pytest.approx(1e-6 * (1.0 + norm), rel=1e-14)
 
 
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 5e-324, 1.7976931348623157e308]

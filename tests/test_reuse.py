@@ -19,7 +19,7 @@ from geocon.expr import const, parse_expression
 from geocon.fields import VectorField, is_zero_field, lie_bracket, negate_field
 from geocon.ocp import build_control_affine, extend_system, integrate_trajectory, piecewise_schedule
 from geocon.pca import run_algorithm
-from geocon.variations import JetFragilityError, _detect_order, estimate_jets, sample_perturbation_set
+from geocon.variations import JetFragilityError, _jets, estimate_jets, sample_perturbation_set
 from tests.conftest import random_control_affine
 
 
@@ -166,4 +166,4 @@ def test_order_detection_raises_when_the_estimators_disagree():
     # also when only one estimator clears the threshold
     for curve in (_disagreeing_curve, _one_sided_curve):
         with pytest.raises(JetFragilityError, match="disagree at order 1: finite differences"):
-            _detect_order(curve, fields.as_point([0.0]), 2)
+            _jets(curve, 2, fields.as_point([0.0]))

@@ -1,8 +1,10 @@
 import importlib
 import inspect
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geocon.fields import as_point, eval_vector_field, lie_bracket, vector_field
 from geocon.ocp import build_control_affine
@@ -10,6 +12,7 @@ from geocon.variations import (
     KAPPA,
     ConventionError,
     VariationError,
+    _jets,
     bracket_variation,
     commutator_schedule,
     end_time_variation,
@@ -84,6 +87,33 @@ def test_estimate_jets_heisenberg_commutator():
     jets = estimate_jets(curve, 2)
     assert np.linalg.norm(jets[0]) <= 1e-6
     assert np.allclose(jets[1], [0.0, 0.0, 2.0], atol=1e-4)
+
+
+@pytest.mark.parametrize("l_max", [1, 2, 3, 4])
+def test_estimate_jets_calls_a_flat_curves_residue_zero(l_max):
+    # the order-1 finite difference of s^5 leaves a -1.6e-6 truncation residue
+    jets = estimate_jets(lambda s: np.array([s**5]), l_max)
+    assert [j.tolist() for j in jets] == [[0.0]] * l_max
+
+
+def test_a_curve_that_rejects_dual_parameters_raises():
+    with pytest.raises(TypeError):
+        estimate_jets(lambda s: np.array([math.sin(s)]), 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(0.01, 100.0) | st.floats(-100.0, -0.01),
+    st.integers(1, 5),
+    st.integers(1, 4),
+)
+def test_first_nonzero_jet_of_a_monomial_is_its_degree(c, k, l_max):
+    def curve(s):
+        return np.array([c * s**k])
+
+    assert _jets(curve, l_max, as_point([0.0]))[1] == (k if k <= l_max else None)
+    jets = estimate_jets(curve, l_max)
+    assert all(j.tolist() == [0.0] for l, j in enumerate(jets, start=1) if l != k)
 
 
 def test_order_and_vector_needle():
@@ -266,7 +296,7 @@ PARAMETERS = {
     "variations.bracket_variation": ["xi0", "zj", "x", "t0", "descriptor"],
     "variations.order_and_vector": ["xi0", "seq", "tau2", "x", "t0", "l_max", "descriptor"],
     "variations.estimate_jets": ["curve", "l_max"],
-    "variations._detect_order": ["curve", "x", "l_max"],
+    "variations._jets": ["curve", "l_max", "x"],
     "variations._fd_jets": ["curve", "l_max", "s0"],
     "mech.generator_families": ["system", "reference", "sample_time"],
 }
