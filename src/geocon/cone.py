@@ -6,14 +6,14 @@ queries over the generators equal support queries over their closed convex
 conic hull, which is all the necessary-condition audit consumes.  The
 linear programs are tiny and every one goes through `solve_lp_max`: one
 dense simplex (numpy, no external solver, no artificial columns) runs in
-float64 from the slack basis to find a basis, and exact integer arithmetic
-certifies it optimal with one fraction-free square solve for the primal
+float64, and exact integer arithmetic certifies the basis it ends on,
+whatever its outcome, with one fraction-free square solve for the primal
 point and one for the dual multipliers.  When the certificate fails
-(near-degenerate data), the same simplex runs over Fractions from the
-float basis, or from the slack basis when the float pass found none; a
-DEBUG line on the ``geocon.cone`` logger says which.  Either way answers
-are exact for the given floating-point generators, and ties break to the
-lexicographically maximal covector.
+(near-degenerate data), the same simplex runs over Fractions from that
+basis, and a DEBUG line on the ``geocon.cone`` logger names the float
+outcome and the reason.  Either way answers are exact for the given
+floating-point generators, and ties break to the lexicographically
+maximal covector.
 """
 
 from __future__ import annotations
@@ -127,9 +127,9 @@ def assemble_cone(
 
 
 # ---------------------------------------------------------------------------
-# Support LPs: one simplex, run in float64 from the slack basis to find a
-# basis, then exact integers certify that basis, and when the proof fails
-# the same simplex runs over Fractions from it (the verify and warm-start
+# Support LPs: one simplex, run in float64 to find a basis, then exact
+# integers certify the basis it ends on, and when the proof fails the same
+# simplex runs over Fractions from it (the verify and warm-start
 # steps of Applegate, Cook, Dash & Espinoza, "Exact solutions to linear
 # programming problems", Oper. Res. Lett. 35, 2007): dual simplex pivots to
 # primal feasibility, then Bland's primal simplex (maximization) to
@@ -144,7 +144,7 @@ _FLOAT_TOL = 1e-9
 
 
 class _NoCertificate(Exception):
-    """The float pass gave no basis, or its basis failed the exact proof."""
+    """The float pass's last basis failed the exact proof."""
 
 
 def _pivot(T, basis, row, col):
@@ -290,19 +290,15 @@ def solve_lp_max(c: Sequence[Fraction], A: Sequence[Sequence[Fraction]], b: Sequ
     """max c.x subject to A x <= b, x >= 0, exactly.
 
     Returns (feasible, x, value) with Fraction entries.  `_simplex` runs in
-    float64 from the slack basis to propose the optimal basis and
-    `_certify` proves it exactly; when the proof fails, `_simplex` runs
-    over Fractions from that basis, or from the slack basis when the float
-    pass found none.  The optimal value is unique, so it is the same
-    Fraction either way; x is an exact optimal vertex.
+    float64 to propose the optimal basis, and `_certify` proves the basis
+    it ends on exactly, whatever its outcome; when the proof fails,
+    `_simplex` runs over Fractions from that same basis.  The optimal value
+    is unique, so it is the same Fraction either way; x is an exact
+    optimal vertex.
     """
-    basis, start = (), "slack"
+    T, basis = _tableau(c, A, b, float)
+    float_outcome, _ = _simplex(T, basis, _FLOAT_TOL)
     try:
-        T, found = _tableau(c, A, b, float)
-        outcome, _ = _simplex(T, found, _FLOAT_TOL)
-        if outcome != "optimal":
-            raise _NoCertificate(f"{outcome} in float64")
-        basis, start = found, "float"
         return (True, *_certify(c, A, b, basis))
     except _NoCertificate as exc:
         reason = exc
@@ -311,8 +307,9 @@ def solve_lp_max(c: Sequence[Fraction], A: Sequence[Sequence[Fraction]], b: Sequ
     if outcome == "unbounded":
         raise ConeError("unbounded linear program (missing box constraints?)")
     log.debug(
-        "LP with %d rows x %d columns: exact certificate failed (%s); solved exactly from the %s basis in %d pivots",
-        len(A), len(c), reason, start, pivots,
+        "LP with %d rows x %d columns: exact certificate failed (%s; float pass %s); "
+        "solved exactly from the float basis in %d pivots",
+        len(A), len(c), reason, float_outcome, pivots,
     )
     if outcome == "infeasible":
         return False, None, None
@@ -396,39 +393,6 @@ def find_supporting_covector(cone: Cone, decrease_direction: TangentVector | Non
     pairings = [float(np.dot(lam_f, g.components)) for g in cone.generators]
     # the margin, when given, is an optimum over a polytope containing 0: never negative
     return SupportReport(Covector(cone.base, lam_f), max(pairings, default=0.0), margin, True)
-
-
-def cone_contains(cone: Cone, components, tol: float | None = None) -> bool:
-    """Membership of a vector in the closed conic hull of the generators.
-
-    Solves min-residual nonnegative combination as an exact LP and accepts
-    when the sup-norm residual stays within `tol` (default 1e-9 relative
-    to the vector's magnitude).
-    """
-    x = np.asarray(components, dtype=float)
-    if len(x) != cone.dim:
-        raise ConeError("vector dimension does not match the cone")
-    if tol is None:
-        tol = 1e-9 * (1.0 + float(np.linalg.norm(x)))
-    n = len(cone.generators)
-    gens = _fraction_rows(cone.generators)
-    xf = [F(float(v)) for v in x]
-    # variables: combination weights c_1..c_n >= 0 and the residual bound r
-    m = cone.dim
-    A, b = [], []
-    for j in range(m):
-        row_pos = [g[j] for g in gens] + [F(-1)]
-        A.append(row_pos)
-        b.append(xf[j])
-        row_neg = [-g[j] for g in gens] + [F(-1)]
-        A.append(row_neg)
-        b.append(-xf[j])
-    c_obj = [F(0)] * n + [F(-1)]
-    feasible, sol, value = solve_lp_max(c_obj, A, b)
-    if not feasible:
-        return False
-    residual = -value
-    return float(residual) <= tol
 
 
 def is_supporting(lam: Covector, cone: Cone) -> SupportCheck:

@@ -19,6 +19,7 @@ import numpy as np
 from .expr import Expr, const, evaluate, expr_sum, free_variables, mul, neg, parse_expression, var
 from .fields import VectorField, composite_flow, eval_vector_field, lie_bracket
 from .ocp import ControlAffineSystem, Trajectory, build_control_affine
+from .pca import _rank_of
 from .variations import JET_STEP, KAPPA, estimate_jets
 
 
@@ -220,7 +221,7 @@ def generator_families(
 
     # annihilators of the lifts cannot see the control part of the bracket
     _, s, vt = np.linalg.svd(np.stack(y_vals))
-    rank = int(np.sum(s > 1e-12 * s[0])) if s[0] > 0 else 0
+    rank = _rank_of(s)
     reduction_err = 0.0
     if rank < len(vt):
         gaps = [

@@ -84,6 +84,8 @@ class ControlSchedule:
                 raise OcpError("breaks and values must align and be nonempty")
             if any(b >= a for a, b in zip(self.breaks[1:], self.breaks[:-1])):
                 raise OcpError("breakpoints must increase strictly")
+            if len(set(map(len, self.values))) != 1:
+                raise OcpError("every control row must hold the same number of values")
 
     @property
     def k(self) -> int:
@@ -298,6 +300,8 @@ def build_control_affine(
         control_names = tuple(control_names)
         if len(control_names) != len(input_vfs):
             raise OcpError("one control name per input field required")
+        if len(set(control_names)) != len(control_names):
+            raise OcpError("control names must be distinct")
     overlap = set(control_names) & set(chart)
     if overlap:
         raise OcpError(f"control names collide with chart variables: {sorted(overlap)}")
@@ -396,6 +400,8 @@ def _flow(
     The integrator restarts at every control switch, so switches land
     exactly on steps; a piecewise control is held at its segment's value.
     """
+    if schedule.k != system.k:
+        raise OcpError(f"{schedule.k} controls for {system.k} inputs")
     pieces = schedule.segments((min(t0, t1), max(t0, t1)))
     if t1 < t0:
         pieces = [(b, a) for a, b in reversed(pieces)]

@@ -557,11 +557,11 @@ def certify_in_fractions(c, A, b, basis):
 
 
 def float_basis(c, A, b):
-    """The basis the float64 pass of solve_lp_max ends on, or None when it
-    finds no optimum."""
+    """The basis the float64 pass of solve_lp_max ends on, whatever its
+    outcome."""
     T, basis = cone_module._tableau(c, A, b, float)
-    outcome, _ = cone_module._simplex(T, basis, cone_module._FLOAT_TOL)
-    return basis if outcome == "optimal" else None
+    cone_module._simplex(T, basis, cone_module._FLOAT_TOL)
+    return basis
 
 
 def exact_simplex(c, A, b, basis=()):
@@ -578,12 +578,10 @@ def exact_simplex(c, A, b, basis=()):
 
 
 def candidate_bases(lp, rng):
-    """The float basis when there is one, and that basis with one column
-    swapped for another (mostly not optimal, often not a basis)."""
+    """The float basis, and that basis with one column swapped for another
+    (mostly not optimal, often not a basis)."""
     c, A, b = lp
     basis = float_basis(c, A, b)
-    if basis is None:
-        return []
     out = [basis]
     for _ in range(3):
         other = list(basis)
@@ -708,8 +706,9 @@ def test_exact_pivots_from_any_basis_match_the_two_phase_simplex(seed, m, n, rou
 
 def test_polar_connection_cone_pivots_from_the_float_basis(caplog, capsys):
     # both support LPs that fail the certificate on polar_connection pivot
-    # exactly from the float basis; starting every LP from the slack basis
-    # gives the same report
+    # exactly from the float basis; a float pass that stops at once leaves
+    # the slack basis, which is certified and, failing that, pivoted from
+    # as the float basis, and gives the same report
     from geocon.cli import main
 
     path = str(Path(__file__).resolve().parents[1] / "scenarios" / "polar_connection.json")
@@ -722,26 +721,52 @@ def test_polar_connection_cone_pivots_from_the_float_basis(caplog, capsys):
 
     real = cone_module._simplex
 
-    def no_float_basis(T, basis, tol):
+    def no_float_pivots(T, basis, tol):
         return ("iteration cap", 0) if tol else real(T, basis, tol)
 
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="geocon.cone"):
-        with mock.patch.object(cone_module, "_simplex", no_float_basis):
+        with mock.patch.object(cone_module, "_simplex", no_float_pivots):
             assert main(["cone", path]) == 0
     assert capsys.readouterr().out == warm
     messages = [r.getMessage() for r in caplog.records if r.name == "geocon.cone"]
-    assert messages and all("from the slack basis" in msg for msg in messages)
+    assert messages and all("float pass iteration cap" in msg and "from the float basis" in msg for msg in messages)
 
 
-@pytest.mark.parametrize("m, fallbacks", [(7, 0), (8, 0), (9, 0), (10, 0)])
-def test_probe_systems_support_starts_no_lp_from_the_slack_basis(caplog, m, fallbacks):
+def test_a_float_basis_is_certified_whatever_the_float_outcome(caplog, capsys):
+    # the float pass runs in full but reports "iteration cap": its last
+    # basis is still certified, so martinet's LPs, which all certify, need
+    # no exact pass and the report is the same
+    from geocon.cli import main
+
+    path = str(Path(__file__).resolve().parents[1] / "scenarios" / "martinet.json")
+    assert main(["cone", path]) == 0
+    report = capsys.readouterr().out
+    real = cone_module._simplex
+
+    def capped(T, basis, tol):
+        outcome = real(T, basis, tol)
+        return ("iteration cap", outcome[1]) if tol else outcome
+
+    with caplog.at_level(logging.DEBUG, logger="geocon.cone"):
+        with mock.patch.object(cone_module, "_simplex", capped):
+            assert main(["cone", path]) == 0
+    assert capsys.readouterr().out == report
+    assert not [r for r in caplog.records if r.name == "geocon.cone"]
+
+
+@pytest.mark.parametrize(
+    "m, passes, pivots", [(7, 0, 0), (8, 0, 0), (9, 0, 0), (10, 0, 0), (13, 2, 18), (14, 2, 3), (16, 1, 15)]
+)
+def test_probe_systems_support_exact_passes_and_pivots(caplog, m, passes, pivots):
     # one system per m drawn as the perfbench sweep panel draws them (panel
     # seed 0, k = 2, switch at 0.4, sample times 0.25..1.0, budget 16), past
     # the sweep's m <= 6: their support LPs are degenerate with optimum 0.
-    # The float pass certifies every one of them (the fallback counts are
-    # the ones observed), and no LP falls back to exact pivots from the
-    # slack basis; the report was recorded with the cold two-phase simplex
+    # The float pass certifies every LP up to m = 10; at m = 13, 14 and 16
+    # some float passes end infeasible or fail the certificate, and the
+    # exact passes, each from the basis its float pass ended on, take the
+    # pinned (observed) pivot totals.  The report was recorded with the cold
+    # two-phase simplex
     from tests.conftest import random_control_affine
     from geocon.ocp import integrate_trajectory, piecewise_schedule
 
@@ -754,6 +779,7 @@ def test_probe_systems_support_starts_no_lp_from_the_slack_basis(caplog, m, fall
     with caplog.at_level(logging.DEBUG, logger="geocon.cone"):
         report = find_supporting_covector(cone)
     messages = [r.getMessage() for r in caplog.records if r.name == "geocon.cone"]
-    assert not any("from the slack basis" in msg for msg in messages)
-    assert len(messages) == fallbacks
+    assert all("from the float basis" in msg for msg in messages)
+    assert len(messages) == passes
+    assert sum(int(msg.rsplit(" in ", 1)[1].split()[0]) for msg in messages) == pivots
     assert report == SupportReport(None, None, None, False)

@@ -63,6 +63,28 @@ def test_extend_rejects_reserved_name():
         extend_system(sys, "1")
 
 
+def test_build_rejects_repeated_control_names():
+    # with both inputs named u the flow would read one control for both
+    with pytest.raises(OcpError, match="control names must be distinct"):
+        build_control_affine(("x", "y"), ["0", "0"], [["1", "0"], ["0", "1"]], [(-1, 1)] * 2, ("u", "u"))
+
+
+def test_piecewise_rows_must_match_each_other_and_the_system():
+    sys = build_control_affine(("x", "y"), ["0", "0"], [["1", "0"], ["0", "1"]], [(-1, 1)] * 2)
+    with pytest.raises(OcpError, match="same number of values"):
+        piecewise_schedule([0.0, 0.5], [[1.0, 0.0], [1.0]])
+    # every flow (trajectory, biextremal, transport) refuses a third control
+    wide = piecewise_schedule([0.0], [[1.0, 0.0, 5.0]])
+    with pytest.raises(OcpError, match="3 controls for 2 inputs"):
+        integrate_trajectory(sys, [0.0, 0.0], wide, (0.0, 1.0))
+    with pytest.raises(OcpError, match="3 controls for 2 inputs"):
+        integrate_biextremal(sys, [0.0, 0.0], [1.0, 0.0], wide, (0.0, 1.0), "reduced")
+    ref = integrate_trajectory(sys, [0.0, 0.0], piecewise_schedule([0.0], [[1.0, 0.0]]), (0.0, 1.0))
+    narrow = Trajectory(ref.interval, ref.ts, ref.xs, expression_schedule(["1"]))
+    with pytest.raises(OcpError, match="1 controls for 2 inputs"):
+        transport_vector(sys, narrow, 0.5, 1.0, [TangentVector(ref.point_at(0.5), np.array([1.0, 0.0]))])
+
+
 def test_hamiltonian_martinet_annihilator(martinet):
     H = hamiltonian([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], (0.0, 1.0), martinet, "reduced")
     assert H == 0.0
