@@ -54,7 +54,7 @@ def main():
         f"{support.covector.components} (max pairing {support.max_pairing:.3e})"
     )
 
-    audit = audit_necessary_conditions(bx, cone, sys_, "reduced")
+    audit = audit_necessary_conditions(bx, cone, sys_)
     for cond in audit.conditions:
         print(f"  [{'pass' if cond.passed else 'FAIL'}] {cond.id}: {cond.detail}")
 

@@ -180,9 +180,6 @@ def load_scenario(path: str) -> Scenario:
         a, b = interval = tuple(map(float, ref["interval"]))
         if not a < b:
             raise ScenarioError("/reference/interval: must run forward")
-        for i, t in enumerate(data.get("analysis", {}).get("sample_times", ())):
-            if not a < t <= b:
-                raise ScenarioError(f"/analysis/sample_times/{i}: {t} is outside the reference interval ({a}, {b}]")
         step = float(ref.get("step", step))
         if ctrl["type"] == "expressions":
             exprs = _parse(ctrl["exprs"], ("t",), "/reference/controls/exprs")
@@ -191,6 +188,12 @@ def load_scenario(path: str) -> Scenario:
             raise ScenarioError("/reference/controls/values: one value per control required")
         else:
             schedule = _at("/reference/controls", piecewise_schedule, ctrl["breaks"], ctrl["values"])
+        switches = schedule.interior_breakpoints(interval)
+        for i, t in enumerate(data.get("analysis", {}).get("sample_times", ())):
+            if not a < t <= b:
+                raise ScenarioError(f"/analysis/sample_times/{i}: {t} is outside the reference interval ({a}, {b}]")
+            if any(abs(t - s) <= 1e-12 for s in switches):  # the rule of cone.assemble_cone and pca
+                raise ScenarioError(f"/analysis/sample_times/{i}: {t} sits on a control switch")
     analysis = {"per_time_budget": 16, "max_levels": 6, "hamiltonian_grid_check": False, "tolerances": {},
                 **data.get("analysis", {})}
     if interval is not None and "sample_times" not in analysis:
@@ -317,12 +320,13 @@ def cmd_variation(scenario: Scenario, args) -> tuple[int, str]:
     return 0, _csv(["s", *scenario.chart], rows)
 
 
-def _cone_for(scenario: Scenario, args, mode: str):
+def _cone_for(scenario: Scenario, args, mode: str, reference):
+    """The cone at --time along `reference`, the trajectory of the mode's system."""
     t = args.time
     times = [t0 for t0 in scenario.analysis["sample_times"] if t0 <= t] or [t]
     return assemble_cone(
         scenario.for_mode(mode)[0],
-        _reference(scenario, args.step, mode),
+        reference,
         t,
         times,
         per_time_budget=scenario.analysis["per_time_budget"],
@@ -340,7 +344,7 @@ def _support_block(support) -> dict:
 
 
 def cmd_cone(scenario: Scenario, args) -> tuple[int, dict]:
-    cone = _cone_for(scenario, args, "reduced")
+    cone = _cone_for(scenario, args, "reduced", _reference(scenario, args.step))
     support = find_supporting_covector(cone)
     results = {
         "time": cone.time,
@@ -354,7 +358,7 @@ def cmd_cone(scenario: Scenario, args) -> tuple[int, dict]:
     if scenario.extended is not None:
         # on the cost-augmented chart the decrease direction is -d/dx0 and
         # the separating margin equals -lambda0 of the reported covector
-        ext_cone = _cone_for(scenario, args, "extended")
+        ext_cone = _cone_for(scenario, args, "extended", _reference(scenario, args.step, "extended"))
         d = np.zeros(ext_cone.dim)
         d[0] = -1.0
         ext_support = find_supporting_covector(ext_cone, TangentVector(ext_cone.base, d))
@@ -452,10 +456,11 @@ def cmd_extremal(scenario: Scenario, args) -> tuple[int, dict]:
             float(np.max(np.linalg.norm(bx.momenta, axis=1))),
         ],
     }
-    idx = np.linspace(0, len(bx.momentum_ts) - 1, min(21, len(bx.momentum_ts))).astype(int)
+    ts = bx.trajectory.ts
+    idx = np.linspace(0, len(ts) - 1, min(21, len(ts))).astype(int)
     results["samples"] = [
         {
-            "t": float(bx.momentum_ts[i]),
+            "t": float(ts[i]),
             "state": bx.trajectory.xs[i],
             "momentum": bx.momenta[i],
         }
@@ -485,13 +490,12 @@ def cmd_audit(scenario: Scenario, args) -> tuple[int, dict]:
     lam0 = _parse_covector(args.covector)
     mode = _mode_for_covector(scenario, lam0)
     bx = _integrate_candidate(scenario, lam0, mode, args.step)
-    cone = _cone_for(scenario, args, mode)
+    cone = _cone_for(scenario, args, mode, bx.trajectory)
     tol = scenario.analysis["tolerances"].get("stationarity", 1e-8)
     report_data = audit_necessary_conditions(
         bx,
         cone,
         scenario.for_mode(mode)[0],
-        mode,
         stationarity_tol=tol,
         hamiltonian_grid_check=scenario.analysis["hamiltonian_grid_check"],
     )

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -214,29 +213,10 @@ def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
 
     The two product groups are assembled in the same node order for (a, b)
     and (b, a), which makes antisymmetry exact in floating point as well.
-    Each bracket is built once and kept on `a`, keyed by ``id(b)``.  The
-    entry holds `b` weakly, so brackets form no reference cycles, and is
-    dropped when `b` dies; an entry whose `b` is dead is a miss.
+    Each call builds a new field; nothing is kept on `a` or `b`.
     """
     if a.variables != b.variables:
         raise FieldError("bracket of fields on different charts")
-    cache = a.__dict__.setdefault("_brackets", {})
-    entry = cache.get(id(b))
-    if entry is None or entry[0]() is not b:
-        dropped = functools.partial(_drop_bracket, weakref.ref(a), id(b))
-        entry = cache[id(b)] = (weakref.ref(b, dropped), _bracket(a, b))
-    return entry[1]
-
-
-def _drop_bracket(owner, key, dead):
-    """Weakref callback: pop `owner`'s entry `key` if `dead` still holds it.
-    It holds `owner` weakly, or it would close the cycle it avoids."""
-    cache = getattr(owner(), "__dict__", {}).get("_brackets", {})
-    if cache.get(key, (None,))[0] is dead:
-        del cache[key]
-
-
-def _bracket(a: VectorField, b: VectorField) -> VectorField:
     da = a.jacobian()
     db = b.jacobian()
     comps = []

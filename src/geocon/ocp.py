@@ -218,10 +218,6 @@ class ControlAffineSystem:
         tells the two kinds apart."""
         return self
 
-    @property
-    def contains_zero(self) -> bool:
-        return all(lo < 0.0 < hi for lo, hi in self.control_box)
-
     def slice_field(self, u: Sequence[float]) -> VectorField:
         """The ordinary field drift + sum_c u^c X_c (:func:`_held_slice`)."""
         u = tuple(float(v) for v in u)
@@ -412,24 +408,27 @@ def _flow(
     return state
 
 
-def _landing_recorder(ts: list, states: list):
-    """record(t, state) for rk4_path that appends to `ts`/`states`.
+def _recorded_flow(system, schedule, interval, state: list, step: float, covectors: int = 0, check=None):
+    """(ts, states): `state` at interval[0] and after every step of its
+    :func:`_flow` to interval[1], each checked by `check(t, state)` when given.
 
     The trailing partial step can land a rounding residue behind the last
     full step; the landing point is authoritative, so it replaces that one.
     """
+    a, b = interval
+    ts, states = [a], [list(state)]
 
-    def record(t, state):
-        if t <= ts[-1]:
-            if t == ts[-1] and state == states[-1]:
-                return
-            ts[-1] = max(t, ts[-1])
-            states[-1] = list(state)
-            return
-        ts.append(t)
-        states.append(list(state))
+    def record(t, s):
+        if check is not None:
+            check(t, s)
+        if t > ts[-1]:
+            ts.append(t)
+            states.append(list(s))
+        elif t < ts[-1] or s != states[-1]:
+            states[-1] = list(s)
 
-    return record
+    _flow(system, schedule, a, b, state, step, covectors=covectors, record=record)
+    return ts, states
 
 
 def integrate_trajectory(
@@ -444,9 +443,7 @@ def integrate_trajectory(
     a, b = float(interval[0]), float(interval[1])
     if b < a:
         raise OcpError("interval must run forward")
-    x = [float(v) for v in np.asarray(x0, dtype=float)]
-    ts, xs = [a], [list(x)]
-    _flow(system, schedule, a, b, x, step, record=_landing_recorder(ts, xs))
+    ts, xs = _recorded_flow(system, schedule, (a, b), [float(v) for v in np.asarray(x0, dtype=float)], step)
     return Trajectory((a, b), np.asarray(ts), np.asarray(xs), schedule)
 
 
@@ -455,33 +452,21 @@ def integrate_trajectory(
 # ---------------------------------------------------------------------------
 
 
-def _system_for_mode(sys, mode: str):
-    if mode not in ("reduced", "extended"):
-        raise OcpError(f"mode must be 'reduced' or 'extended', got {mode!r}")
-    if mode == "reduced":
-        return sys.base
-    if sys is sys.base:
-        raise OcpError("extended mode needs an ExtendedSystem (attach a cost)")
-    return sys
-
-
-def hamiltonian(lam, x, u, sys, mode: str = "reduced") -> float:
-    """<lambda, f(x, u)>; the p0 * cost term participates in extended mode."""
-    system = _system_for_mode(sys, mode)
+def hamiltonian(lam, x, u, system) -> float:
+    """<lambda, f(x, u)>; the p0 * cost term participates for an ExtendedSystem."""
     lam = np.asarray(lam.components if isinstance(lam, Covector) else lam, dtype=float).tolist()
     xv = np.asarray(x.coords if isinstance(x, Point) else x, dtype=float).tolist()
     if len(lam) != len(system.variables) or len(xv) != len(system.variables):
-        raise OcpError("covector/state dimension does not match the mode")
+        raise OcpError("covector/state dimension does not match the system")
     f = linearized_rhs(system, controls=[float(v) for v in u])(0.0, xv)
     return float(sum(li * fi for li, fi in zip(lam, f)))
 
 
-def hamiltonian_control_gradient(lam, x, u, sys, mode: str = "reduced") -> np.ndarray:
-    """dH/du per control: <lambda, X_c(x)>, plus p0 dF/du_c in extended mode."""
-    system = _system_for_mode(sys, mode)
+def hamiltonian_control_gradient(lam, x, u, system) -> np.ndarray:
+    """dH/du per control: <lambda, X_c(x)>, plus p0 dF/du_c for an ExtendedSystem."""
     lam = np.asarray(lam.components if isinstance(lam, Covector) else lam, dtype=float)
     xv = np.asarray(x.coords if isinstance(x, Point) else x, dtype=float).tolist()
-    if mode == "reduced":
+    if system is system.base:
         return np.asarray([float(np.dot(lam, np.asarray(vf(xv), dtype=float))) for vf in system.inputs])
     base = system.base
     p0, p = lam[0], lam[1:]
@@ -494,21 +479,20 @@ def hamiltonian_control_gradient(lam, x, u, sys, mode: str = "reduced") -> np.nd
     return np.asarray(out)
 
 
-def hamilton_rhs(x, lam, u, sys, mode: str = "reduced"):
+def hamilton_rhs(x, lam, u, system):
     """Right-hand side of Hamilton's equations at fixed control value.
 
     dx/dt = f(x, u) and dlambda/dt = -(df/dx)^T lambda, the cotangent lift.
     With the symplectic form written dx^i ^ dp_i these are exactly
-    dx/dt = dH/dp, dp/dt = -dH/dx for H = <lambda, f>.  In extended mode
+    dx/dt = dH/dp, dp/dt = -dH/dx for H = <lambda, f>.  On an ExtendedSystem
     the cost coordinate is first and dp0/dt vanishes structurally (nothing
     depends on x0).
     """
-    system = _system_for_mode(sys, mode)
     xv = np.asarray(x.coords if isinstance(x, Point) else x, dtype=float).tolist()
     lv = np.asarray(lam.components if isinstance(lam, Covector) else lam, dtype=float).tolist()
     n = len(system.variables)
     if len(xv) != n or len(lv) != n:
-        raise OcpError("state/momentum dimension does not match the mode")
+        raise OcpError("state/momentum dimension does not match the system")
     rhs = linearized_rhs(system, covectors=1, controls=[float(v) for v in u])
     out = rhs(0.0, xv + lv)
     return np.asarray(out[:n]), np.asarray(out[n:])
@@ -522,13 +506,12 @@ def hamilton_rhs(x, lam, u, sys, mode: str = "reduced"):
 @dataclass(frozen=True, eq=False)
 class Biextremal:
     trajectory: Trajectory
-    momentum_ts: np.ndarray
-    momenta: np.ndarray  # row i pairs with momentum_ts[i]
+    momenta: np.ndarray  # row i pairs with trajectory.ts[i]
     mode: str
     lambda0: float | None  # p0 in extended mode, None in reduced mode
 
     def covector_at(self, t: float) -> Covector:
-        return Covector(self.trajectory.point_at(t), _interpolate(self.momentum_ts, self.momenta, t))
+        return Covector(self.trajectory.point_at(t), _interpolate(self.trajectory.ts, self.momenta, t))
 
 
 def integrate_biextremal(
@@ -546,7 +529,11 @@ def integrate_biextremal(
     times so those land exactly on samples.  A momentum norm below 1e-12
     anywhere raises :class:`DegenerateMomentumError`.
     """
-    system = _system_for_mode(sys, mode)
+    if mode not in ("reduced", "extended"):
+        raise OcpError(f"mode must be 'reduced' or 'extended', got {mode!r}")
+    if mode == "extended" and sys is sys.base:
+        raise OcpError("extended mode needs an ExtendedSystem (attach a cost)")
+    system = sys if mode == "extended" else sys.base
     n = len(system.variables)
     lam0 = np.asarray(lam0, dtype=float)
     x0 = np.asarray(x0, dtype=float)
@@ -556,17 +543,12 @@ def integrate_biextremal(
         raise DegenerateMomentumError(float(interval[0]), float(np.linalg.norm(lam0)))
     a, b = float(interval[0]), float(interval[1])
 
-    ts = [a]
-    states = [x0.tolist() + lam0.tolist()]
-    merge = _landing_recorder(ts, states)
-
-    def record(t, state):
+    def check(t, state):
         lam_norm = math.sqrt(sum(v * v for v in state[n:]))
         if lam_norm < 1e-12:
             raise DegenerateMomentumError(t, lam_norm)
-        merge(t, state)
 
-    _flow(system, schedule, a, b, states[0], step, covectors=1, record=record)
+    ts, states = _recorded_flow(system, schedule, (a, b), x0.tolist() + lam0.tolist(), step, covectors=1, check=check)
     arr = np.asarray(states)
     traj = Trajectory((a, b), np.asarray(ts), arr[:, :n], schedule)
     momenta = arr[:, n:]
@@ -579,7 +561,7 @@ def integrate_biextremal(
             )
         if lambda0 > 1e-12:
             raise InvariantViolationError(f"cost multiplier must be <= 0, got {lambda0}")
-    return Biextremal(traj, np.asarray(ts), momenta, mode, lambda0)
+    return Biextremal(traj, momenta, mode, lambda0)
 
 
 # ---------------------------------------------------------------------------
@@ -697,18 +679,13 @@ def search_normal_lift(
     # each moved as a covector by the adjoint equation
     state = [0.0] + [float(v) for v in reference.xs[0]]
     state += [1.0 if i == c else 0.0 for c in range(n) for i in range(n)]
-    recorded: list[tuple[float, list]] = [(a, list(state))]
+    ts, states = _recorded_flow(ext, schedule, (a, b), state, step, covectors=n)
 
-    def record(t, s):
-        recorded.append((t, list(s)))
-
-    _flow(ext, schedule, a, b, state, step, covectors=n, record=record)
-
-    rts = np.asarray([t for t, _ in recorded])
+    rts = np.asarray(ts)
     rows = []
     for t in np.linspace(a, b, sample_count):
         i = int(np.argmin(np.abs(rts - t)))
-        st = recorded[i][1]
+        st = states[i]
         # Psi^T: row c is column c of Psi, in Fortran order like a transposed Psi
         psi_t = np.asfortranarray(np.asarray(st[n:]).reshape(n, n))
         xbase = st[1:n]
@@ -800,7 +777,6 @@ def audit_necessary_conditions(
     bx: Biextremal,
     cone,
     sys,
-    mode: str = "reduced",
     stationarity_tol: float = 1e-8,
     hamiltonian_grid_check: bool = False,
 ) -> AuditReport:
@@ -809,25 +785,26 @@ def audit_necessary_conditions(
     Checks Hamiltonian constancy, pointwise stationarity in the controls,
     the supporting-hyperplane condition against `cone` (skipped when no cone
     is supplied), momentum nonvanishing, and constancy/sign of the cost
-    multiplier (extended mode).
+    multiplier (extended mode).  `sys` is the reduced system or its
+    ExtendedSystem; the audit runs on the one of the biextremal's mode.
     """
     from .cone import is_supporting  # local import keeps the module graph acyclic
 
-    system = _system_for_mode(sys, mode)
+    system = sys if bx.mode == "extended" else sys.base
     traj = bx.trajectory
-    idx = _decimate(bx.momentum_ts)
-    ts = bx.momentum_ts[idx]
+    idx = _decimate(traj.ts)
+    ts = traj.ts[idx]
     xs = traj.xs[idx]
     lams = bx.momenta[idx]
     us = [traj.control_at(float(t)) for t in ts]
 
-    H_vals = np.asarray([hamiltonian(lam, x, u, sys, mode) for lam, x, u in zip(lams, xs, us)])
+    H_vals = np.asarray([hamiltonian(lam, x, u, system) for lam, x, u in zip(lams, xs, us)])
     tol_H = 1e-8 * (1.0 + abs(float(H_vals[0])))
     drift = float(np.max(np.abs(H_vals - H_vals[0])))
     conditions = [AuditCondition("H-constant", "Hamiltonian constant along the biextremal", drift <= tol_H,
                                  {"drift": drift, "tolerance": tol_H, "H_initial": float(H_vals[0])})]
 
-    grads = [hamiltonian_control_gradient(lam, x, u, sys, mode) for lam, x, u in zip(lams, xs, us)]
+    grads = [hamiltonian_control_gradient(lam, x, u, system) for lam, x, u in zip(lams, xs, us)]
     worst_stat = 0.0
     for g in grads:
         worst_stat = max(worst_stat, float(np.max(np.abs(g))) if len(g) else 0.0)
@@ -849,7 +826,7 @@ def audit_necessary_conditions(
                                      {"min_norm": min_norm}))
 
     what = "cost multiplier constant and nonpositive"
-    if mode == "extended":
+    if bx.mode == "extended":
         p0 = bx.momenta[:, 0]
         drift0 = float(np.max(np.abs(p0 - p0[0])))
         conditions.append(AuditCondition("lambda0", what, drift0 <= 1e-15 and p0[0] <= 1e-12,
@@ -860,7 +837,7 @@ def audit_necessary_conditions(
 
     if hamiltonian_grid_check and system.k > 0:
         worst = -math.inf
-        if mode == "reduced":
+        if bx.mode == "reduced":
             # H is affine in u with slope phi = dH/du, so its excess over the
             # box is sum_c max(lo_c phi_c, hi_c phi_c) - u_c phi_c, exactly;
             # a zero slope adds nothing, whatever its bounds
@@ -874,7 +851,7 @@ def audit_necessary_conditions(
             for i in range(0, len(ts), max(1, len(ts) // 20)):
                 H_ref = float(H_vals[i])
                 for w in grid:
-                    Hw = hamiltonian(lams[i], xs[i], w, sys, mode)
+                    Hw = hamiltonian(lams[i], xs[i], w, system)
                     worst = max(worst, Hw - H_ref)
         conditions.append(AuditCondition("grid-maximum", what, worst <= 1e-8, {"max_excess": worst}))
 

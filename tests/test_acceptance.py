@@ -166,7 +166,7 @@ def test_criterion_4_ladder_derivative_identity():
         bx = integrate_biextremal(sys, x0, lam0, sched, (0.0, 0.5), "reduced", 1e-3)
         Z = random_polynomial_field(rng, sys.variables)
         br = lie_bracket(sys.slice_field(u), Z)
-        ts, xs, lams = bx.momentum_ts, bx.trajectory.xs, bx.momenta
+        ts, xs, lams = bx.trajectory.ts, bx.trajectory.xs, bx.momenta
         g = np.array(
             [float(np.dot(lams[i], np.asarray(Z(list(xs[i]))))) for i in range(len(ts))]
         )
@@ -313,7 +313,7 @@ def test_criterion_9_numerics_hygiene():
     bx = integrate_biextremal(sys, [0.4, -0.2], [0.3, 0.7], sched, (0.0, 1.0), "reduced", 1e-3)
     H = [
         hamiltonian(bx.momenta[i], bx.trajectory.xs[i], (), sys)
-        for i in range(0, len(bx.momentum_ts), 25)
+        for i in range(0, len(bx.trajectory.ts), 25)
     ]
     drift = max(abs(h - H[0]) for h in H)
 

@@ -357,6 +357,25 @@ def test_a_half_bounded_control_box_keeps_the_needles_inside(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_audit_builds_its_cone_along_the_biextremal(tmp_path, monkeypatch):
+    # the biextremal's state rows are the reference trajectory, so audit
+    # integrates no reference of its own
+    from geocon import cli
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate_trajectory(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate_trajectory", counted)
+    for covector in ("0,0,1", "0,0,0,1", "-1,0,0,1"):
+        out = tmp_path / f"{covector}.json"
+        assert main(["audit", str(SCENARIOS / "martinet.json"), f"--covector={covector}", "--out", str(out)]) in (0, 2)
+        assert json.loads(out.read_text())["results"]["conditions"]
+    assert calls == []
+
+
 def test_pca_evaluates_no_field_after_the_ladder(tmp_path, monkeypatch):
     # the annihilators come from the generator values the ladder keeps
     from geocon import cli
@@ -399,6 +418,11 @@ def put(*path_and_value):
             doc[path[-1]] = value
 
     return damage
+
+
+def combined(*damages):
+    """A damage that applies `damages` in order."""
+    return lambda doc: [damage(doc) for damage in damages]
 
 
 FLAT_MECHANICS = json.loads((SCENARIOS / "flat_connection.json").read_text())["mechanics"]
@@ -450,6 +474,9 @@ LOAD_RULES = {
     "time before": ("heisenberg", put("analysis", "sample_times", [-5.0, 0.5]), "/analysis/sample_times/0"),
     "time at start": ("martinet", put("analysis", "sample_times", [0.5, 0.0]), "/analysis/sample_times/1"),
     "time after": ("flat_connection", put("analysis", "sample_times", [0.25, 1.0, 1.5]), "/analysis/sample_times/2"),
+    "time on a switch": ("martinet", combined(put("reference", "controls", "breaks", [0.0, 0.5]),
+                                          put("reference", "controls", "values", [[0, 1], [1, 0]]),
+                                          put("analysis", "sample_times", [0.25, 0.5])), "/analysis/sample_times/1"),
 }
 
 

@@ -32,6 +32,8 @@ from geocon.ocp import (
     hamilton_rhs,
     hamiltonian,
     hamiltonian_control_gradient,
+    integrate_biextremal,
+    piecewise_schedule,
 )
 from geocon.variations import VariationError, end_time_variation, estimate_jets, variation_curve
 
@@ -138,11 +140,11 @@ def test_hamiltonian_dimension_mismatch(martinet):
 
 
 def test_mode_validation(martinet):
-    with pytest.raises(OcpError):
-        hamiltonian([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], (0.0, 1.0), martinet, "weird")
-    with pytest.raises(OcpError):
-        # extended mode needs a cost attached
-        hamiltonian([0.0] * 4, [0.0] * 4, (0.0, 1.0), martinet, "extended")
+    sched = piecewise_schedule([0.0], [[0.0, 1.0]])
+    with pytest.raises(OcpError, match="mode must be"):
+        integrate_biextremal(martinet, [0.0] * 3, [0.0, 0.0, 1.0], sched, (0.0, 1.0), "weird")
+    with pytest.raises(OcpError, match="needs an ExtendedSystem"):
+        integrate_biextremal(martinet, [0.0] * 4, [-1.0, 0.0, 0.0, 1.0], sched, (0.0, 1.0), "extended")
 
 
 def test_audit_and_ladder_point_values_fault_as_the_field_does():
@@ -157,7 +159,7 @@ def test_audit_and_ladder_point_values_fault_as_the_field_does():
         lambda: system.inputs[0]([0.0, 1.0]),
         lambda: hamiltonian(lam, x, [0.5], system),
         lambda: hamiltonian_control_gradient(lam, x, [0.5], system),
-        lambda: hamiltonian_control_gradient(lam_ext, x_ext, [0.5], extended, "extended"),
+        lambda: hamiltonian_control_gradient(lam_ext, x_ext, [0.5], extended),
         lambda: pca._value(system.inputs[0], x),
     ]
     for call in faults:

@@ -104,10 +104,8 @@ def control_gradient_as_before(lam, x, u, system):
 def test_hamiltonian_helpers_match_the_float64_path(seed, m, k, extended):
     rng = np.random.default_rng(seed)
     system = random_control_affine(rng, m=m, k=k)
-    mode = "reduced"
     if extended:
         system = extend_system(system, f"0.5*u1^2 + x1*u{k} - x{m}^2")
-        mode = "extended"
     n = len(system.variables)
     u = rng.uniform(-2.0, 2.0, size=k).tolist()
     for _ in range(3):
@@ -115,8 +113,8 @@ def test_hamiltonian_helpers_match_the_float64_path(seed, m, k, extended):
         h = hamiltonian_as_before(lam, x, u, system)
         g = control_gradient_as_before(lam, x, u, system).tobytes()
         for lam_in, x_in in [(lam, x), (lam.tolist(), x.tolist()), (list(lam), list(x))]:
-            assert np.float64(hamiltonian(lam_in, x_in, u, system, mode)).tobytes() == np.float64(h).tobytes()
-            assert hamiltonian_control_gradient(lam_in, x_in, u, system, mode).tobytes() == g
+            assert np.float64(hamiltonian(lam_in, x_in, u, system)).tobytes() == np.float64(h).tobytes()
+            assert hamiltonian_control_gradient(lam_in, x_in, u, system).tobytes() == g
 
 
 @settings(max_examples=40, deadline=None)

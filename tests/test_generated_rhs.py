@@ -165,7 +165,7 @@ def test_three_switch_schedule_compiles_its_rhs_once(monkeypatch):
     transport_vector(system, ref, 0.0, 1.0, [fields.TangentVector(ref.point_at(0.0), [1.0, 0.0, 0.0])], 1e-2)
     for u in ([0.5, -0.5], [1.0, 0.0]):
         hamilton_rhs([0.1, 0.2, 0.3], [1.0, 0.0, 0.0], u, system)
-    assert len(bx.momentum_ts) > 4
+    assert len(bx.trajectory.ts) > 4
     # the segment compiled with J for the biextremal serves every flow after it
     assert calls == ["compile_segment", "compile_flow"]
 

@@ -37,12 +37,6 @@ def test_build_uncontrolled_system():
     assert sys.slice_field(()).components[0].__class__.__name__ == "Var"
 
 
-def test_contains_zero(martinet):
-    assert martinet.contains_zero
-    shifted = build_control_affine(("x",), ["0"], [["1"]], [(0.5, 2.0)])
-    assert not shifted.contains_zero
-
-
 def test_extend_time_optimal(martinet):
     ext = extend_system(martinet, "1")
     vf = ext.slice_field((0.0, 1.0))
@@ -86,14 +80,14 @@ def test_piecewise_rows_must_match_each_other_and_the_system():
 
 
 def test_hamiltonian_martinet_annihilator(martinet):
-    H = hamiltonian([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], (0.0, 1.0), martinet, "reduced")
+    H = hamiltonian([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], (0.0, 1.0), martinet)
     assert H == 0.0
     assert hamiltonian([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], (0.0, 1.0), martinet) == 0.0
 
 
 def test_hamiltonian_extended_cost_term(martinet_extended):
     H = hamiltonian(
-        [-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], (1.0, 0.0), martinet_extended, "extended"
+        [-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], (1.0, 0.0), martinet_extended
     )
     assert abs(H - (-0.5)) <= 1e-15
 
@@ -134,7 +128,7 @@ def test_biextremal_zero_duration(martinet):
     bx = integrate_biextremal(
         martinet, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], sched, (0.0, 0.0), "reduced"
     )
-    assert len(bx.momentum_ts) == 1
+    assert len(bx.trajectory.ts) == 1
     assert np.allclose(bx.momenta[0], [0.0, 0.0, 1.0])
 
 
@@ -167,7 +161,7 @@ def test_hamiltonian_conservation_fixed_control():
     bx = integrate_biextremal(sys, [0.4, -0.2], [0.3, 0.7], sched, (0.0, 1.0), "reduced", 1e-3)
     H = [
         hamiltonian(bx.momenta[i], bx.trajectory.xs[i], (), sys)
-        for i in range(0, len(bx.momentum_ts), 50)
+        for i in range(0, len(bx.trajectory.ts), 50)
     ]
     assert max(abs(h - H[0]) for h in H) <= 1e-8
 
@@ -197,7 +191,7 @@ def test_driftless_annihilating_momentum_gives_zero_hamiltonian(martinet):
     )
     H = [
         hamiltonian(bx.momenta[i], bx.trajectory.xs[i], bx.trajectory.control_at(t), martinet)
-        for i, t in enumerate(bx.momentum_ts[::100])
+        for i, t in enumerate(bx.trajectory.ts[::100])
     ]
     assert max(abs(h) for h in H) <= 1e-9
 
@@ -231,7 +225,7 @@ def _fake_extended_biextremal(lambda0):
     xs = np.zeros((2, 2))
     momenta = np.array([[lambda0, 1.0], [lambda0, 1.0]])
     traj = Trajectory((0.0, 1.0), ts, xs, sched)
-    return Biextremal(traj, ts, momenta, "extended", lambda0)
+    return Biextremal(traj, momenta, "extended", lambda0)
 
 
 def test_normal_lift_search_finds_one_when_grid_contains_it():
@@ -267,7 +261,7 @@ def test_audit_martinet_abnormal_all_pass(martinet, martinet_reference):
         martinet, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], sched, (0.0, 1.0), "reduced"
     )
     cone = assemble_cone(martinet, martinet_reference, 1.0, [0.25, 0.5, 0.75, 1.0])
-    report = audit_necessary_conditions(bx, cone, martinet, "reduced")
+    report = audit_necessary_conditions(bx, cone, martinet)
     assert report.passed
     H0 = next(c for c in report.conditions if c.id == "H-constant")
     assert abs(H0.detail["H_initial"]) <= 1e-9
@@ -281,7 +275,7 @@ def test_audit_flipped_covector_still_supports(martinet, martinet_reference):
         martinet, [0.0, 0.0, 0.0], [0.0, 0.0, -1.0], sched, (0.0, 1.0), "reduced"
     )
     cone = assemble_cone(martinet, martinet_reference, 1.0, [0.25, 0.5, 0.75, 1.0])
-    report = audit_necessary_conditions(bx, cone, martinet, "reduced")
+    report = audit_necessary_conditions(bx, cone, martinet)
     assert report.passed
 
 
@@ -290,7 +284,7 @@ def test_audit_random_covector_fails_stationarity(martinet, martinet_reference):
     bx = integrate_biextremal(
         martinet, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], sched, (0.0, 1.0), "reduced"
     )
-    report = audit_necessary_conditions(bx, None, martinet, "reduced")
+    report = audit_necessary_conditions(bx, None, martinet)
     stat = next(c for c in report.conditions if c.id == "stationarity")
     assert not stat.passed
 
@@ -319,7 +313,7 @@ def test_biextremal_momentum_across_switches():
     )
     sched = piecewise_schedule([0.0, 0.3, 0.6], [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
     bx = integrate_biextremal(sys, [0.4, 0.2], [1.0, -1.0], sched, (0.0, 1.0), "reduced", 1e-3)
-    ts = bx.momentum_ts
+    ts = bx.trajectory.ts
     assert np.all(np.diff(ts) > 0)
     assert any(abs(t - 0.3) < 1e-12 for t in ts)  # switches land on samples
     assert any(abs(t - 0.6) < 1e-12 for t in ts)
@@ -366,7 +360,7 @@ def test_audit_optional_grid_maximum(martinet, martinet_reference):
         martinet, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], sched, (0.0, 1.0), "reduced"
     )
     report = audit_necessary_conditions(
-        bx, None, martinet, "reduced", hamiltonian_grid_check=True
+        bx, None, martinet, hamiltonian_grid_check=True
     )
     grid = next(c for c in report.conditions if c.id == "grid-maximum")
     assert grid.passed
@@ -390,7 +384,7 @@ def test_grid_maximum_finds_the_gain_at_a_box_vertex():
     sys = build_control_affine(("x", "y"), ["0", "0"], [["1", "0"], ["0", "1"]], [(-2.0, 2.0)] * 2)
     sched = piecewise_schedule([0.0], [[2.0, 2.0]])
     bx = integrate_biextremal(sys, [0.0, 0.0], [10.0, -1.0], sched, (0.0, 1.0), "reduced")
-    report = audit_necessary_conditions(bx, None, sys, "reduced", hamiltonian_grid_check=True)
+    report = audit_necessary_conditions(bx, None, sys, hamiltonian_grid_check=True)
     grid = next(c for c in report.conditions if c.id == "grid-maximum")
     assert not grid.passed
     assert grid.detail == {"max_excess": 4.0}
@@ -398,7 +392,7 @@ def test_grid_maximum_finds_the_gain_at_a_box_vertex():
     box = [(-2.0, 2.0), (-math.inf, math.inf)]
     unbounded = build_control_affine(("x", "y"), ["0", "0"], [["1", "0"], ["0", "1"]], box)
     bx = integrate_biextremal(unbounded, [0.0, 0.0], [1.0, 0.0], sched, (0.0, 1.0), "reduced")
-    report = audit_necessary_conditions(bx, None, unbounded, "reduced", hamiltonian_grid_check=True)
+    report = audit_necessary_conditions(bx, None, unbounded, hamiltonian_grid_check=True)
     grid = next(c for c in report.conditions if c.id == "grid-maximum")
     assert grid.passed and grid.detail == {"max_excess": 0.0}
 
@@ -431,6 +425,34 @@ def test_batched_transport_equals_one_vector_calls(seed, m, count, t_lo, t_hi, b
         (alone,) = transport_vector(sys, ref, t0, t1, [v], step=1e-2)
         assert w.base.coords.tolist() == alone.base.coords.tolist()
         assert w.components.tolist() == alone.components.tolist()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 7),
+    st.integers(1, 3),
+    st.sampled_from([1e-3, 7e-3, 1e-2]),
+    st.booleans(),
+)
+def test_a_biextremal_carries_the_reference_trajectory_bit_for_bit(seed, m, pieces, step, extended):
+    # the state rows of the coupled flow are the reference flow's, step for
+    # step, so `audit` builds its cone along bx.trajectory
+    from tests.conftest import random_control_affine
+
+    rng = np.random.default_rng(seed)
+    system = random_control_affine(rng, m=m)
+    breaks = [0.0, *sorted(rng.choice(np.arange(1, 20) / 20, size=pieces - 1, replace=False).tolist())]
+    sched = piecewise_schedule(breaks, np.round(rng.uniform(-1.0, 1.0, size=(pieces, system.k)), 3).tolist())
+    x0, lam0 = rng.uniform(-0.3, 0.3, size=m), rng.uniform(-1.0, 1.0, size=m)
+    mode = "extended" if extended else "reduced"
+    if extended:
+        system = extend_system(system, "0.5*u1^2 + x1^2")
+        x0, lam0 = np.concatenate([[0.0], x0]), np.concatenate([[-1.0], lam0])
+    ref = integrate_trajectory(system, x0, sched, (0.0, 1.0), step)
+    bx = integrate_biextremal(system, x0, lam0, sched, (0.0, 1.0), mode, step)
+    assert bx.trajectory.ts.tobytes() == ref.ts.tobytes()
+    assert bx.trajectory.xs.tobytes() == ref.xs.tobytes()
 
 
 def test_transport_rejects_mixed_base_points():
@@ -548,7 +570,7 @@ def test_one_interpolation_for_states_and_covectors(times, seed):
     xs = rng.normal(size=(len(ts), 3))
     lams = rng.normal(size=(len(ts), 3))
     traj = Trajectory((float(ts[0]), float(ts[-1])), ts, xs, piecewise_schedule([0.0], [[0.0]]))
-    bx = Biextremal(traj, ts, lams, "reduced", None)
+    bx = Biextremal(traj, lams, "reduced", None)
     for t in [-1.0, *times, 0.05, 0.3, 0.6, 0.99, 2.0]:
         x = traj.state_at(t)
         assert x.tobytes() == interpolate_as_state_at_did(ts, xs, t).tobytes()

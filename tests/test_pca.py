@@ -197,7 +197,7 @@ def test_derivative_identity_along_reference():
         Z = random_polynomial_field(rng, sys.variables)
         xi_u = sys.slice_field(u)
         br = lie_bracket(xi_u, Z)
-        ts = bx.momentum_ts
+        ts = bx.trajectory.ts
         g = np.array(
             [
                 float(

@@ -1,9 +1,9 @@
 """Derived fields, schedules and generated code are built once per owner.
 
-Slice fields live on their system, negations and brackets on the field they
-come from, and duration schedules are shared; each distinct right-hand side
-is therefore compiled once per analysis and freed with its owner.  Reuse
-must not change a single result bit.
+Slice fields live on their system, negations on the field they come from,
+and duration schedules are shared; each distinct right-hand side is
+therefore compiled once per analysis and freed with its owner.  Brackets are
+built per call and kept nowhere.  Reuse must not change a single result bit.
 """
 
 import gc
@@ -15,8 +15,7 @@ import pytest
 
 from geocon import fields, variations
 from geocon.cone import assemble_cone
-from geocon.expr import const, parse_expression
-from geocon.fields import VectorField, is_zero_field, lie_bracket, negate_field
+from geocon.fields import is_zero_field, lie_bracket, negate_field
 from geocon.ocp import build_control_affine, extend_system, integrate_trajectory, piecewise_schedule
 from geocon.pca import run_algorithm
 from geocon.variations import JetFragilityError, _jets, estimate_jets, sample_perturbation_set
@@ -43,9 +42,6 @@ def test_slice_field_is_built_once_per_control_tuple():
         assert owner.slice_field([0.5, 1.0]) is not xi
     xi = system.slice_field([0.5, -1.0])
     assert negate_field(xi) is negate_field(xi)
-    zj = system.inputs[0]
-    assert lie_bracket(xi, zj) is lie_bracket(xi, zj)
-    assert lie_bracket(zj, xi) is not lie_bracket(xi, zj)
 
 
 def test_negative_zero_controls_get_their_own_slice():
@@ -83,9 +79,9 @@ def test_filled_caches_die_with_their_system():
     sched = piecewise_schedule([0.0], [[0.5, -0.5]])
     ref = integrate_trajectory(system, [0.1, 0.2, 0.3], sched, (0.0, 0.5), 1e-2)
     assert sample_perturbation_set(system, ref, 0.25)
-    xi0 = system.slice_field([0.5, -0.5])  # filled by the sampling above, with its brackets
+    xi0 = system.slice_field([0.5, -0.5])  # filled by the sampling above
     bracket = lie_bracket(xi0, system.inputs[0])
-    assert system.slice_field([0.5, -0.5]) is xi0 and lie_bracket(xi0, system.inputs[0]) is bracket
+    assert system.slice_field([0.5, -0.5]) is xi0
     refs = [weakref.ref(system), weakref.ref(xi0), weakref.ref(bracket)]
     del system, xi0, bracket, ref, sched
     gc.collect()
@@ -93,15 +89,15 @@ def test_filled_caches_die_with_their_system():
 
 
 def test_brackets_form_no_reference_cycles():
-    # a bracket entry holds the other field weakly, so self-brackets and
-    # brackets taken in both orders leave nothing for the cycle collector:
-    # dropping a system after its ladder frees its input fields at once
+    # a bracket keeps nothing on its fields, so self-brackets and brackets
+    # taken in both orders leave nothing for the cycle collector: dropping a
+    # system after its ladder frees its input fields at once
     system = build_control_affine(
         ("x1", "x2", "x3"), ["0", "0", "0"], [["1", "0", "0"], ["0", "1", "x1^2"]], [(-2.0, 2.0), (-2.0, 2.0)]
     )
     ref = integrate_trajectory(system, [0.0, 0.0, 0.0], piecewise_schedule([0.0], [[0.0, 1.0]]), (0.0, 1.0), 1e-2)
     a, b = system.inputs
-    assert lie_bracket(a, a) is lie_bracket(a, a) and lie_bracket(b, a) is lie_bracket(b, a)
+    assert is_zero_field(lie_bracket(a, a)) and not is_zero_field(lie_bracket(b, a))
     ladder = run_algorithm(system, ref)
     refs = [weakref.ref(system), weakref.ref(a), weakref.ref(b)]
     gc.collect()
@@ -111,25 +107,6 @@ def test_brackets_form_no_reference_cycles():
         assert [r() for r in refs] == [None, None, None]
     finally:
         gc.enable()
-
-
-def test_a_bracket_entry_whose_field_died_is_a_miss():
-    a = VectorField(("x", "y"), (parse_expression("y", ("x", "y")), const(0.0)))
-    b = VectorField(("x", "y"), (const(0.0), parse_expression("x^2", ("x", "y"))))
-    first = lie_bracket(a, b)
-    key = id(b)
-    del b
-    gc.collect()
-    assert key not in a.__dict__["_brackets"]  # dropped with its field
-    # a new field may reuse the id of a dead one whose entry is still there;
-    # its bracket is built afresh
-    c = VectorField(("x", "y"), (const(1.0), const(0.0)))
-    dead = VectorField(("x", "y"), (const(0.0), const(1.0)))
-    stale = weakref.ref(dead)
-    del dead
-    a.__dict__["_brackets"][id(c)] = (stale, first)
-    assert lie_bracket(a, c) is not first
-    assert is_zero_field(lie_bracket(a, c))
 
 
 def test_cone_generators_do_not_depend_on_cache_state():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geocon import cone, expr, fields, ocp, pca
+from geocon import cone, expr, fields, ocp, pca, variations
 from geocon.expr import Dual, compile_flow, div, evaluate, parse_expression
 from geocon.fields import lie_bracket, negate_field, vector_field
 
@@ -120,6 +120,14 @@ def test_an_m6_sweep_analysis_compiles_no_form_on_a_bracket(monkeypatch):
         return code
 
     monkeypatch.setattr(fields, "_flow_code", recording)
+    brackets, real_bracket = [], fields.lie_bracket
+
+    def collecting(a, b):
+        brackets.append(real_bracket(a, b))
+        return brackets[-1]
+
+    for module in (fields, pca, variations):  # each calls it by its own name
+        monkeypatch.setattr(module, "lie_bracket", collecting)
     rng = np.random.default_rng([0, 6])
     system = random_control_affine(rng, m=6, k=2)
     values = np.round(rng.uniform(-1.0, 1.0, size=(2, 2)), 3).tolist()
@@ -132,16 +140,8 @@ def test_an_m6_sweep_analysis_compiles_no_form_on_a_bracket(monkeypatch):
     extended = ocp.extend_system(system, "0.5*(u1^2 + u2^2)")
     ocp.search_normal_lift(extended, ref)
 
-    brackets, negations, seen = [], [], set()
-    stack = [system.drift, *system.inputs, *system.__dict__["_slices"].values()]
-    while stack:
-        vf = stack.pop()
-        if id(vf) not in seen:
-            seen.add(id(vf))
-            made = [entry[1] for entry in vf.__dict__.get("_brackets", {}).values()]
-            brackets += made
-            negations += vf.__dict__.get("_negation", {}).values()
-            stack += made + list(vf.__dict__.get("_negation", {}).values())
+    fields_seen = [system.drift, *system.inputs, *system.__dict__["_slices"].values(), *brackets]
+    negations = [n for vf in fields_seen for n in vf.__dict__.get("_negation", {}).values()]
     assert len(brackets) > 10 and negations and ladder.levels
     assert not [owner for _, owner in owners if any(owner is vf for vf in brackets)]
     assert not [owner for segment, owner in owners if not segment and any(owner is vf for vf in negations)]
