@@ -35,6 +35,7 @@ from .ocp import (
     ControlSchedule,
     DegenerateMomentumError,
     OcpError,
+    Trajectory,
     audit_necessary_conditions,
     build_control_affine,
     classify_extremal,
@@ -469,8 +470,8 @@ def cmd_extremal(scenario: Scenario, args) -> tuple[int, dict]:
     if mode == "extended":
         search = None
         if abs(bx.lambda0) <= 1e-12:
-            reference = _reference(scenario, args.step)
-            search = search_normal_lift(scenario.extended, reference, step=args.step)
+            start = Trajectory(scenario.interval, [scenario.interval[0]], [scenario.initial], scenario.schedule)
+            search = search_normal_lift(scenario.extended, start, step=args.step)  # reads the start only
         cls = classify_extremal(bx, search)
         results["classification"] = {"kind": cls.kind, "label": cls.label, "lambda0": cls.lambda0}
         if search is not None:

@@ -408,9 +408,10 @@ def _flow(
     return state
 
 
-def _recorded_flow(system, schedule, interval, state: list, step: float, covectors: int = 0, check=None):
+def _recorded_flow(system, schedule, interval, state: list, step: float, covectors: int = 0, check=None, keep=None):
     """(ts, states): `state` at interval[0] and after every step of its
     :func:`_flow` to interval[1], each checked by `check(t, state)` when given.
+    With `keep`, a later state is held only where `keep(t)`; None stands for the rest.
 
     The trailing partial step can land a rounding residue behind the last
     full step; the landing point is authoritative, so it replaces that one.
@@ -423,8 +424,8 @@ def _recorded_flow(system, schedule, interval, state: list, step: float, covecto
             check(t, s)
         if t > ts[-1]:
             ts.append(t)
-            states.append(list(s))
-        elif t < ts[-1] or s != states[-1]:
+            states.append(list(s) if keep is None or keep(t) else None)
+        elif states[-1] is not None and (t < ts[-1] or s != states[-1]):
             states[-1] = list(s)
 
     _flow(system, schedule, a, b, state, step, covectors=covectors, record=record)
@@ -667,23 +668,30 @@ def search_normal_lift(
     per state coordinate with the cost multiplier pinned to -1.  Momenta
     evolve linearly, so one integration of the extended adjoint transition
     matrix along the reference covers the whole grid; a candidate passes
-    when max_c |dH/du_c| stays within `tol` at the sampled times.
+    when max_c |dH/du_c| stays within `tol` at the sampled times.  Only the
+    reference's first state, schedule and interval are read.
     """
+    if not (grid_per_axis >= 1 and sample_count >= 1 and 0.0 < momentum_bound < math.inf and not math.isnan(tol)):
+        raise OcpError("normal-lift search needs grid_per_axis >= 1, sample_count >= 1, a finite momentum_bound > 0 "
+                       f"and a tol that is not NaN; got {grid_per_axis}, {sample_count}, {momentum_bound}, {tol}")
     base = ext.base
     m = base.m
     n = m + 1
     schedule = reference.schedule
     a, b = reference.interval
+    times = np.linspace(a, b, sample_count).tolist()
 
     # state = extended coordinates (m+1) followed by the n columns of Psi,
-    # each moved as a covector by the adjoint equation
+    # each moved as a covector by the adjoint equation; recorded steps are at
+    # most `step` apart, so only states within a step of a sample time are kept
     state = [0.0] + [float(v) for v in reference.xs[0]]
     state += [1.0 if i == c else 0.0 for c in range(n) for i in range(n)]
-    ts, states = _recorded_flow(ext, schedule, (a, b), state, step, covectors=n)
+    ts, states = _recorded_flow(ext, schedule, (a, b), state, step, covectors=n,
+                                keep=lambda t: min(abs(s - t) for s in times) <= step)
 
     rts = np.asarray(ts)
     rows = []
-    for t in np.linspace(a, b, sample_count):
+    for t in times:
         i = int(np.argmin(np.abs(rts - t)))
         st = states[i]
         # Psi^T: row c is column c of Psi, in Fortran order like a transposed Psi
@@ -697,27 +705,16 @@ def search_normal_lift(
         f"p0 = -1; p in linspace(-{momentum_bound}, {momentum_bound}, {grid_per_axis})^{m}"
     )
     if not rows:  # no inputs: the stationarity constraints are vacuous
-        return NormalLiftSearch(
-            found=np.concatenate([[-1.0], np.full(m, axis[0])]),
-            candidates=grid_per_axis**m,
-            tol=tol,
-            best_residual=0.0,
-            grid_description=description,
-        )
-    residuals, best, found = _scan_lift_grid(np.asarray(rows), axis, m, tol)  # rows: (times*k, n)
-    return NormalLiftSearch(
-        found=found,
-        candidates=residuals.size,
-        tol=tol,
-        best_residual=float(residuals[best]),
-        grid_description=description,
-    )
+        found, residual = np.concatenate([[-1.0], np.full(m, axis[0])]), 0.0
+    else:
+        _, residual, found = _scan_lift_grid(np.asarray(rows), axis, m, tol)  # rows: (times*k, n)
+    return NormalLiftSearch(found, grid_per_axis**m, tol, float(residual), description)
 
 
-def _scan_lift_grid(W: np.ndarray, axis: np.ndarray, m: int, tol: float):
-    """(residuals max_c |W p|, first argmin, p there if within `tol`) over
-    p = (-1, q), q in axis^m in C order.  Blocks span the trailing
-    coordinates; only the leading ones change, and the buffers are reused."""
+def _lift_residuals(W: np.ndarray, axis: np.ndarray, m: int):
+    """Yield max_c |W p| over p = (-1, q), q in axis^m in C order, block by
+    block, each into the same buffer.  Blocks span the trailing coordinates;
+    only the leading ones change between blocks."""
     g = len(axis)
     # trailing coordinates per block: at most 10^4 columns, but one row takes
     # the whole grid, since numpy hands a one-row product to a matrix-vector
@@ -729,16 +726,26 @@ def _scan_lift_grid(W: np.ndarray, axis: np.ndarray, m: int, tol: float):
     block[0] = -1.0  # p0 = -1 pinned
     block[m + 1 - r:] = [c.ravel() for c in np.meshgrid(*([axis] * r), indexing="ij")]
     prod = np.empty((W.shape[0], block.shape[1]))
-    residuals = np.empty(g**m)
+    residuals = np.empty(block.shape[1])
     for i in range(g ** (m - r)):
         block[1:m + 1 - r] = axis[list(np.unravel_index(i, (g,) * (m - r)))][:, None]
         np.matmul(W, block, out=prod)
         np.abs(prod, out=prod)
-        np.max(prod, axis=0, out=residuals[i * block.shape[1]:(i + 1) * block.shape[1]])
-    best = int(np.argmin(residuals))
-    if not residuals[best] <= tol:  # a NaN residual never passes
-        return residuals, best, None
-    return residuals, best, np.concatenate([[-1.0], axis[list(np.unravel_index(best, (g,) * m))]])
+        yield np.max(prod, axis=0, out=residuals)
+
+
+def _scan_lift_grid(W: np.ndarray, axis: np.ndarray, m: int, tol: float):
+    """(first index of the least residual, that residual, p there if within
+    `tol`) over the blocks of :func:`_lift_residuals`, by np.argmin's rule
+    on the whole grid: a smaller value wins, and the first NaN wins outright."""
+    best, low = 0, None
+    for i, residuals in enumerate(_lift_residuals(W, axis, m)):
+        j = int(np.argmin(residuals))
+        if low is None or (not np.isnan(low) and not residuals[j] >= low):  # smaller, or the first NaN
+            best, low = i * residuals.size + j, residuals[j]
+    if not low <= tol:  # a NaN residual never passes
+        return best, low, None
+    return best, low, np.concatenate([[-1.0], axis[list(np.unravel_index(best, (len(axis),) * m))]])
 
 
 # ---------------------------------------------------------------------------

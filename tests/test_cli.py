@@ -357,6 +357,29 @@ def test_a_half_bounded_control_box_keeps_the_needles_inside(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_extremal_searches_the_normal_lift_from_the_initial_state(tmp_path, monkeypatch):
+    # the lift search reads only the reference's first state, schedule and
+    # interval, so `extremal` integrates no reference for it
+    from geocon import cli, ocp
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate_trajectory(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate_trajectory", counted)
+    monkeypatch.setattr(ocp, "integrate_trajectory", counted)
+    out = tmp_path / "report.json"
+    assert main(["extremal", str(SCENARIOS / "martinet.json"), "--covector", "0,0,0,1", "--out", str(out)]) == 0
+    assert calls == []
+    scenario = load_scenario(str(SCENARIOS / "martinet.json"))
+    reference = integrate_trajectory(scenario.system, scenario.initial, scenario.schedule, scenario.interval)
+    search = ocp.search_normal_lift(scenario.extended, reference)
+    reported = json.loads(out.read_text())["results"]["normal_lift_search"]
+    assert reported["best_residual"] == search.best_residual and reported["found"] == search.found
+
+
 def test_audit_builds_its_cone_along_the_biextremal(tmp_path, monkeypatch):
     # the biextremal's state rows are the reference trajectory, so audit
     # integrates no reference of its own

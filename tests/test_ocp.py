@@ -476,14 +476,22 @@ def _full_grid_scan(W, axis, m, tol):
     return residuals, best, found
 
 
+def _full_grid_scan_as_running_minimum(W, axis, m, tol):
+    """:func:`_full_grid_scan` in the shape `_scan_lift_grid` returns."""
+    residuals, best, found = _full_grid_scan(W, axis, m, tol)
+    return best, residuals[best], found
+
+
 def _assert_same_scan(W, axis, m, tol):
-    from geocon.ocp import _scan_lift_grid
+    from geocon.ocp import _lift_residuals, _scan_lift_grid
 
     with np.errstate(invalid="ignore"):  # inf * 0 in the NaN cases
-        residuals, best, found = _scan_lift_grid(W, axis, m, tol)
+        residuals = np.concatenate([block.copy() for block in _lift_residuals(W, axis, m)])
+        best, low, found = _scan_lift_grid(W, axis, m, tol)
         ref_residuals, ref_best, ref_found = _full_grid_scan(W, axis, m, tol)
     assert residuals.tobytes() == ref_residuals.tobytes()
     assert best == ref_best
+    assert np.float64(low).tobytes() == ref_residuals[ref_best].tobytes()
     assert (found is None) == (ref_found is None)
     if found is not None:
         assert found.dtype == ref_found.dtype and found.tobytes() == ref_found.tobytes()
@@ -533,13 +541,161 @@ def test_normal_lift_search_scans_blocks_like_the_full_grid(monkeypatch):
     for tol in (1e-6, 1.0):  # no lift, then a tolerance above the best residual
         blocked = search_normal_lift(ext, ref, tol=tol, step=1e-2)
         with monkeypatch.context() as patch:
-            patch.setattr(ocp_module, "_scan_lift_grid", _full_grid_scan)
+            patch.setattr(ocp_module, "_scan_lift_grid", _full_grid_scan_as_running_minimum)
             full = search_normal_lift(ext, ref, tol=tol, step=1e-2)
         assert blocked.candidates == full.candidates == 10**5
         assert blocked.best_residual == full.best_residual
         assert (blocked.found is None) == (full.found is None)
         if full.found is not None:
             assert blocked.found.tobytes() == full.found.tobytes()
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes tracemalloc sees while `call()` runs (numpy arrays included)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lift_scan_memory_does_not_grow_with_the_grid():
+    # one float per candidate would be 8 MB at m = 6; the blocks take about 2.3 MB
+    from geocon.ocp import _scan_lift_grid
+
+    W = np.random.default_rng(6).normal(size=(22, 7))
+    assert _traced_peak(lambda: _scan_lift_grid(W, np.linspace(-1.0, 1.0, 10), 6, 1e-6)) < 4e6
+
+
+def test_normal_lift_search_at_m6_fits_in_three_megabytes():
+    from tests.conftest import random_control_affine
+
+    system = random_control_affine(np.random.default_rng([0, 6]), m=6, k=2)
+    ext = extend_system(system, "0.5*(u1^2 + u2^2)")
+    sched = piecewise_schedule([0.0, 0.4], [[0.4, -0.3], [-0.2, 0.6]])
+    ref = integrate_trajectory(system, [0.1, -0.2, 0.15, 0.05, 0.2, -0.1], sched, (0.0, 1.0), 0.05)
+    search = search_normal_lift(ext, ref, step=0.05)  # compiles the extended segment
+    # few steps, since tracemalloc slows the flow about a hundredfold; the
+    # next test bounds the states a long flow keeps
+    assert _traced_peak(lambda: search_normal_lift(ext, ref, step=0.05)) < 3e6
+    assert search.candidates == 10**6
+
+
+def test_normal_lift_search_keeps_only_states_near_its_sample_times(martinet_extended, martinet_reference, monkeypatch):
+    import geocon.ocp as ocp_module
+
+    flows, recorded_flow = [], ocp_module._recorded_flow
+
+    def capturing(*args, **kwargs):
+        flows.append(recorded_flow(*args, **kwargs))
+        return flows[-1]
+
+    monkeypatch.setattr(ocp_module, "_recorded_flow", capturing)
+    search_normal_lift(martinet_extended, martinet_reference, sample_count=11, step=1e-3)
+    (ts, states), = flows
+    kept = [t for t, state in zip(ts, states) if state is not None]
+    assert len(ts) == 1001 and len(kept) <= 3 * 11
+    assert all(min(abs(t - s) for s in np.linspace(0.0, 1.0, 11)) <= 1e-3 for t in kept)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"grid_per_axis": 0},
+        {"grid_per_axis": -2},
+        {"sample_count": 0},
+        {"momentum_bound": math.nan},
+        {"momentum_bound": -1.0},
+        {"momentum_bound": 0.0},
+        {"momentum_bound": math.inf},
+        {"tol": math.nan},
+    ],
+    ids=lambda bad: "{}={}".format(*next(iter(bad.items()))),
+)
+def test_normal_lift_search_rejects_bad_arguments(martinet_extended, martinet_reference, bad):
+    with pytest.raises(OcpError):
+        search_normal_lift(martinet_extended, martinet_reference, **bad)
+
+
+def _rows_from_every_state(ext, reference, sample_count, step):
+    """(W, landings): the stationarity rows `search_normal_lift` builds,
+    taken from a flow that records every state, then the state nearest each
+    sample time; `landings` counts the landing steps that replaced a state."""
+    from geocon.ocp import _flow
+
+    base, n = ext.base, ext.base.m + 1
+    a, b = reference.interval
+    state = [0.0] + [float(v) for v in reference.xs[0]]
+    state += [1.0 if i == c else 0.0 for c in range(n) for i in range(n)]
+    ts, states, landings = [a], [list(state)], []
+
+    def record(t, s):
+        if t > ts[-1]:
+            ts.append(t)
+            states.append(list(s))
+        elif t < ts[-1] or s != states[-1]:
+            states[-1] = list(s)
+            landings.append(t)
+
+    _flow(ext, reference.schedule, a, b, state, step, covectors=n, record=record)
+    rts = np.asarray(ts)
+    rows = []
+    for t in np.linspace(a, b, sample_count):
+        i = int(np.argmin(np.abs(rts - t)))
+        st = states[i]
+        psi_t = np.asfortranarray(np.asarray(st[n:]).reshape(n, n))
+        xbase = st[1:n]
+        grads = ext.cost_control_gradient(xbase, [float(v) for v in reference.schedule.value_at(float(rts[i]))])
+        for c in range(base.k):
+            rows.append(psi_t @ np.asarray([grads[c]] + base.inputs[c](xbase), dtype=float))
+    return np.asarray(rows), len(landings)
+
+
+def _assert_lift_rows_as_from_every_state(seed, m, switch, step, sample_count) -> int:
+    from unittest import mock
+
+    import geocon.ocp as ocp_module
+    from tests.conftest import random_control_affine
+
+    rng = np.random.default_rng(seed)
+    system = random_control_affine(rng, m=m)
+    ext = extend_system(system, "0.5*u1^2 + x1^2")
+    sched = piecewise_schedule([0.0, switch], np.round(rng.uniform(-1.0, 1.0, size=(2, system.k)), 3).tolist())
+    ref = Trajectory((0.0, 1.0), [0.0], [rng.uniform(-0.3, 0.3, size=m)], sched)
+    captured, scan = [], ocp_module._scan_lift_grid
+
+    def capturing(W, axis, m, tol):
+        captured.append(W.copy())
+        return scan(W, axis, m, tol)
+
+    with mock.patch.object(ocp_module, "_scan_lift_grid", capturing):
+        search_normal_lift(ext, ref, grid_per_axis=2, sample_count=sample_count, step=step)
+    expected, landings = _rows_from_every_state(ext, ref, sample_count, step)
+    assert len(captured) == 1
+    assert captured[0].shape == expected.shape and captured[0].tobytes() == expected.tobytes()
+    return landings
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 5),
+    switch=st.sampled_from([0.45, 0.7, 0.85]) | st.floats(0.05, 0.95),
+    step=st.sampled_from([0.011, 0.03, 0.06, 0.07, 0.13, 0.3]),
+    sample_count=st.integers(1, 13),
+)
+def test_lift_keeps_the_states_a_full_flow_would_pick(seed, m, switch, step, sample_count):
+    # no step here divides the interval, and the switch splits it into two legs
+    _assert_lift_rows_as_from_every_state(seed, m, switch, step, sample_count)
+
+
+def test_lift_keeps_a_landing_that_replaces_a_state():
+    # the leg (0.7, 1.0) takes ten steps of 0.03 to t = 1.0, then lands a
+    # residue of about 6e-17 at the same time, which replaces the last state
+    assert _assert_lift_rows_as_from_every_state(0, 3, 0.7, 0.03, 11) > 0
 
 
 def interpolate_as_state_at_did(ts, xs, t):
