@@ -12,7 +12,6 @@ import numpy as np
 from geocon.fields import negate_field, as_point, vector_field
 from geocon.variations import (
     bracket_variation,
-    commutator_schedule,
     residual_slope,
     variation_curve,
     _fd_jets,
@@ -26,11 +25,10 @@ def main():
     X1 = vector_field(XYZ, ["1", "0", "0"])
     X2 = vector_field(XYZ, ["0", "1", "x1^2"])
     x = as_point([0.5, -0.2, 0.05])
-    tau2 = commutator_schedule()
-    seq = [negate_field(X2), X1, X2]
+    legs = ((X1, -1.0), (negate_field(X2), 1.0), (X1, 1.0), (X2, 1.0))
 
     def curve(s):
-        return variation_curve(X1, seq, tau2, x, s, step=1e-2)
+        return variation_curve(legs, x, s, step=1e-2)
 
     exact = _taylor_jets(curve, 2)
     print("s0,fd_error_j1,fd_error_j2")

@@ -30,10 +30,8 @@ from .fields import (
 )
 from .variations import (
     KAPPA,
-    EndTimeVariation,
     PerturbationVector,
     bracket_variation,
-    end_time_variation,
     estimate_jets,
     needle_variation,
     order_and_vector,

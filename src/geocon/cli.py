@@ -189,11 +189,10 @@ def load_scenario(path: str) -> Scenario:
             raise ScenarioError("/reference/controls/values: one value per control required")
         else:
             schedule = _at("/reference/controls", piecewise_schedule, ctrl["breaks"], ctrl["values"])
-        switches = schedule.interior_breakpoints(interval)
         for i, t in enumerate(data.get("analysis", {}).get("sample_times", ())):
             if not a < t <= b:
                 raise ScenarioError(f"/analysis/sample_times/{i}: {t} is outside the reference interval ({a}, {b}]")
-            if any(abs(t - s) <= 1e-12 for s in switches):  # the rule of cone.assemble_cone and pca
+            if schedule.on_switch(t, interval):
                 raise ScenarioError(f"/analysis/sample_times/{i}: {t} sits on a control switch")
     analysis = {"per_time_budget": 16, "max_levels": 6, "hamiltonian_grid_check": False, "tolerances": {},
                 **data.get("analysis", {})}

@@ -102,11 +102,10 @@ def assemble_cone(
     a, b = reference.interval
     if not (a < t <= b):
         raise ConeError(f"cone time {t} must lie in ({a}, {b}]")
-    switches = set(reference.schedule.interior_breakpoints(reference.interval))
     for t0 in sample_times:
         if not (a < t0 <= t):
             raise ConeError(f"sample time {t0} outside ({a}, {t}]")
-        if any(abs(t0 - s) <= 1e-12 for s in switches):
+        if reference.schedule.on_switch(t0, reference.interval):
             raise ConeError(f"sample time {t0} sits on a control switch")
 
     from .ocp import transport_vector  # local import keeps the module graph acyclic
@@ -122,7 +121,7 @@ def assemble_cone(
             w = w.components
             if keep_new_direction(directions, w):
                 vectors.append(TangentVector(base, w.copy()))
-                provenance.append(GeneratorProvenance(t0, pv.order, pv.recipe[0]))
+                provenance.append(GeneratorProvenance(t0, pv.order, pv.recipe))
     return Cone(base, t, tuple(vectors), tuple(provenance))
 
 

@@ -248,10 +248,13 @@ class FlowSpec:
 
 
 def _check_step_count(duration, step: float):
-    """The step guard: a positive finite step, and at most MAX_FLOW_STEPS of them."""
+    """The step guard: a positive finite step, a duration that is not NaN, and
+    at most MAX_FLOW_STEPS steps."""
     if not 0.0 < step < math.inf:
         raise FieldError(f"step must be positive and finite, got {step}")
     steps = abs(real_part(duration)) / step
+    if math.isnan(steps):
+        raise FieldError(f"duration must be a number, got {duration!r}")
     if steps > MAX_FLOW_STEPS:
         raise FieldError(f"|duration|/step = {steps:.3g} exceeds the {MAX_FLOW_STEPS:.0e} step guard")
 

@@ -17,10 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .expr import Expr, const, evaluate, expr_sum, free_variables, mul, neg, parse_expression, var
-from .fields import VectorField, composite_flow, eval_vector_field, lie_bracket
+from .fields import VectorField, eval_vector_field, lie_bracket
 from .ocp import ControlAffineSystem, Trajectory, build_control_affine
 from .pca import _rank_of
-from .variations import JET_STEP, KAPPA, estimate_jets
+from .variations import JET_STEP, KAPPA, estimate_jets, variation_curve
 
 
 class MechError(Exception):
@@ -206,7 +206,7 @@ def generator_families(
         b_val = np.asarray(eval_vector_field(z1[i], x).components, dtype=float)
         y_vals.append(y_val)
         b_vals.append(b_val)
-        # (name, legs (field, sign) each run for sign*s, jet order, target)
+        # (name, legs of variations.variation_curve, jet order, target)
         for name, legs, order, target in (
             ("j1 forward slice", ((plus, 1.0), (xi0, -1.0)), 1, y_val),
             ("j1 backward slice", ((minus, 1.0), (xi0, -1.0)), 1, -y_val),
@@ -215,7 +215,7 @@ def generator_families(
         ):
 
             def curve(s, legs=legs):
-                return composite_flow([vf for vf, _ in legs], [sign * s for _, sign in legs], x, JET_STEP)
+                return variation_curve(legs, x, s, JET_STEP)
 
             checks.append(_check(name, i, estimate_jets(curve, order)[order - 1], target))
 

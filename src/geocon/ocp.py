@@ -107,6 +107,11 @@ class ControlSchedule:
         a, b = interval
         return tuple(t for t in self.breaks if a < t < b)
 
+    def on_switch(self, t: float, interval: tuple[float, float]) -> bool:
+        """Whether `t` lies within 1e-12 of a switch inside `interval`; no
+        sample time of a scenario, cone or ladder may."""
+        return any(abs(t - s) <= 1e-12 for s in self.interior_breakpoints(interval))
+
     def segments(self, interval: tuple[float, float]):
         """(t_start, t_end) pieces on which the control law has no switch."""
         a, b = interval

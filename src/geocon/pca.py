@@ -115,9 +115,8 @@ def _attach_samples(ladder: ConstraintLadder, reference: Trajectory, sample_time
     times = tuple(float(t) for t in sample_times)
     if len(times) < 1:
         raise PcaError("at least one sample time required")
-    switches = reference.schedule.interior_breakpoints(reference.interval)
     for t in times:
-        if any(abs(t - s) <= 1e-12 for s in switches):
+        if reference.schedule.on_switch(t, reference.interval):
             raise PcaError(f"sample time {t} sits on a control switch")
     ladder.sample_times = times
     ladder.sample_points = tuple(reference.state_at(t) for t in times)

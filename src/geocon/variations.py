@@ -1,11 +1,11 @@
 """Parameter-dependent variation curves of reference trajectories.
 
-A variation curve composes a reference back-flow, a finite sequence of
-admissible flows with parameter-dependent durations, and a reference
-forward-flow.  Its first nonvanishing one-sided jet at parameter zero is the
-perturbation vector the curve contributes.  Two template families are built
-in: the classical needle (order 1, closed form l1*(xi1 - xi0)) and the
-four-flow commutator recipe (order 2, parallel to the Lie bracket of the
+A variation curve is a tuple of legs (field, rate): leg i flows its field
+for the duration rate * s, and the first leg acts first.  Its first
+nonvanishing one-sided jet at parameter zero is the perturbation vector the
+curve contributes.  Two template families are built in: the classical
+needle (legs (xi0, -l1), (xi1, l1); order 1, closed form l1*(xi1 - xi0))
+and the four-leg commutator (order 2, parallel to the Lie bracket of the
 two fields involved).
 
 Jets are estimated twice and cross-checked: Richardson-extrapolated forward
@@ -17,30 +17,17 @@ to order four match the exact flow map.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import (
-    Expr,
-    compile_flow,
-    const,
-    evaluate,
-    jet_coefficient,
-    jet_seed,
-    mul,
-    parse_expression,
-    real_part,
-    var,
-)
+from .expr import jet_coefficient, jet_seed, real_part
 from .fields import (
     Point,
     TangentVector,
     VectorField,
-    cached_on,
     composite_flow,
     eval_vector_field,
     lie_bracket,
@@ -74,54 +61,13 @@ class ConventionError(VariationError):
     """A template produced a vector that is not parallel to its oracle."""
 
 
-@dataclass(frozen=True)
-class EndTimeVariation:
-    """Smooth duration schedule (q1, q2, tau_1..tau_r) with value 0 at s=0."""
-
-    q1: Expr
-    q2: Expr
-    tau: tuple[Expr, ...]
-    s_max: float = 0.5
-
-    def __post_init__(self):
-        for label, e in (("q1", self.q1), ("q2", self.q2)) + tuple(
-            (f"tau[{i}]", t) for i, t in enumerate(self.tau)
-        ):
-            v0 = evaluate(e, {"s": 0.0})
-            if abs(v0) > 1e-12:
-                raise VariationError(f"{label}(0) = {v0!r}, must vanish")
-        for i, t in enumerate(self.tau):
-            for s in np.linspace(0.0, self.s_max, 11):
-                if evaluate(t, {"s": float(s)}) < -1e-12:
-                    raise VariationError(f"tau[{i}] is negative at s = {s}")
-
-    @property
-    def r(self) -> int:
-        return len(self.tau)
-
-    def durations(self, s):
-        """(q1(s), tau_1(s)..tau_r(s), q2(s)) for a generic scalar s."""
-        fn = cached_on(self, "_compiled", lambda: compile_flow((self.q1, self.q2) + self.tau, ("s",)))
-        vals = fn(None, 0, 0, 0.0, [s])
-        return vals[0], vals[2:], vals[1]
-
-
-def end_time_variation(q1, q2, tau: Sequence, s_max: float = 0.5) -> EndTimeVariation:
-    """Build a duration schedule from strings or expression trees in `s`."""
-
-    def conv(e):
-        return parse_expression(e, ("s",)) if isinstance(e, str) else e
-
-    return EndTimeVariation(conv(q1), conv(q2), tuple(conv(t) for t in tau), s_max)
-
-
 @dataclass(frozen=True, eq=False)
 class PerturbationVector:
     base: Point
     time: float
     order: int
     vector: TangentVector
-    recipe: tuple[str, EndTimeVariation]
+    recipe: str
     curve: Callable = field(repr=False, default=None)
 
     def __post_init__(self):
@@ -131,25 +77,16 @@ class PerturbationVector:
             raise VariationError("perturbation vector must be nonzero")
 
 
-def variation_curve(
-    xi0: VectorField,
-    seq: Sequence[VectorField],
-    tau2: EndTimeVariation,
-    x: Point,
-    s,
-    step: float = 1e-3,
-) -> Point:
-    """The composite-flow curve at parameter value `s` (may carry duals).
+def variation_curve(legs: Sequence[tuple[VectorField, float]], x: Point, s, step: float = 1e-3) -> Point:
+    """The curve at parameter value `s` (may carry duals): each leg
+    (field, rate) flows its field for rate * s, the first leg first.
 
-    Order of application: the q1-flow of `xi0` first, then the flows of
-    `seq` (first entry first) for their tau durations, then the q2-flow.
+    Write no zero-rate leg: 0.0 times a Dual is a Dual, never equal to 0.0,
+    so the leg would integrate a step instead of being skipped.
     """
-    if len(seq) != tau2.r:
-        raise VariationError(f"{len(seq)} fields for {tau2.r} durations")
     if real_part(s) < 0.0:
         raise VariationError("variation parameter must be nonnegative")
-    q1v, tauv, q2v = tau2.durations(s)
-    return composite_flow([xi0, *seq, xi0], [q1v, *tauv, q2v], x, step)
+    return composite_flow([vf for vf, _ in legs], [rate * s for _, rate in legs], x, step)
 
 
 # ---------------------------------------------------------------------------
@@ -245,23 +182,21 @@ def estimate_jets(curve: Callable, l_max: int) -> list[np.ndarray]:
 
 
 def order_and_vector(
-    xi0: VectorField,
-    seq: Sequence[VectorField],
-    tau2: EndTimeVariation,
+    legs: Sequence[tuple[VectorField, float]],
     x: Point,
     t0: float = 0.0,
     l_max: int = MAX_ORDER,
     descriptor: str = "custom",
 ) -> PerturbationVector | None:
-    """Smallest order with a nonvanishing jet at x (:func:`_jets`),
-    packaged with its recipe.
+    """Smallest order with a nonvanishing jet at x (:func:`_jets`) of the
+    curve of `legs`, packaged with `descriptor` as its recipe.
 
     Returns None when every jet up to `l_max` stays below the threshold
     (order infinity: the curve is flat to the tested order).
     """
 
     def curve(s):
-        return variation_curve(xi0, seq, tau2, x, s, JET_STEP)
+        return variation_curve(legs, x, s, JET_STEP)
 
     jets, order = _jets(curve, l_max, x)
     if order is None:
@@ -271,7 +206,7 @@ def order_and_vector(
         time=t0,
         order=order,
         vector=TangentVector(x, jets[order - 1]),
-        recipe=(descriptor, tau2),
+        recipe=descriptor,
         curve=curve,
     )
 
@@ -314,27 +249,13 @@ def needle_variation(
     if float(np.linalg.norm(closed)) <= zero_threshold(x):
         return None
     descriptor = f"needle u1={list(map(float, u1))} l1={l1}"
-    pv = order_and_vector(xi0, [xi1], _needle_schedule(l1), x, t0, 1, descriptor)
+    pv = order_and_vector(((xi0, -l1), (xi1, l1)), x, t0, 1, descriptor)
     j1 = np.zeros_like(closed) if pv is None else pv.vector.components
     if float(np.linalg.norm(j1 - closed)) > 1e-6 * max(1.0, float(np.linalg.norm(closed))):
         raise ConventionError(
             f"needle first jet {j1.tolist()} does not match the closed form {closed.tolist()}"
         )
     return replace(pv, vector=TangentVector(x, closed))
-
-
-@functools.lru_cache(maxsize=64)
-def _needle_schedule(l1: float) -> EndTimeVariation:
-    """(-l1 s, 0, (l1 s,)), built and compiled once per rate."""
-    s = var("s")
-    return EndTimeVariation(mul(const(-l1), s), const(0.0), (mul(const(l1), s),))
-
-
-@functools.cache
-def commutator_schedule() -> EndTimeVariation:
-    """(-s, 0, (s, s, s)); one shared immutable instance."""
-    s = var("s")
-    return EndTimeVariation(mul(const(-1.0), s), const(0.0), (s, s, s))
 
 
 def bracket_variation(
@@ -355,9 +276,8 @@ def bracket_variation(
     b = np.asarray(eval_vector_field(bracket, x).components, dtype=float)
     if float(np.linalg.norm(b)) <= zero_threshold(x):
         return None
-    tau2 = commutator_schedule()
-    seq = [negate_field(zj), xi0, zj]
-    pv = order_and_vector(xi0, seq, tau2, x, t0=t0, l_max=2, descriptor=descriptor or "commutator")
+    legs = ((xi0, -1.0), (negate_field(zj), 1.0), (xi0, 1.0), (zj, 1.0))
+    pv = order_and_vector(legs, x, t0=t0, l_max=2, descriptor=descriptor or "commutator")
     if pv is None or pv.order != 2:
         got = "infinity" if pv is None else str(pv.order)
         raise ConventionError(

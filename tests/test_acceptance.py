@@ -30,7 +30,6 @@ from geocon.ocp import (
 from geocon.variations import (
     KAPPA,
     bracket_variation,
-    commutator_schedule,
     estimate_jets,
     needle_variation,
     residual_slope,
@@ -98,11 +97,10 @@ def test_criterion_2_bracket_variation_identity():
         br = np.asarray(eval_vector_field(lie_bracket(a, b), x).components)
         if np.linalg.norm(br) < 1e-2:
             continue
-        tau2 = commutator_schedule()
-        seq = [negate_field(b), a, b]
+        legs = ((a, -1.0), (negate_field(b), 1.0), (a, 1.0), (b, 1.0))
 
-        def curve(s, _a=a, _seq=seq, _tau=tau2, _x=x):
-            return variation_curve(_a, _seq, _tau, _x, s, step=1e-2)
+        def curve(s, _legs=legs, _x=x):
+            return variation_curve(_legs, _x, s, step=1e-2)
 
         j2 = estimate_jets(curve, 2)[1]
         cos = float(np.dot(j2, br) / (np.linalg.norm(j2) * np.linalg.norm(br)))

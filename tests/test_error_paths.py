@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from geocon.cone import Cone, ConeError, GeneratorProvenance, is_supporting
-from geocon.expr import DomainEvalError, evaluate, jet_seed, mul, parse_expression, var
+from geocon.expr import DomainEvalError, Dual, evaluate, jet_seed, mul, parse_expression, var
 from geocon.fields import (
     Covector,
     FieldError,
@@ -35,7 +35,7 @@ from geocon.ocp import (
     integrate_biextremal,
     piecewise_schedule,
 )
-from geocon.variations import VariationError, end_time_variation, estimate_jets, variation_curve
+from geocon.variations import VariationError, estimate_jets, variation_curve
 
 FIXTURES = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -83,16 +83,18 @@ def test_composite_flow_length_mismatch():
 
 def test_variation_curve_rejects_negative_parameter():
     vf = vector_field(("x",), ["1"])
-    tau2 = end_time_variation("0", "0", ["s"])
     with pytest.raises(VariationError):
-        variation_curve(vf, [vf], tau2, as_point([0.0]), -0.1)
+        variation_curve(((vf, 1.0),), as_point([0.0]), -0.1)
 
 
-def test_variation_curve_sequence_length_mismatch():
+@pytest.mark.parametrize("duration", [math.nan, Dual(math.nan, 1.0)], ids=["float", "dual"])
+def test_a_nan_duration_is_refused_by_the_step_guard(duration):
+    # NaN / step > MAX_FLOW_STEPS is False, so the guard must test for NaN itself
     vf = vector_field(("x",), ["1"])
-    tau2 = end_time_variation("0", "0", ["s", "s"])
-    with pytest.raises(VariationError):
-        variation_curve(vf, [vf], tau2, as_point([0.0]), 0.1)
+    with pytest.raises(FieldError, match="duration must be a number"):
+        composite_flow([vf], [duration], as_point([0.0]))
+    with pytest.raises(FieldError, match="duration must be a number"):
+        FlowSpec(vf, duration)
 
 
 def test_estimate_jets_order_cap():

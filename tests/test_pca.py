@@ -254,6 +254,21 @@ def test_sample_on_switch_rejected(martinet):
         run_algorithm(martinet, ref, sample_times=[0.5])
 
 
+def test_one_switch_rule_for_ladders_and_cones(martinet):
+    # ControlSchedule.on_switch: within 1e-12 of a break strictly inside the interval
+    from geocon.cone import ConeError, assemble_cone
+
+    sched = piecewise_schedule([0.0, 0.5], [[0.0, 1.0], [1.0, 0.0]])
+    near, off = 0.5 + 9e-13, 0.5 - 2e-12
+    assert [sched.on_switch(t, (0.0, 1.0)) for t in (0.5, near, off, 0.0, 0.25)] == [True, True, False, False, False]
+    assert not sched.on_switch(0.5, (0.5, 1.0))
+    ref = integrate_trajectory(martinet, [0.0, 0.0, 0.0], sched, (0.0, 1.0), 1e-2)
+    with pytest.raises(PcaError, match=f"sample time {near} sits on a control switch"):
+        run_algorithm(martinet, ref, sample_times=[near])
+    with pytest.raises(ConeError, match=f"sample time {near} sits on a control switch"):
+        assemble_cone(martinet, ref, 1.0, [near])
+
+
 def test_default_sample_times_are_the_scenario_quarters_before_the_end(martinet):
     # one rule for scenarios and the ladder: quarters, moved off a switch
     sched = piecewise_schedule([0.0, 0.5], [[0.0, 1.0], [1.0, 0.0]])

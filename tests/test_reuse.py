@@ -13,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from geocon import fields, variations
+from geocon import fields
 from geocon.cone import assemble_cone
 from geocon.fields import is_zero_field, lie_bracket, negate_field
 from geocon.ocp import build_control_affine, extend_system, integrate_trajectory, piecewise_schedule
@@ -65,7 +65,6 @@ def test_sampling_compiles_each_right_hand_side_at_most_once(monkeypatch):
         return real(components, chart, controls, jacobian)
 
     monkeypatch.setattr(fields, "compile_flow", counting)
-    monkeypatch.setattr(variations, "compile_flow", counting)
     system = random_control_affine(np.random.default_rng(11), m=4, k=2)
     sched = piecewise_schedule([0.0, 0.5], [[0.4, -0.3], [-0.2, 0.6]])
     ref = integrate_trajectory(system, [0.1, -0.2, 0.3, 0.05], sched, (0.0, 1.0), 1e-2)

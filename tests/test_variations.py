@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geocon.fields import as_point, eval_vector_field, lie_bracket, vector_field
+from geocon.expr import Dual, compile_flow, const, jet_seed, mul, var
+from geocon.fields import as_point, composite_flow, eval_vector_field, lie_bracket, negate_field, vector_field
 from geocon.ocp import build_control_affine
 from geocon.variations import (
     KAPPA,
     ConventionError,
     VariationError,
+    JET_STEP,
     _jets,
     bracket_variation,
-    commutator_schedule,
-    end_time_variation,
     estimate_jets,
     needle_variation,
     order_and_vector,
@@ -25,22 +25,17 @@ from geocon.variations import (
     variation_curve,
 )
 
+from tests.conftest import random_control_affine
+
 XYZ = ("x1", "x2", "x3")
 HEIS_X1 = vector_field(XYZ, ["1", "0", "-x2/2"])
 HEIS_X2 = vector_field(XYZ, ["0", "1", "x1/2"])
-
-
-def test_schedule_must_vanish_at_zero():
-    with pytest.raises(VariationError):
-        end_time_variation("s + 1", "0", ["s"])
-    with pytest.raises(VariationError):
-        end_time_variation("0", "0", ["s - 0.2"])
+HEIS_COMMUTATOR = ((HEIS_X1, -1.0), (negate_field(HEIS_X2), 1.0), (HEIS_X1, 1.0), (HEIS_X2, 1.0))
 
 
 def test_variation_curve_at_zero_is_identity():
-    tau2 = end_time_variation("-s", "0", ["s"])
     x = as_point([0.3, -0.1, 0.7])
-    out = variation_curve(HEIS_X1, [HEIS_X2], tau2, x, 0.0)
+    out = variation_curve(((HEIS_X1, -1.0), (HEIS_X2, 1.0)), x, 0.0)
     assert np.allclose(out.coords, x.coords, atol=0.0)
 
 
@@ -48,18 +43,13 @@ def test_needle_with_reference_control_cancels_exactly():
     # xi1 equals xi0, so the back-flow undoes the needle at every s
     sys = build_control_affine(("x",), ["0"], [["1"]], [(-2.0, 2.0)])
     xi0 = sys.slice_field((1.0,))
-    tau2 = end_time_variation("-s", "0", ["s"])
-    out = variation_curve(xi0, [xi0], tau2, as_point([0.4]), 0.1)
+    out = variation_curve(((xi0, -1.0), (xi0, 1.0)), as_point([0.4]), 0.1)
     assert abs(out.coords[0] - 0.4) <= 1e-12
 
 
 def test_heisenberg_commutator_curve_displacement():
     x = as_point([0.0, 0.0, 0.0])
-    tau2 = commutator_schedule()
-    from geocon.fields import negate_field
-
-    seq = [negate_field(HEIS_X2), HEIS_X1, HEIS_X2]
-    out = variation_curve(HEIS_X1, seq, tau2, x, 0.1)
+    out = variation_curve(HEIS_COMMUTATOR, x, 0.1)
     assert abs(out.coords[2] - 0.01) <= 1e-6
     assert abs(out.coords[0]) <= 1e-6
     assert abs(out.coords[1]) <= 1e-6
@@ -76,13 +66,9 @@ def test_estimate_jets_polynomial_curves():
 
 def test_estimate_jets_heisenberg_commutator():
     x = as_point([0.0, 0.0, 0.0])
-    tau2 = commutator_schedule()
-    from geocon.fields import negate_field
-
-    seq = [negate_field(HEIS_X2), HEIS_X1, HEIS_X2]
 
     def curve(s):
-        return variation_curve(HEIS_X1, seq, tau2, x, s, step=1e-2)
+        return variation_curve(HEIS_COMMUTATOR, x, s, step=1e-2)
 
     jets = estimate_jets(curve, 2)
     assert np.linalg.norm(jets[0]) <= 1e-6
@@ -120,29 +106,66 @@ def test_order_and_vector_needle():
     sys = build_control_affine(("x",), ["0"], [["1"]], [(-3.0, 3.0)])
     xi0 = sys.slice_field((0.0,))
     xi1 = sys.slice_field((1.0,))
-    tau2 = end_time_variation("-2*s", "0", ["2*s"])
-    pv = order_and_vector(xi0, [xi1], tau2, as_point([0.0]))
+    pv = order_and_vector(((xi0, -2.0), (xi1, 2.0)), as_point([0.0]))
     assert pv.order == 1
     assert np.allclose(pv.vector.components, [2.0], atol=1e-9)
 
 
 def test_order_and_vector_flat_curve_reports_infinity():
-    sys = build_control_affine(("x",), ["0"], [["1"]], [(-3.0, 3.0)])
-    xi1 = sys.slice_field((1.0,))
-    tau2 = end_time_variation("0", "0", ["s^5"])
-    pv = order_and_vector(sys.slice_field((0.0,)), [xi1], tau2, as_point([0.0]))
-    assert pv is None
+    # the commutator of two commuting constant fields returns to its start
+    a, b = vector_field(("x", "y"), ["1", "0"]), vector_field(("x", "y"), ["0", "1"])
+    legs = ((a, -1.0), (negate_field(b), 1.0), (a, 1.0), (b, 1.0))
+    assert order_and_vector(legs, as_point([0.3, -0.2])) is None
 
 
 def test_order_and_vector_commutator():
-    tau2 = commutator_schedule()
-    from geocon.fields import negate_field
-
-    seq = [negate_field(HEIS_X2), HEIS_X1, HEIS_X2]
-    pv = order_and_vector(HEIS_X1, seq, tau2, as_point([0.0, 0.0, 0.0]), l_max=2)
+    pv = order_and_vector(HEIS_COMMUTATOR, as_point([0.0, 0.0, 0.0]), l_max=2)
     assert pv.order == 2
     direction = pv.vector.components / np.linalg.norm(pv.vector.components)
     assert np.allclose(direction, [0.0, 0.0, 1.0], atol=1e-9)
+
+
+def _scalar_bits(v) -> tuple:
+    """Every float carried by a nested Dual (or a float), as hex strings."""
+    return _scalar_bits(v.re) + _scalar_bits(v.du) if isinstance(v, Dual) else (float(v).hex(),)
+
+
+def _schedule_curve(xi0, seq, q1, q2, tau, x, s):
+    """The retired expression schedule: compile (q1, q2, *tau) in s, then
+    flow xi0 for q1, the fields of `seq` for tau, and xi0 for q2."""
+    vals = compile_flow((q1, q2, *tau), ("s",))(None, 0, 0, 0.0, [s])
+    return composite_flow([xi0, *seq, xi0], [vals[0], *vals[2:], vals[1]], x, JET_STEP)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.01, 3.0),
+    st.just(0.0) | st.floats(0.0, 0.2),
+    st.integers(0, 4),
+)
+def test_template_curves_match_the_expression_schedules_bit_for_bit(seed, l1, s0, depth):
+    # the needle's and the commutator's curves against their retired schedules,
+    # (-l1 s, 0, (l1 s,)) and (-s, 0, (s, s, s)), at a float s (depth 0) or a
+    # nested-dual s of depth 1..4
+    rng = np.random.default_rng(seed)
+    system = random_control_affine(rng)
+    x = as_point(rng.uniform(-0.3, 0.3, size=system.m))
+    s = jet_seed(s0, depth)
+    u_ref, u1 = rng.uniform(-1.5, 1.5, size=(2, system.k))
+    xi0, xi1 = system.slice_field(u_ref), system.slice_field(u1)
+    zj = system.inputs[int(rng.integers(system.k))]
+    sv = var("s")
+    cases = (
+        (needle_variation(system, u_ref, u1, l1, x),
+         (xi0, [xi1], mul(const(-l1), sv), const(0.0), (mul(const(l1), sv),))),
+        (bracket_variation(xi0, zj, x),
+         (xi0, [negate_field(zj), xi0, zj], mul(const(-1.0), sv), const(0.0), (sv, sv, sv))),
+    )
+    for pv, schedule in cases:
+        if pv is not None:
+            new, old = pv.curve(s).coords, _schedule_curve(*schedule, x, s).coords
+            assert [_scalar_bits(v) for v in new] == [_scalar_bits(v) for v in old]
 
 
 def test_needle_variation_martinet(martinet):
@@ -277,7 +300,7 @@ def test_sampled_cone_lies_in_the_plane_dz_zero(martinet, martinet_reference):
         base,
         0.5,
         tuple(TangentVector(base, pv.vector.components) for pv in pvs),
-        tuple(GeneratorProvenance(0.5, pv.order, pv.recipe[0]) for pv in pvs),
+        tuple(GeneratorProvenance(0.5, pv.order, pv.recipe) for pv in pvs),
     )
     for sign in (1.0, -1.0):
         check = is_supporting(Covector(base, np.array([0.0, 0.0, sign])), cone)
@@ -292,7 +315,7 @@ PARAMETERS = {
     "variations.sample_perturbation_set": ["system", "reference", "t0", "budget"],
     "variations.needle_variation": ["system", "u_ref", "u1", "l1", "x", "t0"],
     "variations.bracket_variation": ["xi0", "zj", "x", "t0", "descriptor"],
-    "variations.order_and_vector": ["xi0", "seq", "tau2", "x", "t0", "l_max", "descriptor"],
+    "variations.order_and_vector": ["legs", "x", "t0", "l_max", "descriptor"],
     "variations.estimate_jets": ["curve", "l_max"],
     "variations._jets": ["curve", "l_max", "x"],
     "variations._fd_jets": ["curve", "l_max", "s0"],
