@@ -733,7 +733,8 @@ def evaluate(e: Expr, env: Mapping[str, object], checked: bool = True, memo: dic
 
 
 _CODEGEN_NS = {f"_{name}": fn for name, fn in _FUNCTIONS.items()}
-_CODEGEN_NS.update(_ipow=_ipow, _range=range, _float=float, _list=list, _sum=sum, _fin=all_finite, __builtins__={})
+_CODEGEN_NS.update(_ipow=_ipow, _range=range, _iter=iter, _zip=zip, _float=float, _list=list, _sum=sum,
+                   _fin=all_finite, __builtins__={})
 _MAX_NESTING = 40  # inline depth before a subexpression gets a local (the parser caps nesting)
 
 
@@ -856,7 +857,8 @@ def _block_terms(J, v):
     """Tangent rows ``0.0 + J[i][0]*v0 + J[i][1]*v1 + ...`` and covector
     columns ``0.0 - J[0][j]*v0 - J[1][j]*v1 - ...``.  Symbolically zero
     entries are left out: for finite operands their terms are signed zeros,
-    which never change a sum from +0.0."""
+    which never change a sum from +0.0.  An output with no nonzero entry is
+    the literal ``0.0``, which :func:`compile_segment` does not emit."""
     n = len(J)
     rows = [" + ".join(["0.0"] + [f"{J[i][j]}*{v[j]}" for j in range(n) if J[i][j]]) for i in range(n)]
     cols = [" - ".join(["0.0"] + [f"{J[i][j]}*{v[i]}" for i in range(n) if J[i][j]]) for j in range(n)]
@@ -907,7 +909,11 @@ def compile_segment(components, chart, controls=(), jacobian=None) -> Callable:
     A float leg (float state and `last`) screens each state by a sum of
     ``x * 0.0`` (:func:`all_finite` confirms); others run :func:`all_finite`.
     f and J are written once, in a loop over the four stages; then each block
-    vector runs its four stages, unrolled on locals, on the J of each stage.
+    vector runs its four stages, unrolled on locals, on the J of each stage,
+    through J's structural nonzeros only.  A zero output (a tangent's row, a
+    covector's column) has no rates: ``d + _sixth * 0.0`` is both its value and
+    its stage input, as ``_half``, ``_h`` and ``_sixth`` times 0.0 are one zero of
+    h's sign (componentwise for a Dual).  An input no entry reads has no stage input.
     """
     def rk4_sum(x: str, k: str) -> str:  # the update of fields._rk4_steps
         return f"{x} + _sixth * ({k.format(0)} + 2.0 * {k.format(1)} + 2.0 * {k.format(2)} + {k.format(3)})"
@@ -930,16 +936,17 @@ def compile_segment(components, chart, controls=(), jacobian=None) -> Callable:
             f"{_tuple(x)} = {_tuple(rk4_sum(x[i], f'_K{{}}_{i}') for i in range(n))}"]
     if jacobian is not None:
         g = [[[f"_g{s}_{i}_{j}" if J[i][j] else None for j in range(n)] for i in range(n)] for s in range(4)]
+        live = [[any(row) for row in J], [any(row[j] for row in J) for j in range(n)]]  # J's rows, columns
         step += ["if _nb:", *(f"    {_tuple(g[s][i][j] for i, j in nonzero)} = _G[{s}]" for s in range(4)),
-                 "    _nbk, _k = [], 0"]
+                 *["    _zs = _sixth * 0.0"] * (not all(live[0] + live[1])), "    _nbk, _it = [], _iter(_blk)"]
         d, e = [f"_d{j}" for j in range(n)], [f"_e{j}" for j in range(n)]
-        for kind, count in enumerate(("_nt", "_nc")):
-            vec = [f"{_tuple(d)} = _blk[_k:_k + {n}]"]
-            for s in range(4):
-                vec += [f"_r{s}_{i} = {term}" for i, term in enumerate(_block_terms(g[s], e if s else d)[kind])]
-                vec += [f"_e{j} = _d{j} + {('_half', '_half', '_h')[s]} * _r{s}_{j}" for j in range(n) if s < 3]
-            vec += [f"_nbk += {_tuple(rk4_sum(d[i], f'_r{{}}_{i}') for i in range(n))}", f"_k += {n}"]
-            step += [f"    for _ in _range({count}):", *_indent(vec, 2)]
+        for kind, (count, out, read) in enumerate([("_nt", *live), ("_nc", *live[::-1])]):  # outputs: rows, columns
+            vec = [f"_e{i} = _d{i} + _zs" for i in range(n) if not out[i]]
+            for s, w in enumerate(("_half", "_half", "_h", None)):
+                vec += [f"_r{s}_{i} = {t}" for i, t in enumerate(_block_terms(g[s], e if s else d)[kind]) if out[i]]
+                vec += [f"_e{j} = _d{j} + {w} * _r{s}_{j}" for j in range(n) if w and out[j] and read[j]]
+            vec += [f"_nbk += {_tuple(rk4_sum(d[i], f'_r{{}}_{i}') if out[i] else e[i] for i in range(n))}"]
+            step += [f"    for _, {', '.join(d)} in _zip(_range({count}), {', '.join(['_it'] * n)}):", *_indent(vec, 2)]
         step += ["    _blk = _nbk"]
     zero = " + ".join([f"{v} * 0.0" for v in x] + ["_sum(_blk) * 0.0"] * (jacobian is not None))
     state = f"[{', '.join(x)}] + _blk"

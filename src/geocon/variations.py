@@ -294,14 +294,6 @@ def bracket_variation(
     return pv
 
 
-def resolve_bracket_ratio(jet: np.ndarray, bracket: np.ndarray) -> float:
-    """Least-squares ratio jet / bracket; the convention constant estimator."""
-    denom = float(np.dot(bracket, bracket))
-    if denom == 0.0:
-        raise VariationError("cannot resolve a ratio against a zero bracket")
-    return float(np.dot(jet, bracket)) / denom
-
-
 # ---------------------------------------------------------------------------
 # Sampling the perturbation-vector set along a reference trajectory.
 # ---------------------------------------------------------------------------

@@ -75,3 +75,14 @@ def random_control_affine(rng, m=None, k=None):
     drift = random_polynomial_field(rng, chart)
     inputs = [random_polynomial_field(rng, chart) for _ in range(k)]
     return build_control_affine(chart, drift, inputs, [(-2.0, 2.0)] * k)
+
+
+def chained_form(m):
+    """The chained form with m >= 3 states and two inputs (Murray & Sastry,
+    IEEE TAC 38, 1993): x1' = u1, x2' = u2 and x_i' = x_{i-1} u1 for i >= 3,
+    box [-2, 2]^2.  ad_{g1}^j g2 = +-e_{j+2}, so its ladder spans one more
+    dimension per level; J = u1 on the subdiagonal below x2, m - 2 nonzeros."""
+    chart = tuple(f"x{i + 1}" for i in range(m))
+    g1 = ["1", "0", *chart[1 : m - 1]]
+    g2 = ["0", "1", *["0"] * (m - 2)]
+    return build_control_affine(chart, ["0"] * m, [g1, g2], [(-2.0, 2.0)] * 2)

@@ -441,3 +441,17 @@ def test_kept_values_give_the_annihilators_of_fresh_ones(case):
     kept = [[b.components.tobytes() for b in basis] for basis in pca.sample_annihilators(ladder)]
     fresh = [[b.components.tobytes() for b in annihilator_at(ref.point_at(t), ladder)] for t in ladder.sample_times]
     assert kept == fresh
+
+
+@pytest.mark.parametrize("m", [4, 8, 12, 16])
+def test_chained_form_ladder_grows_one_dimension_per_level(m):
+    # a closed-form oracle at scale: ad_{g1}^j g2 = +-e_{j+2}, so the span
+    # along u = (1, 0) from x = 0 is 2, 3, ..., m, and nothing is abnormal
+    from tests.conftest import chained_form
+
+    system = chained_form(m)
+    ref = integrate_trajectory(system, [0.0] * m, piecewise_schedule([0.0], [[1.0, 0.0]]), (0.0, 1.0), 1e-2)
+    ladder = run_algorithm(system, ref, max_levels=m)
+    assert [sorted(set(level.span_dims.values())) for level in ladder.levels] == [[d] for d in range(2, m + 1)]
+    assert ladder.stabilized_at == m - 2
+    assert abnormal_verdict(ladder) == "annihilator trivial - no abnormal biextremal along reference"

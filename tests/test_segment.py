@@ -12,13 +12,13 @@ its own.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from geocon import fields
-from geocon.expr import Dual, all_finite, jet_seed
-from geocon.fields import DivergenceError, linearized_rhs, rk4_path, vector_field
+from geocon import fields, ocp
+from geocon.expr import Dual, add, all_finite, const, is_zero, jet_seed, mul, pow_, var
+from geocon.fields import DivergenceError, TangentVector, linearized_rhs, rk4_path, vector_field
 
-from tests.conftest import random_control_affine
+from tests.conftest import chained_form, random_control_affine
 from tests.test_generated_rhs import draw_state
 
 
@@ -219,3 +219,97 @@ def test_divergence_at_the_landing_step_is_at_the_landing_time(components, state
     rhs = linearized_rhs(vector_field(("x", "y")[: len(components)], components), tangents, covectors)
     outcome, samples = assert_segment_matches_loop(rhs, state, 0.0, duration, 1e-2)
     assert outcome == ("diverged", bits(fields.real_part(duration))) and len(samples) == recorded
+
+
+def sparsity_mask(rng, m, kind):
+    """J's nonzero pattern: True where component i reads x_j."""
+    mask = rng.random((m, m)) < 0.5
+    if kind == "dense":
+        mask[:] = True
+    elif kind in ("all zero", "single"):
+        mask[:] = False
+        mask[rng.integers(m), rng.integers(m)] = kind == "single"
+    elif kind in ("zero rows", "zero columns"):
+        cut = rng.permutation(m)[: int(rng.integers(1, m + 1))]
+        mask[cut] = False
+        if kind == "zero columns":
+            mask = mask.T
+    return mask.tolist()
+
+
+def masked_field(rng, m, mask):
+    """A polynomial field sum_j c_ij x_j^p_ij (plus a constant) over the mask's
+    entries; each c_ij is nonzero, so J's structural nonzeros are the mask."""
+    chart = tuple(f"x{i + 1}" for i in range(m))
+    comps = []
+    for row in mask:
+        e = const(round(float(rng.uniform(-0.4, 0.4)), 3))
+        for j, read in enumerate(row):
+            if read:
+                c = float(rng.choice([-1.0, 1.0]) * round(float(rng.uniform(0.05, 0.5)), 3))
+                e = add(e, mul(const(c), pow_(var(chart[j]), int(rng.integers(1, 4)))))
+        comps.append(e)
+    return vector_field(chart, comps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 5),
+    st.sampled_from(["dense", "zero rows", "zero columns", "all zero", "single", "random"]),
+    st.integers(1, 2),
+    st.integers(1, 2),
+    st.integers(0, 3),
+    st.sampled_from([0.0, 5e-324, 1e-15, "partial"]),
+    st.sampled_from([0, 1, 2]),
+    st.booleans(),
+)
+def test_structural_zeros_of_j_leave_every_bit_as_the_step_loop(seed, m, kind, tangents, covectors, steps,
+                                                                landing, depth, backward):
+    # the segment carries a block vector only through J's nonzero entries; a
+    # row (tangent) or column (covector) with none is d + h * 0.0 per step,
+    # which must keep the sign of zero entries and of h, at float and Dual
+    # durations, for a subnormal or tiny landing step as well as a whole one
+    rng = np.random.default_rng(seed)
+    mask = sparsity_mask(rng, m, kind)
+    vf = masked_field(rng, m, mask)
+    assert [[not is_zero(e) for e in row] for row in vf.jacobian()] == mask
+    state = draw_state(rng, m, tangents, covectors, False, -0.5, 0.5)
+    for k in range(m, len(state)):
+        if rng.random() < 0.4:
+            state[k] = float(rng.choice([-0.0, 0.0]))
+    length = 0.01 * steps + (float(rng.uniform(0.0, 0.01)) if landing == "partial" else landing)
+    assume(length != 0.0)
+    duration = jet_seed(length, depth) if depth else length
+    duration = -duration if backward else duration
+    assert_segment_matches_loop(linearized_rhs(vf, tangents, covectors), state, 0.25, duration, 0.01)
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_chained_form_batch_transport_matches_the_step_loop(m, monkeypatch):
+    # the chained form's J has m - 2 nonzeros: rows 1 and 2 and columns 1 and
+    # m are zero.  A batch moved across a switch by the generated segment, and
+    # each vector moved alone, equal the step loop (a wrapped rhs) bit for bit
+    system = chained_form(m)
+    sched = ocp.piecewise_schedule([0.0, 0.45], [[1.0, 0.0], [-0.6, 0.8]])
+    ref = ocp.integrate_trajectory(system, [0.0] * m, sched, (0.0, 1.0), 1e-2)
+    rng = np.random.default_rng(m)
+    base = ref.point_at(0.2)
+    vectors = [TangentVector(base, rng.uniform(-1.0, 1.0, size=m)) for _ in range(3)]
+    vectors.append(TangentVector(base, np.array([-0.0, 0.0] * (m // 2))))
+
+    def moved(vs):
+        return [[bits(c) for c in w.components.tolist()] for w in ocp.transport_vector(system, ref, 0.2, 1.0, vs)]
+
+    batch = moved(vectors)
+    assert batch == [w for v in vectors for w in moved([v])]
+    state = draw_state(rng, m, 2, 2, False, -0.5, 0.5)
+    state[m:m + 2] = [-0.0, 0.0]
+    for u in ([1.0, 0.0], [-0.6, 0.8]):
+        assert_segment_matches_loop(linearized_rhs(system, 2, 2, u), state, 0.0, -0.4, 0.01)
+    def looped(*args):  # a plain callable runs in the step loop
+        rhs = linearized_rhs(*args)
+        return lambda t, x: rhs(t, x)
+
+    monkeypatch.setattr(ocp, "linearized_rhs", looped)
+    assert moved(vectors) == batch
