@@ -16,16 +16,13 @@ from .expr import (
 from .fields import (
     Covector,
     DivergenceError,
-    FlowSpec,
     Point,
     TangentVector,
     VectorField,
     as_point,
     composite_flow,
     eval_vector_field,
-    integrate_flow,
     lie_bracket,
-    pushforward_along_flow,
     vector_field,
 )
 from .variations import (
@@ -58,7 +55,6 @@ from .ocp import (
     expression_schedule,
     extend_system,
     hamiltonian,
-    hamilton_rhs,
     integrate_biextremal,
     integrate_trajectory,
     piecewise_schedule,
@@ -78,7 +74,6 @@ from .mech import (
     ConnectionSpec,
     build_acc_system,
     connection_spec,
-    flat_connection,
     generator_families,
     spray_from_christoffel,
     vertical_lift,

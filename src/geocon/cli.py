@@ -136,7 +136,7 @@ def load_scenario(path: str) -> Scenario:
     constants = []  # the NaN and infinity literals read; only if there is one does a walk find where
     try:
         data = json.loads(raw_bytes, parse_constant=lambda name: constants.append(name) or float(name))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # or not UTF-8, or nested past the stack
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
     for where, value in _non_finite(data) if constants else ():
         raise ScenarioError(f"{where or '/'}: {json.dumps(value)} is not a finite number")
@@ -723,11 +723,14 @@ def main(argv=None) -> int:
     except RecursionError as exc:  # a derived expression deeper than the stack
         print(f"geocon: error: expression nested too deeply: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-    else:
+    if not args.out:
         sys.stdout.write(payload)
+        return code
+    try:
+        Path(args.out).write_text(payload)
+    except OSError as exc:  # a directory, a missing parent, no permission, ...
+        print(f"geocon: error: cannot write report: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

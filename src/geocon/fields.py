@@ -5,17 +5,16 @@ covectors are plain coordinate arrays and the pairing is the dot product.
 Fields are expression-backed, which keeps brackets exact (symbolic) while
 flows are classical fixed-step RK4, each run as one generated segment of
 steps (`expr.compile_segment`).  The integrator works on lists of generic
-scalars, so `integrate_flow` and `composite_flow` accept durations and
-states with Dual parts; that is how jets of flow compositions are computed
-exactly.  `pushforward_along_flow` takes a real duration only, because a
-TangentVector holds float components.
+scalars, so `rk4_path` and `composite_flow` accept durations and states with
+Dual parts; that is how jets of flow compositions are computed exactly.
+Vectors and covectors move along a flow in the block that `linearized_rhs`
+carries after the state.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -126,12 +125,6 @@ def cached_on(owner, slot: str, build, key=None):
     return cache[key]
 
 
-def pair(lam: Covector, v: TangentVector | np.ndarray) -> float:
-    """Coordinate pairing <lambda, v>."""
-    comp = v.components if isinstance(v, TangentVector) else np.asarray(v, dtype=float)
-    return float(np.dot(lam.components, comp))
-
-
 @dataclass(frozen=True, eq=True)
 class VectorField:
     variables: tuple[str, ...]
@@ -237,16 +230,6 @@ def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlowSpec:
-    field: VectorField
-    duration: float
-    step: float = DEFAULT_STEP
-
-    def __post_init__(self):
-        _check_step_count(self.duration, self.step)
-
-
 def _check_step_count(duration, step: float):
     """The step guard: a positive finite step, a duration that is not NaN, and
     at most MAX_FLOW_STEPS steps."""
@@ -309,11 +292,6 @@ def rk4_path(rhs, x0: list, t0: float, duration, step: float, record=None) -> li
     return x
 
 
-def integrate_flow(spec: FlowSpec, x0: Point) -> Point:
-    """Endpoint of the flow of `spec.field` after `spec.duration`."""
-    return composite_flow([spec.field], [spec.duration], x0, spec.step)
-
-
 def composite_flow(
     seq: Sequence[VectorField], times: Sequence, x0: Point, step: float = DEFAULT_STEP
 ) -> Point:
@@ -359,24 +337,3 @@ def _flow_code(segment: bool, owner, blocks):
         code = (compile_segment if segment else compile_flow)(comps, owner.variables, control_names, jac)
         owner.__dict__["_flow_forms"][segment] = (code, bool(blocks))
     return code
-
-
-def pushforward_along_flow(
-    xi0: VectorField, dt, v: TangentVector, step: float = DEFAULT_STEP
-) -> TangentVector:
-    """Transport `v` by the linearization of the flow of `xi0` over `dt`.
-
-    Solves the variational equation d(delta)/dt = D(xi0)(x(t)) delta along
-    the base flow and returns delta(dt) based at the transported point.
-    """
-    m = xi0.dim
-    if v.base.dim != m:
-        raise FieldError("vector dimension does not match the flow field")
-    if not isinstance(dt, numbers.Real):
-        raise FieldError(f"pushforward duration must be real, got {type(dt).__name__}: tangent vectors"
-                         " hold floats (integrate_flow and composite_flow accept Dual durations)")
-    rhs = linearized_rhs(xi0, tangents=1)
-    state0 = _as_scalar_list(v.base.coords) + _as_scalar_list(v.components)
-    out = rk4_path(rhs, state0, 0.0, dt, step)
-    new_base = Point(np.asarray(out[:m], dtype=float))
-    return TangentVector(new_base, np.asarray(out[m:], dtype=float))

@@ -97,13 +97,6 @@ def connection_spec(coordinates, velocities, christoffel) -> ConnectionSpec:
     return ConnectionSpec(coords, tuple(velocities), parsed)
 
 
-def flat_connection(coordinates, velocities) -> ConnectionSpec:
-    n = len(coordinates)
-    zero = const(0.0)
-    gamma = tuple(tuple(tuple(zero for _ in range(n)) for _ in range(n)) for _ in range(n))
-    return ConnectionSpec(tuple(coordinates), tuple(velocities), gamma)
-
-
 def spray_from_christoffel(conn: ConnectionSpec) -> VectorField:
     """Geodesic spray: x' = v, v^i' = -Gamma^i_{jk}(x) v^j v^k."""
     n = conn.n

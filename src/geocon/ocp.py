@@ -120,16 +120,18 @@ class ControlSchedule:
 
     def sample_times(self, interval: tuple[float, float]) -> list[float]:
         """The default analysis times: the quarters of the interval up to
-        its end, each moved forward by 1e-3 of its length until it is off
-        every control switch, rounded to 12 decimals."""
+        its end, each moved by 1e-3 of its length until it is off every
+        control switch (`on_switch`), forward, or backward from the end once
+        a step would pass it; rounded to 12 decimals, but never past b."""
         a, b = interval
-        switches = self.interior_breakpoints(interval)
         times = []
         for q in (0.25, 0.5, 0.75, 1.0):
-            t = a + q * (b - a)
-            while any(abs(t - s) <= 1e-9 for s in switches):
-                t += 1e-3 * (b - a)
-            times.append(round(t, 12))
+            t, dt = a + q * (b - a), 1e-3 * (b - a)
+            while self.on_switch(t, interval):
+                if t + dt > b:
+                    t, dt = b, -dt
+                t += dt
+            times.append(min(round(t, 12), b))
         return times
 
 
@@ -454,7 +456,7 @@ def integrate_trajectory(
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian, its control gradient and Hamilton's equations.
+# The Hamiltonian and its control gradient.
 # ---------------------------------------------------------------------------
 
 
@@ -483,25 +485,6 @@ def hamiltonian_control_gradient(lam, x, u, system) -> np.ndarray:
         vals = np.asarray(vf(xbase), dtype=float)
         out.append(float(p0 * grads[c] + np.dot(p, vals)))
     return np.asarray(out)
-
-
-def hamilton_rhs(x, lam, u, system):
-    """Right-hand side of Hamilton's equations at fixed control value.
-
-    dx/dt = f(x, u) and dlambda/dt = -(df/dx)^T lambda, the cotangent lift.
-    With the symplectic form written dx^i ^ dp_i these are exactly
-    dx/dt = dH/dp, dp/dt = -dH/dx for H = <lambda, f>.  On an ExtendedSystem
-    the cost coordinate is first and dp0/dt vanishes structurally (nothing
-    depends on x0).
-    """
-    xv = np.asarray(x.coords if isinstance(x, Point) else x, dtype=float).tolist()
-    lv = np.asarray(lam.components if isinstance(lam, Covector) else lam, dtype=float).tolist()
-    n = len(system.variables)
-    if len(xv) != n or len(lv) != n:
-        raise OcpError("state/momentum dimension does not match the system")
-    rhs = linearized_rhs(system, covectors=1, controls=[float(v) for v in u])
-    out = rhs(0.0, xv + lv)
-    return np.asarray(out[:n]), np.asarray(out[n:])
 
 
 # ---------------------------------------------------------------------------

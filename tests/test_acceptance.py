@@ -13,10 +13,9 @@ import numpy as np
 
 from geocon.cli import main
 from geocon.fields import (
-    FlowSpec,
     as_point,
+    composite_flow,
     eval_vector_field,
-    integrate_flow,
     lie_bracket,
     negate_field,
     vector_field,
@@ -300,7 +299,7 @@ def test_criterion_9_numerics_hygiene():
     vf = vector_field(("x",), ["x"])
 
     def err(h):
-        out = integrate_flow(FlowSpec(vf, 1.0, h), as_point([1.0]))
+        out = composite_flow([vf], [1.0], as_point([1.0]), h)
         return abs(out.coords[0] - math.e)
 
     exponent = math.log2(err(0.02) / err(0.01))

@@ -230,6 +230,27 @@ def test_main_error_exit_code(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("target", ["directory", "missing/report.json"])
+def test_an_unwritable_out_is_a_tool_error(tmp_path, capsys, target):
+    (tmp_path / "directory").mkdir()
+    out = tmp_path / target
+    assert main(["bracket", str(SCENARIOS / "martinet.json"), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"geocon: error: cannot write report: \[Errno \d+\] .*\n", captured.err)
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("raw", [b'{"name": "\xff"}', b"[" * 100_000 + b"]" * 100_000], ids=["not-utf8", "too-deep"])
+def test_undecodable_scenario_is_not_valid_json(tmp_path, capsys, raw):
+    path = tmp_path / "s.json"
+    path.write_bytes(raw)
+    with pytest.raises(ScenarioError, match="^scenario is not valid JSON: "):
+        load_scenario(str(path))
+    assert main(["bracket", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("geocon: error: scenario is not valid JSON: ")
+
+
 def test_reports_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for target in (a, b):

@@ -783,3 +783,25 @@ def test_probe_systems_support_exact_passes_and_pivots(caplog, m, passes, pivots
     assert len(messages) == passes
     assert sum(int(msg.rsplit(" in ", 1)[1].split()[0]) for msg in messages) == pivots
     assert report == SupportReport(None, None, None, False)
+
+
+@pytest.mark.parametrize("m, supported", [(8, False), (10, True)])
+def test_the_sampled_cone_sees_orders_up_to_two_on_the_chained_form(m, supported):
+    # the cone samples needles (order 1) and commutators (order 2) only: at
+    # m = 8 they span R^8 and nothing supports them, at m = 10 they reach
+    # rank 9 and a covector supports them, while the ladder, which follows
+    # every order, finds the annihilator trivial.  A reported covector is
+    # evidence up to order 2; "no supporting covector" is a certificate
+    from tests.conftest import chained_form
+    from geocon.ocp import integrate_trajectory, piecewise_schedule
+    from geocon.pca import abnormal_verdict, run_algorithm
+
+    system = chained_form(m)
+    ref = integrate_trajectory(system, [0.0] * m, piecewise_schedule([0.0], [[1.0, 0.0]]), (0.0, 1.0), 1e-2)
+    cone = assemble_cone(system, ref, 1.0, [0.25, 0.5, 0.75, 1.0], step=1e-2)
+    assert {p.order for p in cone.provenance} == {1, 2}
+    rank = np.linalg.matrix_rank(np.stack([g.components for g in cone.generators]))
+    assert rank == (9 if supported else m)
+    assert (find_supporting_covector(cone).covector is not None) == supported
+    verdict = abnormal_verdict(run_algorithm(system, ref, max_levels=m))
+    assert verdict == "annihilator trivial - no abnormal biextremal along reference"

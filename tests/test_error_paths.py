@@ -11,16 +11,14 @@ import numpy as np
 import pytest
 
 from geocon.cone import Cone, ConeError, GeneratorProvenance, is_supporting
-from geocon.expr import DomainEvalError, Dual, evaluate, jet_seed, mul, parse_expression, var
+from geocon.expr import DomainEvalError, Dual, evaluate, mul, parse_expression, var
 from geocon.fields import (
     Covector,
     FieldError,
-    FlowSpec,
     TangentVector,
     as_point,
     composite_flow,
-    integrate_flow,
-    pushforward_along_flow,
+    linearized_rhs,
     rk4_path,
     vector_field,
 )
@@ -29,7 +27,6 @@ from geocon.ocp import (
     OcpError,
     build_control_affine,
     extend_system,
-    hamilton_rhs,
     hamiltonian,
     hamiltonian_control_gradient,
     integrate_biextremal,
@@ -50,12 +47,12 @@ def test_zero_to_negative_power_reports_domain_error():
         evaluate(parse_expression("x^-2"), {"x": 0.0})
 
 
-def test_flowspec_rejects_nonpositive_step():
+def test_flow_rejects_nonpositive_step():
     vf = vector_field(("x",), ["1"])
     with pytest.raises(FieldError):
-        FlowSpec(vf, 1.0, 0.0)
+        composite_flow([vf], [1.0], as_point([0.0]), 0.0)
     with pytest.raises(FieldError):
-        FlowSpec(vf, 1.0, -1e-3)
+        composite_flow([vf], [1.0], as_point([0.0]), -1e-3)
 
 
 @pytest.mark.parametrize("step", [-0.5, 0.0, -0.0, math.nan, math.inf])
@@ -63,16 +60,6 @@ def test_flowspec_rejects_nonpositive_step():
 def test_rk4_path_rejects_a_step_that_is_not_positive_and_finite(step, duration):
     with pytest.raises(FieldError, match="step must be positive and finite"):
         rk4_path(lambda t, x: [1.0], [0.0], 0.0, duration, step)
-
-
-def test_pushforward_rejects_a_dual_duration():
-    # tangent vectors hold floats, so a Dual duration is refused up front with
-    # the cause named; integrate_flow takes the same duration
-    vf = vector_field(("x", "y"), ["y", "-x"])
-    v = TangentVector(as_point([1.0, 0.0]), [0.0, 1.0])
-    with pytest.raises(FieldError, match="must be real, got Dual"):
-        pushforward_along_flow(vf, jet_seed(0.3, 1), v)
-    assert integrate_flow(FlowSpec(vf, jet_seed(0.3, 1), 1e-2), v.base).dim == 2
 
 
 def test_composite_flow_length_mismatch():
@@ -93,8 +80,6 @@ def test_a_nan_duration_is_refused_by_the_step_guard(duration):
     vf = vector_field(("x",), ["1"])
     with pytest.raises(FieldError, match="duration must be a number"):
         composite_flow([vf], [duration], as_point([0.0]))
-    with pytest.raises(FieldError, match="duration must be a number"):
-        FlowSpec(vf, duration)
 
 
 def test_estimate_jets_order_cap():
@@ -137,8 +122,8 @@ def test_cone_rejects_mismatched_generator_base():
 def test_hamiltonian_dimension_mismatch(martinet):
     with pytest.raises(OcpError):
         hamiltonian([0.0, 0.0], [0.0, 0.0, 0.0], (0.0, 1.0), martinet)
-    with pytest.raises(OcpError):
-        hamilton_rhs([0.0, 0.0], [0.0, 0.0, 0.0], (0.0, 1.0), martinet)
+    with pytest.raises(ValueError):  # x and lambda: five numbers for six slots
+        linearized_rhs(martinet, covectors=1, controls=[0.0, 1.0])(0.0, [0.0, 0.0] + [0.0, 0.0, 0.0])
 
 
 def test_mode_validation(martinet):

@@ -5,21 +5,18 @@ import pytest
 
 from geocon.expr import Dual, real_part
 from geocon.fields import (
-    Covector,
+    DEFAULT_STEP,
     DivergenceError,
     FieldError,
-    FlowSpec,
     Point,
-    TangentVector,
     as_point,
     composite_flow,
     eval_vector_field,
-    integrate_flow,
     is_zero_field,
     lie_bracket,
+    linearized_rhs,
     negate_field,
-    pair,
-    pushforward_along_flow,
+    rk4_path,
     vector_field,
 )
 
@@ -137,32 +134,32 @@ def test_bracket_jacobi_identity():
 
 def test_flow_constant_field():
     vf = vector_field(("x", "y"), ["1", "0"])
-    out = integrate_flow(FlowSpec(vf, 1.0), as_point([0.0, 0.0]))
+    out = composite_flow([vf], [1.0], as_point([0.0, 0.0]))
     assert np.allclose(out.coords, [1.0, 0.0], atol=1e-12)
 
 
 def test_flow_linear_field_reaches_e():
     vf = vector_field(("x",), ["x"])
-    out = integrate_flow(FlowSpec(vf, 1.0, 1e-3), as_point([1.0]))
+    out = composite_flow([vf], [1.0], as_point([1.0]), 1e-3)
     assert abs(out.coords[0] - math.e) <= 1e-9
 
 
 def test_flow_backward():
     vf = vector_field(("x", "y"), ["1", "0"])
-    out = integrate_flow(FlowSpec(vf, -1.0), as_point([0.0, 0.0]))
+    out = composite_flow([vf], [-1.0], as_point([0.0, 0.0]))
     assert np.allclose(out.coords, [-1.0, 0.0], atol=1e-12)
 
 
 def test_flow_divergence_detected():
     vf = vector_field(("x",), ["x^2"])
     with pytest.raises(DivergenceError):
-        integrate_flow(FlowSpec(vf, 10.0, 1e-3), as_point([1.0]))
+        composite_flow([vf], [10.0], as_point([1.0]), 1e-3)
 
 
 def test_flow_step_guard():
     vf = vector_field(("x",), ["1"])
     with pytest.raises(FieldError):
-        FlowSpec(vf, 1e9, 1e-3)
+        composite_flow([vf], [1e9], as_point([0.0]), 1e-3)
 
 
 def test_composite_commuting_translations():
@@ -191,8 +188,8 @@ def test_flow_composition_semigroup():
     vf = vector_field(("x", "y"), ["y", "-sin(x)"])
     x0 = as_point([0.4, -0.2])
     t, s = 0.37, 0.41
-    one = integrate_flow(FlowSpec(vf, t + s, 1e-3), x0)
-    two = integrate_flow(FlowSpec(vf, t, 1e-3), integrate_flow(FlowSpec(vf, s, 1e-3), x0))
+    one = composite_flow([vf], [t + s], x0, 1e-3)
+    two = composite_flow([vf], [t], composite_flow([vf], [s], x0, 1e-3), 1e-3)
     assert np.max(np.abs(one.coords - two.coords)) <= 1e-8
 
 
@@ -200,7 +197,7 @@ def test_rk4_convergence_order():
     vf = vector_field(("x",), ["x"])
 
     def err(h):
-        out = integrate_flow(FlowSpec(vf, 1.0, h), as_point([1.0]))
+        out = composite_flow([vf], [1.0], as_point([1.0]), h)
         return abs(out.coords[0] - math.e)
 
     exponent = math.log2(err(0.02) / err(0.01))
@@ -210,7 +207,7 @@ def test_rk4_convergence_order():
 def test_flow_accepts_dual_duration():
     vf = vector_field(("x",), ["x"])
     dt = Dual(0.0, 1.0)  # derivative of the flow map in its duration
-    out = integrate_flow(FlowSpec(vf, dt, 1e-3), as_point([2.0]))
+    out = composite_flow([vf], [dt], as_point([2.0]), 1e-3)
     v = out.coords[0]
     assert real_part(v) == 2.0
     assert abs(v.du - 2.0) <= 1e-12  # d/dt e^t x0 at t=0
@@ -218,24 +215,21 @@ def test_flow_accepts_dual_duration():
 
 def test_pushforward_constant_field():
     vf = vector_field(("x", "y"), ["1", "0"])
-    v = TangentVector(as_point([0.0, 0.0]), np.array([0.3, 0.7]))
-    out = pushforward_along_flow(vf, 2.0, v)
-    assert np.allclose(out.components, [0.3, 0.7], atol=1e-12)
-    assert np.allclose(out.base.coords, [2.0, 0.0], atol=1e-12)
+    out = rk4_path(linearized_rhs(vf, tangents=1), [0.0, 0.0, 0.3, 0.7], 0.0, 2.0, DEFAULT_STEP)
+    assert np.allclose(out[2:], [0.3, 0.7], atol=1e-12)
+    assert np.allclose(out[:2], [2.0, 0.0], atol=1e-12)
 
 
 def test_pushforward_linear_field():
     vf = vector_field(("x",), ["x"])
-    v = TangentVector(as_point([1.0]), np.array([1.0]))
-    out = pushforward_along_flow(vf, 1.0, v, step=1e-3)
-    assert abs(out.components[0] - math.e) <= 1e-9
+    out = rk4_path(linearized_rhs(vf, tangents=1), [1.0, 1.0], 0.0, 1.0, 1e-3)
+    assert abs(out[1] - math.e) <= 1e-9
 
 
 def test_pushforward_zero_duration():
     vf = vector_field(("x", "y"), ["y", "x^2"])
-    v = TangentVector(as_point([0.5, -0.25]), np.array([1.0, 2.0]))
-    out = pushforward_along_flow(vf, 0.0, v)
-    assert np.array_equal(out.components, [1.0, 2.0])
+    out = rk4_path(linearized_rhs(vf, tangents=1), [0.5, -0.25, 1.0, 2.0], 0.0, 0.0, DEFAULT_STEP)
+    assert np.array_equal(out[2:], [1.0, 2.0])
 
 
 def test_pushforward_naturality_with_bracket():
@@ -246,15 +240,15 @@ def test_pushforward_naturality_with_bracket():
     xi = vector_field(chart, ["0.5*x2", "-0.3*x1"])
     dt = 0.1
     x0 = as_point([0.4, 0.2])
-    lhs = pushforward_along_flow(
-        xi, dt, eval_vector_field(lie_bracket(a, b), x0), step=1e-3
-    )
-    y0 = integrate_flow(FlowSpec(xi, dt, 1e-3), x0).coords
+    push = linearized_rhs(xi, tangents=1)
+    bracket = eval_vector_field(lie_bracket(a, b), x0).components
+    lhs = np.asarray(rk4_path(push, x0.coords.tolist() + bracket.tolist(), 0.0, dt, 1e-3)[2:])
+    y0 = composite_flow([xi], [dt], x0, 1e-3).coords
 
     def pushed(vf, y):
-        back = integrate_flow(FlowSpec(xi, -dt, 1e-3), as_point(y))
-        vec = eval_vector_field(vf, back)
-        return pushforward_along_flow(xi, dt, vec, step=1e-3).components
+        back = composite_flow([xi], [-dt], as_point(y), 1e-3)
+        vec = eval_vector_field(vf, back).components
+        return np.asarray(rk4_path(push, back.coords.tolist() + vec.tolist(), 0.0, dt, 1e-3)[2:])
 
     m = 2
     delta = 1e-3
@@ -267,14 +261,7 @@ def test_pushforward_naturality_with_bracket():
         JA[:, j] = (pushed(a, y0 + e) - pushed(a, y0 - e)) / (2 * delta)
         JB[:, j] = (pushed(b, y0 + e) - pushed(b, y0 - e)) / (2 * delta)
     rhs = JB @ A0 - JA @ B0
-    assert np.max(np.abs(lhs.components - rhs)) <= 1e-6
-
-
-def test_pairing_is_dot_product():
-    base = as_point([0.0, 0.0, 0.0])
-    lam = Covector(base, np.array([0.0, 0.0, 1.0]))
-    v = TangentVector(base, np.array([1.0, 2.0, 3.0]))
-    assert pair(lam, v) == 3.0
+    assert np.max(np.abs(lhs - rhs)) <= 1e-6
 
 
 def test_point_rejects_non_finite():

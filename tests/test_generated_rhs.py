@@ -21,7 +21,6 @@ from geocon.fields import linearized_rhs, vector_field
 from geocon.ocp import (
     build_control_affine,
     extend_system,
-    hamilton_rhs,
     integrate_biextremal,
     integrate_trajectory,
     piecewise_schedule,
@@ -164,7 +163,7 @@ def test_three_switch_schedule_compiles_its_rhs_once(monkeypatch):
     ref = integrate_trajectory(system, [0.1, 0.2, 0.3], sched, (0.0, 1.0), 1e-2)
     transport_vector(system, ref, 0.0, 1.0, [fields.TangentVector(ref.point_at(0.0), [1.0, 0.0, 0.0])], 1e-2)
     for u in ([0.5, -0.5], [1.0, 0.0]):
-        hamilton_rhs([0.1, 0.2, 0.3], [1.0, 0.0, 0.0], u, system)
+        fields.linearized_rhs(system, covectors=1, controls=u)(0.0, [0.1, 0.2, 0.3] + [1.0, 0.0, 0.0])
     assert len(bx.trajectory.ts) > 4
     # the segment compiled with J for the biextremal serves every flow after it
     assert calls == ["compile_segment", "compile_flow"]
@@ -175,7 +174,7 @@ def test_generated_rhs_dies_with_its_owner():
     vf = vector_field(("x",), ["x^2"])
     sched = piecewise_schedule([0.0], [[0.5]])
     integrate_biextremal(system, [0.1, 0.2, 0.3], [1.0, 0.0, 0.0], sched, (0.0, 0.5), step=1e-2)
-    fields.integrate_flow(fields.FlowSpec(vf, 0.5, 1e-2), fields.as_point([0.1]))
+    fields.composite_flow([vf], [0.5], fields.as_point([0.1]), 1e-2)
     vf([0.1])  # a point value walks the trees: only the segment is compiled
     assert set(system.__dict__["_flow_forms"]) == {True} and set(vf.__dict__["_flow_forms"]) == {True}
     refs = [weakref.ref(system), weakref.ref(vf)]

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from geocon.fields import (
-    FlowSpec,
     as_point,
+    composite_flow,
     eval_vector_field,
-    integrate_flow,
     is_zero_field,
     lie_bracket,
     vector_field,
@@ -16,7 +15,6 @@ from geocon.mech import (
     MechError,
     build_acc_system,
     connection_spec,
-    flat_connection,
     generator_families,
     spray_from_christoffel,
     vertical_lift,
@@ -36,14 +34,14 @@ def polar():
 
 
 def test_flat_spray():
-    conn = flat_connection(("x1", "x2"), ("v1", "v2"))
+    conn = connection_spec(("x1", "x2"), ("v1", "v2"), [[["0", "0"], ["0", "0"]]] * 2)
     Z = spray_from_christoffel(conn)
     out = eval_vector_field(Z, as_point([0.3, -0.2, 1.5, 0.5]))
     assert np.allclose(out.components, [1.5, 0.5, 0.0, 0.0])
 
 
 def test_one_dimensional_spray():
-    conn = flat_connection(("x",), ("v",))
+    conn = connection_spec(("x",), ("v",), [[["0"]]])
     Z = spray_from_christoffel(conn)
     out = eval_vector_field(Z, as_point([0.0, 3.0]))
     assert np.allclose(out.components, [3.0, 0.0])
@@ -59,7 +57,7 @@ def test_polar_spray_components(polar):
 def test_polar_geodesics_are_straight_lines(polar):
     Z = spray_from_christoffel(polar)
     r, th, vr, vth = 1.0, 0.0, 0.3, 0.5
-    end = integrate_flow(FlowSpec(Z, 1.0, 1e-3), as_point([r, th, vr, vth]))
+    end = composite_flow([Z], [1.0], as_point([r, th, vr, vth]), 1e-3)
     x = end.coords[0] * math.cos(end.coords[1])
     y = end.coords[0] * math.sin(end.coords[1])
     # cartesian straight line from (1, 0) with velocity (0.3, 0.5)
@@ -75,7 +73,7 @@ def test_polar_speed_conserved(polar):
         r, _, vr, vth = p
         return math.sqrt(vr * vr + r * r * vth * vth)
 
-    end = integrate_flow(FlowSpec(Z, 1.0, 1e-3), as_point(x0))
+    end = composite_flow([Z], [1.0], as_point(x0), 1e-3)
     assert abs(speed(end.coords) - speed(x0)) <= 1e-6
 
 
@@ -93,21 +91,21 @@ def test_asymmetric_christoffel_rejected():
 
 
 def test_vertical_lift_basic():
-    conn = flat_connection(("x1", "x2"), ("v1", "v2"))
+    conn = connection_spec(("x1", "x2"), ("v1", "v2"), [[["0", "0"], ["0", "0"]]] * 2)
     y = vector_field(("x1", "x2"), ["1", "0"])
     out = eval_vector_field(vertical_lift(y, conn), as_point([0.0, 0.0, 0.0, 0.0]))
     assert np.allclose(out.components, [0.0, 0.0, 1.0, 0.0])
 
 
 def test_vertical_lift_carries_coefficients():
-    conn = flat_connection(("x1", "x2"), ("v1", "v2"))
+    conn = connection_spec(("x1", "x2"), ("v1", "v2"), [[["0", "0"], ["0", "0"]]] * 2)
     y = vector_field(("x1", "x2"), ["x2", "0"])
     out = eval_vector_field(vertical_lift(y, conn), as_point([0.0, 2.5, 0.0, 0.0]))
     assert np.allclose(out.components, [0.0, 0.0, 2.5, 0.0])
 
 
 def test_flat_drift_bracket_with_lift():
-    conn = flat_connection(("x1", "x2"), ("v1", "v2"))
+    conn = connection_spec(("x1", "x2"), ("v1", "v2"), [[["0", "0"], ["0", "0"]]] * 2)
     Z = spray_from_christoffel(conn)
     lift = vertical_lift(vector_field(("x1", "x2"), ["1", "0"]), conn)
     br = lie_bracket(Z, lift)
@@ -116,14 +114,14 @@ def test_flat_drift_bracket_with_lift():
 
 
 def test_vertical_lifts_commute_symbolically():
-    conn = flat_connection(("x1", "x2"), ("v1", "v2"))
+    conn = connection_spec(("x1", "x2"), ("v1", "v2"), [[["0", "0"], ["0", "0"]]] * 2)
     a = vertical_lift(vector_field(("x1", "x2"), ["x2^2", "x1"]), conn)
     b = vertical_lift(vector_field(("x1", "x2"), ["1", "x1*x2"]), conn)
     assert is_zero_field(lie_bracket(a, b))
 
 
 def test_build_acc_system_double_integrator():
-    conn = flat_connection(("x1", "x2"), ("v1", "v2"))
+    conn = connection_spec(("x1", "x2"), ("v1", "v2"), [[["0", "0"], ["0", "0"]]] * 2)
     sys = build_acc_system(conn, [vector_field(("x1", "x2"), ["1", "0"])], [(-2.0, 2.0)])
     assert sys.m == 4 and sys.k == 1
     sched = piecewise_schedule([0.0], [[0.0]])
@@ -137,7 +135,7 @@ def test_build_acc_system_double_integrator():
 
 
 def test_generator_families_flat_connection_identities():
-    conn = flat_connection(("x1", "x2"), ("v1", "v2"))
+    conn = connection_spec(("x1", "x2"), ("v1", "v2"), [[["0", "0"], ["0", "0"]]] * 2)
     sys = build_acc_system(conn, [vector_field(("x1", "x2"), ["1", "0"])], [(-2.0, 2.0)])
     sched = piecewise_schedule([0.0], [[0.0]])
     ref = integrate_trajectory(sys, [0.0, 0.0, 1.0, 0.0], sched, (0.0, 1.0), 1e-2)
@@ -163,7 +161,7 @@ def test_generator_families_polar_connection(polar):
 
 
 def test_annihilator_pairing_on_flat_families():
-    conn = flat_connection(("x1", "x2"), ("v1", "v2"))
+    conn = connection_spec(("x1", "x2"), ("v1", "v2"), [[["0", "0"], ["0", "0"]]] * 2)
     sys = build_acc_system(conn, [vector_field(("x1", "x2"), ["1", "0"])], [(-2.0, 2.0)])
     x = as_point([0.0, 0.0, 1.0, 0.0])
     lift_val = eval_vector_field(sys.inputs[0], x).components

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geocon.fields import TangentVector, as_point, eval_vector_field
+from geocon.fields import TangentVector, as_point, eval_vector_field, linearized_rhs
 from geocon.ocp import (
     Biextremal,
     DegenerateMomentumError,
@@ -17,7 +17,6 @@ from geocon.ocp import (
     expression_schedule,
     extend_system,
     hamiltonian,
-    hamilton_rhs,
     integrate_biextremal,
     integrate_trajectory,
     piecewise_schedule,
@@ -94,16 +93,16 @@ def test_hamiltonian_extended_cost_term(martinet_extended):
 
 def test_hamilton_rhs_constant_drift():
     sys = build_control_affine(("x", "y"), ["1", "0"], [], [])
-    dx, dlam = hamilton_rhs([0.0, 0.0], [0.4, -0.3], (), sys)
-    assert np.allclose(dx, [1.0, 0.0])
-    assert np.allclose(dlam, [0.0, 0.0])
+    out = linearized_rhs(sys, covectors=1, controls=[])(0.0, [0.0, 0.0, 0.4, -0.3])
+    assert np.allclose(out[:2], [1.0, 0.0])
+    assert np.allclose(out[2:], [0.0, 0.0])
 
 
 def test_hamilton_rhs_linear_system():
     sys = build_control_affine(("x",), ["x"], [], [])
-    dx, dlam = hamilton_rhs([2.0], [0.5], (), sys)
-    assert dx[0] == 2.0
-    assert dlam[0] == -0.5
+    dx, dlam = linearized_rhs(sys, covectors=1, controls=[])(0.0, [2.0, 0.5])
+    assert dx == 2.0
+    assert dlam == -0.5
 
 
 def test_biextremal_linear_closed_form():

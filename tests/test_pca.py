@@ -277,6 +277,22 @@ def test_default_sample_times_are_the_scenario_quarters_before_the_end(martinet)
     assert run_algorithm(martinet, ref).sample_times == (0.25, 0.501, 0.75)
 
 
+@pytest.mark.parametrize("breaks, interval, expected", [
+    # a switch just before the end: the last quarter steps back from b
+    ([0.0, 1.0 - 1e-13], (0.0, 1.0), [0.25, 0.5, 0.75, 0.999]),
+    ([2.0, 3.998, 4.0 - 1e-13], (2.0, 4.0), [2.5, 3.0, 3.5, 3.996]),
+    # rounding to 12 decimals would carry the end past b
+    ([0.0], (0.0, 0.9999999999996), [0.25, 0.5, 0.75, 0.9999999999996]),
+    # 1e-10 from a quarter is off the switch at on_switch's 1e-12
+    ([0.0, 0.5 + 1e-10], (0.0, 1.0), [0.25, 0.5, 0.75, 1.0]),
+])
+def test_default_sample_times_stay_in_the_interval_and_off_every_switch(breaks, interval, expected):
+    sched = piecewise_schedule(breaks, [[0.0, 1.0]] * len(breaks))
+    times = sched.sample_times(interval)
+    assert times == expected
+    assert all(interval[0] < t <= interval[1] and not sched.on_switch(t, interval) for t in times)
+
+
 def _oracle_ladder(system, reference, max_levels=6):
     """The ladder as first written, kept as the reference: every bracket of a
     level is built before any is tested, every generator is evaluated again

@@ -164,9 +164,9 @@ def test_zero_duration_is_the_identity():
         assert out == state and out is not state
     assert calls == [] and "_flow_forms" not in vf.__dict__
     assert samples == [(0.25, state)] * 2
-    assert fields.integrate_flow(fields.FlowSpec(vf, -0.0), fields.as_point([-1.0, 2.0])).coords.tolist() == [-1.0, 2.0]
+    assert fields.composite_flow([vf], [-0.0], fields.as_point([-1.0, 2.0])).coords.tolist() == [-1.0, 2.0]
     # a Dual duration with zero real part still carries its seed
-    flowed = fields.integrate_flow(fields.FlowSpec(vector_field(("x",), ["1"]), jet_seed(0.0, 1)), fields.as_point([2.0]))
+    flowed = fields.composite_flow([vector_field(("x",), ["1"])], [jet_seed(0.0, 1)], fields.as_point([2.0]))
     assert bits(flowed.coords[0]) == bits(Dual(2.0, 1.0))
 
 

@@ -21,8 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from geocon import fields
 from geocon.expr import jet_seed, substitute
-from geocon.fields import (FlowSpec, VectorField, as_point, combine_fields, eval_vector_field, integrate_flow,
-                           linearized_rhs)
+from geocon.fields import VectorField, as_point, combine_fields, composite_flow, eval_vector_field, linearized_rhs
 from geocon.ocp import build_control_affine, extend_system
 from geocon.variations import needle_variation
 
@@ -167,7 +166,7 @@ def test_a_needle_grid_compiles_only_its_system_code(monkeypatch):
 def test_a_routed_slice_dies_with_its_system():
     system = random_control_affine(np.random.default_rng(5), m=3, k=2)
     xi = system.slice_field([0.5, -1.0])
-    assert math.isfinite(integrate_flow(FlowSpec(xi, 0.1, 1e-2), as_point([0.1, 0.2, 0.3])).coords[0])
+    assert math.isfinite(composite_flow([xi], [0.1], as_point([0.1, 0.2, 0.3]), 1e-2).coords[0])
     assert "_flow_forms" in system.__dict__ and "_flow_forms" not in xi.__dict__
     refs = [weakref.ref(system), weakref.ref(xi)]
     del system, xi
@@ -182,7 +181,7 @@ def test_a_routed_slice_holds_its_system_weakly():
     system = random_control_affine(np.random.default_rng(5), m=3, k=2)
     xi = system.slice_field([0.5, -1.0])
     x = as_point([0.1, 0.2, 0.3])
-    routed = integrate_flow(FlowSpec(xi, 0.1, 1e-2), x).coords.tobytes()
+    routed = composite_flow([xi], [0.1], x, 1e-2).coords.tobytes()
     ref = weakref.ref(system)
     gc.disable()
     try:
@@ -190,7 +189,7 @@ def test_a_routed_slice_holds_its_system_weakly():
         assert ref() is None
     finally:
         gc.enable()
-    assert integrate_flow(FlowSpec(xi, 0.1, 1e-2), x).coords.tobytes() == routed
+    assert composite_flow([xi], [0.1], x, 1e-2).coords.tobytes() == routed
     assert "_flow_forms" in xi.__dict__
 
 
