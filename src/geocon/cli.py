@@ -17,6 +17,7 @@ import json
 import logging
 import math
 import os
+import reprlib
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -71,6 +72,10 @@ def load_schema() -> dict:
 @functools.cache
 def _validator() -> jsonschema.Draft202012Validator:
     return jsonschema.Draft202012Validator(load_schema())
+
+
+_ECHO = reprlib.Repr()  # a value a schema violation refuses, one level deep: at most 6 items or 4 keys
+_ECHO.maxlevel = 1
 
 
 @dataclass
@@ -141,8 +146,10 @@ def load_scenario(path: str) -> Scenario:
     for where, value in _non_finite(data) if constants else ():
         raise ScenarioError(f"{where or '/'}: {json.dumps(value)} is not a finite number")
     error = min(_validator().iter_errors(data), key=lambda e: list(e.absolute_path), default=None)
-    if error is not None:
-        raise ScenarioError(f"schema violation at /{'/'.join(map(str, error.absolute_path))}: {error.message}")
+    if error is not None:  # a long refused value is echoed by _ECHO, and the message cut to 240 characters
+        text = repr(error.instance)
+        message = error.message.replace(text, _ECHO.repr(error.instance)) if len(text) > 80 else error.message
+        raise ScenarioError(f"schema violation at /{'/'.join(map(str, error.absolute_path))}: {message[:240]}")
 
     if ("system" in data) == ("mechanics" in data):
         raise ScenarioError("exactly one of /system or /mechanics must be present")
@@ -468,7 +475,7 @@ def cmd_extremal(scenario: Scenario, args) -> tuple[int, dict]:
     ]
     if mode == "extended":
         search = None
-        if abs(bx.lambda0) <= 1e-12:
+        if classify_extremal(bx).kind == "abnormal":
             start = Trajectory(scenario.interval, [scenario.interval[0]], [scenario.initial], scenario.schedule)
             search = search_normal_lift(scenario.extended, start, step=args.step)  # reads the start only
         cls = classify_extremal(bx, search)

@@ -300,7 +300,7 @@ def solve_lp_max(c: Sequence[Fraction], A: Sequence[Sequence[Fraction]], b: Sequ
     try:
         return (True, *_certify(c, A, b, basis))
     except _NoCertificate as exc:
-        reason = exc
+        reason = str(exc)  # not the exception: its traceback holds this frame
     T, basis = _tableau(c, A, b, F, basis)
     outcome, pivots = _simplex(T, basis, 0)
     if outcome == "unbounded":

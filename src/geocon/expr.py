@@ -735,6 +735,9 @@ def evaluate(e: Expr, env: Mapping[str, object], checked: bool = True, memo: dic
 _CODEGEN_NS = {f"_{name}": fn for name, fn in _FUNCTIONS.items()}
 _CODEGEN_NS.update(_ipow=_ipow, _range=range, _iter=iter, _zip=zip, _float=float, _list=list, _sum=sum,
                    _fin=all_finite, __builtins__={})
+# local names of generated code, kept interned: dying with their code, they would be interned again by the
+# next compile, a churn that regrows the interpreter's table of interned strings (about 1 MB of peak RSS)
+_LOCAL_NAMES: set[str] = set()
 _MAX_NESTING = 40  # inline depth before a subexpression gets a local (the parser caps nesting)
 
 
@@ -875,9 +878,10 @@ def _indent(lines, depth: int = 1) -> list[str]:
 
 def _compile(name: str, params: str, body: list[str]) -> Callable:
     source = "\n".join([f"def {name}({params}):", *_indent(body)])
-    namespace = dict(_CODEGEN_NS)
-    exec(compile(source, "<generated>", "exec"), namespace)  # noqa: S102 - from our own trees
-    return namespace[name]
+    defined = {}  # the function's globals are the shared _CODEGEN_NS, so it forms no reference cycle
+    exec(compile(source, "<generated>", "exec"), _CODEGEN_NS, defined)  # noqa: S102 - from our own trees
+    _LOCAL_NAMES.update(defined[name].__code__.co_varnames)
+    return defined[name]
 
 
 def compile_flow(components, chart, controls=(), jacobian=None) -> Callable:

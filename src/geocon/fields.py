@@ -8,7 +8,8 @@ steps (`expr.compile_segment`).  The integrator works on lists of generic
 scalars, so `rk4_path` and `composite_flow` accept durations and states with
 Dual parts; that is how jets of flow compositions are computed exactly.
 Vectors and covectors move along a flow in the block that `linearized_rhs`
-carries after the state.
+carries after the state.  A point value `vf(x)` walks the field's trees with
+the generated code's arithmetic, so it compiles nothing.
 """
 
 from __future__ import annotations
@@ -149,12 +150,8 @@ class VectorField:
         return self.components, ()
 
     def __call__(self, values: Sequence) -> list:
-        """f(values).  A slice routed to a live system runs the system's code;
-        any other field is walked, sharing one memo across its components,
-        with the generated code's arithmetic (``evaluate(..., checked=False)``)."""
-        rhs = linearized_rhs(self)
-        if rhs.args[0] is not self:
-            return rhs(0.0, values)
+        """f(values), walked with one memo shared across the components and
+        the generated code's arithmetic (``evaluate(..., checked=False)``)."""
         env, memo = dict(zip(self.variables, values)), {}
         return [evaluate(c, env, False, memo) for c in self.components]
 
@@ -270,9 +267,14 @@ def rk4_path(rhs, x0: list, t0: float, duration, step: float, record=None) -> li
     generic scalar, and the last, partial step lands exactly.  A real duration
     equal to 0.0 takes no step: x0 comes back copied (recorded at t0).  One call
     of its generated segment runs the leg of an rhs from :func:`linearized_rhs`,
-    :func:`_rk4_steps` that of any other; a non-finite state raises DivergenceError.
+    :func:`_rk4_steps` that of any other; a non-finite state raises DivergenceError,
+    and a state whose length is not the chart's plus its block's a FieldError.
     """
     _check_step_count(duration, step)
+    generated = getattr(rhs, "func", None) is _generated_rhs
+    if generated:
+        owner, controls, tangents, covectors = rhs.args
+        _check_state_length(owner, tangents + covectors, x0)
     if duration == 0.0:  # a Dual defines no __eq__, so it never takes this branch
         x = list(x0)
         if record is not None:
@@ -282,8 +284,7 @@ def rk4_path(rhs, x0: list, t0: float, duration, step: float, record=None) -> li
     n_full = int(abs(total) / step)
     h = step if total >= 0.0 else -step
     leg = (t0, h, n_full, duration - n_full * h, t0 + total, x0, record)
-    if getattr(rhs, "func", None) is _generated_rhs:
-        owner, controls, tangents, covectors = rhs.args
+    if generated:
         t, x = _flow_code(True, owner, tangents or covectors)(controls, tangents, covectors, *leg)
     else:
         t, x = _rk4_steps(rhs, *leg)
@@ -323,7 +324,14 @@ def linearized_rhs(owner, tangents: int = 0, covectors: int = 0, controls=None):
     return functools.partial(_generated_rhs, owner, controls, tangents, covectors)
 
 
+def _check_state_length(owner, blocks: int, state):
+    n = len(owner.variables)
+    if len(state) != n * (1 + blocks):
+        raise FieldError(f"state of length {len(state)} for {n} chart coordinates and {blocks} block vectors")
+
+
 def _generated_rhs(owner, controls, tangents, covectors, t, state):
+    _check_state_length(owner, tangents + covectors, state)
     return _flow_code(False, owner, tangents or covectors)(controls, tangents, covectors, t, state)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .expr import Expr, const, evaluate, expr_sum, free_variables, mul, neg, parse_expression, var
 from .fields import VectorField, eval_vector_field, lie_bracket
 from .ocp import ControlAffineSystem, Trajectory, build_control_affine
-from .pca import _rank_of
+from .pca import null_space
 from .variations import JET_STEP, KAPPA, estimate_jets, variation_curve
 
 
@@ -167,12 +167,12 @@ class GeneratorFamilyReport:
 def generator_families(
     system: ControlAffineSystem,
     reference: Trajectory,
-    sample_time: float | None = None,
+    sample_time: float,
 ) -> GeneratorFamilyReport:
     """Generator families of the acceleration system plus their identities.
 
     The first family is the vertical lifts (the input fields); the second
-    is their brackets with the reference slice.  At the sample time the
+    is their brackets with the reference slice.  At `sample_time` the
     four jet identities are verified numerically, each within 1e-4 relative
     to its target's norm when that exceeds one: single-flow-pair curves
     produce +/- the lift at first order, and the four-flow curves produce
@@ -181,10 +181,8 @@ def generator_families(
     bare spray inside the bracket) is checked to 1e-9 on the lift
     annihilator.
     """
-    a, b = reference.interval
-    t0 = sample_time if sample_time is not None else 0.5 * (a + b)
-    x = reference.point_at(t0)
-    u0 = reference.control_at(t0)
+    x = reference.point_at(sample_time)
+    u0 = reference.control_at(sample_time)
     xi0 = system.slice_field(u0)
     lifts = system.inputs
 
@@ -213,15 +211,14 @@ def generator_families(
             checks.append(_check(name, i, estimate_jets(curve, order)[order - 1], target))
 
     # annihilators of the lifts cannot see the control part of the bracket
-    _, s, vt = np.linalg.svd(np.stack(y_vals))
-    rank = _rank_of(s)
+    annihilators = null_space(y_vals)
     reduction_err = 0.0
-    if rank < len(vt):
+    if annihilators:
         gaps = [
             b_val - np.asarray(eval_vector_field(lie_bracket(system.drift, yv), x).components, dtype=float)
             for yv, b_val in zip(lifts, b_vals)
         ]
-        for lam in vt[rank:]:
+        for lam in annihilators:
             for gap in gaps:
                 reduction_err = max(reduction_err, abs(float(np.dot(lam, gap))))
     if reduction_err > 1e-9:

@@ -6,7 +6,9 @@ vector field; a cost function extends the state with a running-cost
 coordinate x0 (kept first).  Momenta evolve by the cotangent lift (the
 adjoint of the state linearization), and the audit checks the weak
 first-order necessary conditions plus the supporting-hyperplane condition
-against an externally assembled cone.
+against an externally assembled cone.  One builder gives the control vectors
+df/du^c of a cost-extended system (`ExtendedSystem.control_vectors`) to both
+the stationarity rows dH/du of the audit and those of the normal-lift search.
 """
 
 from __future__ import annotations
@@ -360,11 +362,13 @@ class ExtendedSystem:
         comps, control_names = self.base.flow_components()
         return [self.cost] + comps, control_names
 
-    def cost_control_gradient(self, x, u) -> list:
-        """dL/du^c at the base state x and control u, walked with the generated code's arithmetic."""
+    def control_vectors(self, x, u) -> list[list[float]]:
+        """df/du^c = [dL/du^c, *X_c(x)] per control at the base state x (a list)
+        and control u, walked with the generated code's arithmetic."""
         grads = cached_on(self, "_dcost_du", lambda: [differentiate(self.cost, c) for c in self.base.control_names])
         env = dict(zip(self.base.variables + self.base.control_names, [*x, *u]))
-        return [evaluate(g, env, False) for g in grads]
+        dcost = [evaluate(g, env, False) for g in grads]
+        return [[g, *vf(x)] for g, vf in zip(dcost, self.base.inputs)]
 
 
 def extend_system(sys: ControlAffineSystem, cost) -> ExtendedSystem:
@@ -471,20 +475,15 @@ def hamiltonian(lam, x, u, system) -> float:
 
 
 def hamiltonian_control_gradient(lam, x, u, system) -> np.ndarray:
-    """dH/du per control: <lambda, X_c(x)>, plus p0 dF/du_c for an ExtendedSystem."""
+    """dH/du per control: <lambda, X_c(x)>, or <(p0, p), df/du^c> for an
+    ExtendedSystem (:meth:`ExtendedSystem.control_vectors`)."""
     lam = np.asarray(lam.components if isinstance(lam, Covector) else lam, dtype=float)
     xv = np.asarray(x.coords if isinstance(x, Point) else x, dtype=float).tolist()
     if system is system.base:
         return np.asarray([float(np.dot(lam, np.asarray(vf(xv), dtype=float))) for vf in system.inputs])
-    base = system.base
     p0, p = lam[0], lam[1:]
-    xbase = xv[1:]
-    grads = system.cost_control_gradient(xbase, [float(v) for v in u])
-    out = []
-    for c, vf in enumerate(base.inputs):
-        vals = np.asarray(vf(xbase), dtype=float)
-        out.append(float(p0 * grads[c] + np.dot(p, vals)))
-    return np.asarray(out)
+    vectors = system.control_vectors(xv[1:], [float(v) for v in u])
+    return np.asarray([float(p0 * v[0] + np.dot(p, np.asarray(v[1:], dtype=float))) for v in vectors])
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +661,7 @@ def search_normal_lift(
     if not (grid_per_axis >= 1 and sample_count >= 1 and 0.0 < momentum_bound < math.inf and not math.isnan(tol)):
         raise OcpError("normal-lift search needs grid_per_axis >= 1, sample_count >= 1, a finite momentum_bound > 0 "
                        f"and a tol that is not NaN; got {grid_per_axis}, {sample_count}, {momentum_bound}, {tol}")
-    base = ext.base
-    m = base.m
+    m = ext.base.m
     n = m + 1
     schedule = reference.schedule
     a, b = reference.interval
@@ -684,10 +682,8 @@ def search_normal_lift(
         st = states[i]
         # Psi^T: row c is column c of Psi, in Fortran order like a transposed Psi
         psi_t = np.asfortranarray(np.asarray(st[n:]).reshape(n, n))
-        xbase = st[1:n]
-        grads = ext.cost_control_gradient(xbase, [float(v) for v in schedule.value_at(float(rts[i]))])
-        for c in range(base.k):
-            rows.append(psi_t @ np.asarray([grads[c]] + base.inputs[c](xbase), dtype=float))
+        for v in ext.control_vectors(st[1:n], [float(u) for u in schedule.value_at(float(rts[i]))]):
+            rows.append(psi_t @ np.asarray(v, dtype=float))
     axis = np.linspace(-momentum_bound, momentum_bound, grid_per_axis)
     description = (
         f"p0 = -1; p in linspace(-{momentum_bound}, {momentum_bound}, {grid_per_axis})^{m}"

@@ -2,7 +2,8 @@
 
 This is the presymplectic constraint algorithm of Gotay, Nester and Hinds on
 the sampled reference trajectory.  Level 0 holds the input fields: the
-gradient-in-u of the Hamiltonian pairing must vanish.  Along the dynamics
+gradient-in-u of the Hamiltonian pairing must vanish; a ladder is built with
+its sample points (`primary_constraints`).  Along the dynamics
 d/dt <lambda, Z> = <lambda, [X0, Z]> + sum_d u^d <lambda, [X_d, Z]>, so each
 step brackets the drift, then each input in order, with the generators of
 the last level.  A bracket that is not symbolically zero is adopted when it
@@ -11,7 +12,8 @@ The ladder keeps those values (`ConstraintLadder.rows`), so every field is
 evaluated once per sample point and each candidate costs one rank per
 point.  It stabilizes when a step adopts nothing or the span is full at
 every sample.  Covectors annihilating all adopted generators at a point are
-the abnormal momentum candidates there.
+the abnormal momentum candidates there (`null_space`, which the mechanical
+reduction check shares).
 """
 
 from __future__ import annotations
@@ -66,10 +68,7 @@ class ConstraintLadder:
 
     @property
     def dimension(self) -> int:
-        gens = self.all_generators()
-        if gens:
-            return gens[0].field.dim
-        return len(self.sample_points[0]) if self.sample_points else 0
+        return len(self.sample_points[0])
 
 
 def _rank_of(s: np.ndarray) -> int:
@@ -83,52 +82,44 @@ def _rank(rows: list[np.ndarray]) -> int:
     return _rank_of(np.linalg.svd(np.asarray(rows), compute_uv=False)) if rows else 0
 
 
+def null_space(rows) -> list[np.ndarray]:
+    """Orthonormal basis of the vectors orthogonal to every row of `rows`
+    (a nonempty sequence), past their numerical rank (`RANK_REL_TOL`); each
+    basis vector is sign-fixed so that its largest entry is positive."""
+    _, s, vt = np.linalg.svd(np.asarray(rows))
+    return [-row if row[int(np.argmax(np.abs(row)))] < 0 else row for row in vt[_rank_of(s):]]
+
+
 def _value(vf: VectorField, x) -> np.ndarray:
     return np.asarray(vf(x.tolist()), dtype=float)
 
 
-def primary_constraints(system) -> ConstraintLadder:
-    """Level 0: the input fields, whose pairings with the momentum vanish.
+def primary_constraints(system, reference: Trajectory, sample_times: Sequence[float] | None = None) -> ConstraintLadder:
+    """Level 0: the input fields, whose pairings with the momentum vanish,
+    evaluated on the reference at `sample_times`, by default at the
+    schedule's default analysis times before the interval end.
 
     The ladder works on the state space, so a cost-extended system
     contributes the input fields of its base system.
     """
-    base = system.base
-    gens = [
-        GeneratorRecord(name=f"X{c + 1}", level=0, field=vf)
-        for c, vf in enumerate(base.inputs)
-    ]
-    level0 = LadderLevel(0, gens, {}, False)
-    ladder = ConstraintLadder((), (), [level0], None)
-    if base.k == 0:
-        ladder.stabilized_at = 0
-    return ladder
-
-
-def _attach_samples(ladder: ConstraintLadder, reference: Trajectory, sample_times):
-    """Sample the reference at `sample_times`, by default at the schedule's
-    default analysis times before the interval end, and evaluate the
-    generators there."""
     if not sample_times:
         end = reference.interval[1]
         sample_times = [t for t in reference.schedule.sample_times(reference.interval) if t < end]
     times = tuple(float(t) for t in sample_times)
-    if len(times) < 1:
+    if not times:
         raise PcaError("at least one sample time required")
     for t in times:
         if reference.schedule.on_switch(t, reference.interval):
             raise PcaError(f"sample time {t} sits on a control switch")
-    ladder.sample_times = times
-    ladder.sample_points = tuple(reference.state_at(t) for t in times)
-    gens = ladder.all_generators()
-    ladder.rows = [[_value(g.field, p) for g in gens] for p in ladder.sample_points]
-    count = 0
-    for lvl in ladder.levels:
-        count += len(lvl.generators)
-        lvl.span_dims = {t: _rank(rows[:count]) for t, rows in zip(times, ladder.rows)}
+    base = system.base
+    gens = [GeneratorRecord(name=f"X{c + 1}", level=0, field=vf) for c, vf in enumerate(base.inputs)]
+    points = tuple(reference.state_at(t) for t in times)
+    rows = [[_value(g.field, p) for g in gens] for p in points]
+    level0 = LadderLevel(0, gens, {t: _rank(r) for t, r in zip(times, rows)}, False)
+    return ConstraintLadder(times, points, [level0], 0 if base.k == 0 else None, rows)
 
 
-def ladder_step(ladder: ConstraintLadder, system, reference: Trajectory) -> ConstraintLadder:
+def ladder_step(ladder: ConstraintLadder, system) -> ConstraintLadder:
     """Append one constraint level built from brackets with the last one.
 
     Each bracket [X_d, Z] of a partner field (drift first, then each input)
@@ -138,8 +129,6 @@ def ladder_step(ladder: ConstraintLadder, system, reference: Trajectory) -> Cons
     """
     if ladder.stabilized_at is not None:
         raise PcaError("ladder already stabilized")
-    if not ladder.sample_times:
-        _attach_samples(ladder, reference, None)
     base = system.base
     parents = ladder.levels[-1].generators
     level_index = len(ladder.levels)
@@ -180,11 +169,10 @@ def run_algorithm(
     (or at which the span is already full everywhere); when `max_levels`
     passes without that happening the ladder is returned non-stabilized.
     """
-    ladder = primary_constraints(system)
-    _attach_samples(ladder, reference, sample_times)
+    ladder = primary_constraints(system, reference, sample_times)
     m = system.base.m
     while ladder.stabilized_at is None and len(ladder.levels) <= max_levels:
-        level = ladder_step(ladder, system, reference).levels[-1]
+        level = ladder_step(ladder, system).levels[-1]
         if not level.generators or min(level.span_dims.values()) >= m:
             ladder.stabilized_at = level.index
     return ladder
@@ -214,14 +202,7 @@ def _annihilator(ladder: ConstraintLadder, point, rows) -> list[Covector]:
     rows = list(rows)
     if not rows:
         return [Covector(point, np.eye(point.dim)[j]) for j in range(point.dim)]
-    _, s, vt = np.linalg.svd(np.asarray(rows))
-    basis = []
-    for row in vt[_rank_of(s):]:
-        i = int(np.argmax(np.abs(row)))
-        if row[i] < 0:
-            row = -row
-        basis.append(Covector(point, row))
-    return basis
+    return [Covector(point, row) for row in null_space(rows)]
 
 
 def ladder_pairings(ladder: ConstraintLadder, bx: Biextremal) -> dict:

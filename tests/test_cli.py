@@ -534,3 +534,19 @@ def test_each_load_rule_names_its_pointer(tmp_path, capsys, fixture, damage, poi
     (line,) = capsys.readouterr().err.splitlines()
     message = line.removeprefix("geocon: error: ").removeprefix("schema violation at ")
     assert re.match(re.escape(pointer) + "[: ]", message), line
+
+
+@pytest.mark.parametrize("damage, expected", [
+    (put("system", [0] * 10_000), "schema violation at /system: [0, 0, 0, 0, 0, 0, ...] is not of type 'object'"),
+    (put("chart", "x" * 1000), "schema violation at /chart: 'xxxxxxxxxxxx...xxxxxxxxxxxxx' is not of type 'array'"),
+    (lambda doc: doc.update({f"extra{i}": 0 for i in range(3000)}),
+     "schema violation at /: Additional properties are not allowed ('extra0', 'extra1', 'extra10', "),
+], ids=["long list", "long string", "many keys"])
+def test_a_schema_violation_is_one_bounded_line(tmp_path, capsys, damage, expected):
+    doc = json.loads((SCENARIOS / "martinet.json").read_text())
+    damage(doc)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert main(["bracket", str(path)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"geocon: error: {expected}") and len(line) <= len("geocon: error: schema violation at /: ") + 240

@@ -30,6 +30,7 @@ from geocon.ocp import (
     hamiltonian,
     hamiltonian_control_gradient,
     integrate_biextremal,
+    integrate_trajectory,
     piecewise_schedule,
 )
 from geocon.variations import VariationError, estimate_jets, variation_curve
@@ -122,8 +123,24 @@ def test_cone_rejects_mismatched_generator_base():
 def test_hamiltonian_dimension_mismatch(martinet):
     with pytest.raises(OcpError):
         hamiltonian([0.0, 0.0], [0.0, 0.0, 0.0], (0.0, 1.0), martinet)
-    with pytest.raises(ValueError):  # x and lambda: five numbers for six slots
+    with pytest.raises(FieldError, match="state of length 5 for 3 chart coordinates and 1 block vectors"):
         linearized_rhs(martinet, covectors=1, controls=[0.0, 1.0])(0.0, [0.0, 0.0] + [0.0, 0.0, 0.0])
+
+
+def test_flows_refuse_a_state_of_the_wrong_length(martinet):
+    # once per leg, zero-length legs included, and per call of a right-hand side
+    with pytest.raises(FieldError, match="^state of length 4 for 3 chart coordinates and 0 block vectors$"):
+        integrate_trajectory(martinet, [0.0] * 4, piecewise_schedule([0.0], [[0.0, 1.0]]), (0.0, 1.0))
+    rhs = linearized_rhs(martinet, tangents=1, controls=[0.0, 1.0])
+    for state in ([0.0] * 5, [0.0] * 7):
+        for duration in (0.1, 0.0):
+            with pytest.raises(FieldError, match=f"^state of length {len(state)} for 3 chart coordinates and 1 block"):
+                rk4_path(rhs, state, 0.0, duration, 1e-2)
+        with pytest.raises(FieldError, match=f"^state of length {len(state)} "):
+            rhs(0.0, state)
+    with pytest.raises(FieldError, match="^state of length 2 for 3 chart coordinates"):
+        composite_flow([martinet.inputs[0]], [0.1], as_point([0.0, 0.0]))
+    assert len(rk4_path(rhs, [0.0] * 6, 0.0, 0.1, 1e-2)) == 6
 
 
 def test_mode_validation(martinet):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from geocon import pca
 from geocon.cone import Cone, ConeError, GeneratorProvenance
-from geocon.expr import Dual
+from geocon.expr import Dual, differentiate, evaluate
 from geocon.fields import Point, TangentVector, lie_bracket, linearized_rhs, rk4_path
 from geocon.ocp import extend_system, hamiltonian, hamiltonian_control_gradient
 from geocon.variations import PARALLEL_COS_TOL, keep_new_direction, zero_threshold
@@ -92,7 +92,9 @@ def control_gradient_as_before(lam, x, u, system):
     if system is system.base:
         return np.asarray([float(np.dot(lam, np.asarray(vf(list(xv)), dtype=float))) for vf in system.inputs])
     p0, p, xbase = lam[0], lam[1:], xv[1:]
-    grads = system.cost_control_gradient(xbase, [float(v) for v in u])
+    base = system.base
+    env = dict(zip(base.variables + base.control_names, [*xbase, *[float(v) for v in u]]))
+    grads = [evaluate(differentiate(system.cost, c), env, False) for c in base.control_names]
     return np.asarray([
         float(p0 * grads[c] + np.dot(p, np.asarray(vf(list(xbase)), dtype=float)))
         for c, vf in enumerate(system.base.inputs)

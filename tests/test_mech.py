@@ -139,7 +139,7 @@ def test_generator_families_flat_connection_identities():
     sys = build_acc_system(conn, [vector_field(("x1", "x2"), ["1", "0"])], [(-2.0, 2.0)])
     sched = piecewise_schedule([0.0], [[0.0]])
     ref = integrate_trajectory(sys, [0.0, 0.0, 1.0, 0.0], sched, (0.0, 1.0), 1e-2)
-    report = generator_families(sys, ref)
+    report = generator_families(sys, ref, 0.5)
     assert report.passed
     z0 = eval_vector_field(report.z0[0], ref.point_at(0.5)).components
     z1 = eval_vector_field(report.z1[0], ref.point_at(0.5)).components
@@ -155,7 +155,7 @@ def test_generator_families_polar_connection(polar):
     )
     sched = piecewise_schedule([0.0], [[0.2]])
     ref = integrate_trajectory(sys, [1.0, 0.0, 0.3, 0.5], sched, (0.0, 1.0), 1e-3)
-    report = generator_families(sys, ref)
+    report = generator_families(sys, ref, 0.5)
     assert report.passed
     assert report.reduction_max_error <= 1e-9
 

@@ -625,7 +625,7 @@ def _rows_from_every_state(ext, reference, sample_count, step):
     sample time; `landings` counts the landing steps that replaced a state."""
     from geocon.ocp import _flow
 
-    base, n = ext.base, ext.base.m + 1
+    n = ext.base.m + 1
     a, b = reference.interval
     state = [0.0] + [float(v) for v in reference.xs[0]]
     state += [1.0 if i == c else 0.0 for c in range(n) for i in range(n)]
@@ -646,10 +646,8 @@ def _rows_from_every_state(ext, reference, sample_count, step):
         i = int(np.argmin(np.abs(rts - t)))
         st = states[i]
         psi_t = np.asfortranarray(np.asarray(st[n:]).reshape(n, n))
-        xbase = st[1:n]
-        grads = ext.cost_control_gradient(xbase, [float(v) for v in reference.schedule.value_at(float(rts[i]))])
-        for c in range(base.k):
-            rows.append(psi_t @ np.asarray([grads[c]] + base.inputs[c](xbase), dtype=float))
+        for v in ext.control_vectors(st[1:n], [float(u) for u in reference.schedule.value_at(float(rts[i]))]):
+            rows.append(psi_t @ np.asarray(v, dtype=float))
     return np.asarray(rows), len(landings)
 
 

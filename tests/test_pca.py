@@ -26,11 +26,30 @@ from geocon.pca import (
 )
 
 
-def test_primary_constraints_martinet(martinet):
-    ladder = primary_constraints(martinet)
+def test_primary_constraints_martinet(martinet, martinet_reference):
+    ladder = primary_constraints(martinet, martinet_reference)
     gens = ladder.levels[0].generators
     assert [g.name for g in gens] == ["X1", "X2"]
     assert gens[1].rendered() == ["0", "1", "x1^2"]
+
+
+def test_primary_constraints_returns_a_sampled_ladder(martinet):
+    # off the x1 = 0 plane: the rows are the input values at the sampled states
+    sched = piecewise_schedule([0.0], [[1.0, 1.0]])
+    ref = integrate_trajectory(martinet, [0.5, 0.0, 0.0], sched, (0.0, 1.0), 1e-2)
+    ladder = primary_constraints(martinet, ref)
+    assert ladder.sample_times == (0.25, 0.5, 0.75) and ladder.stabilized_at is None
+    assert [p.tolist() for p in ladder.sample_points] == [ref.state_at(t).tolist() for t in ladder.sample_times]
+    for p, rows in zip(ladder.sample_points, ladder.rows):
+        assert [r.tolist() for r in rows] == [vf(p.tolist()) for vf in martinet.inputs]
+        assert rows[1][2] == pytest.approx(p[0] ** 2) and p[0] > 0.7
+    assert ladder.levels[0].span_dims == {0.25: 2, 0.5: 2, 0.75: 2}
+    chosen = primary_constraints(martinet, ref, [0.4, 1.0])
+    assert chosen.sample_times == (0.4, 1.0) and len(chosen.rows) == 2
+    with pytest.raises(PcaError, match="on a control switch"):
+        primary_constraints(martinet, integrate_trajectory(
+            martinet, [0.5, 0.0, 0.0], piecewise_schedule([0.0, 0.5], [[1.0, 1.0], [0.0, 1.0]]), (0.0, 1.0), 1e-2),
+            [0.5])
 
 
 def test_cost_extended_system_runs_the_ladder_of_its_base(martinet, martinet_extended, martinet_reference):
@@ -44,18 +63,19 @@ def test_cost_extended_system_runs_the_ladder_of_its_base(martinet, martinet_ext
 
 def test_primary_constraints_no_inputs():
     sys = build_control_affine(("x",), ["x"], [], [])
-    ladder = primary_constraints(sys)
+    ref = integrate_trajectory(sys, [0.1], piecewise_schedule([0.0], [[]]), (0.0, 1.0), 1e-2)
+    ladder = primary_constraints(sys, ref)
     assert ladder.stabilized_at == 0
     assert ladder.levels[0].generators == []
+    assert ladder.dimension == 1 and ladder.levels[0].span_dims == {0.25: 0, 0.5: 0, 0.75: 0}
 
 
 def test_ladder_step_martinet_off_line(martinet):
     # away from the x1 = 0 plane the bracket direction is adopted
     sched = piecewise_schedule([0.0], [[0.0, 1.0]])
     ref = integrate_trajectory(martinet, [0.5, 0.0, 0.0], sched, (0.0, 1.0), 1e-2)
-    ladder = primary_constraints(martinet)
-    pca._attach_samples(ladder, ref, None)
-    ladder_step(ladder, martinet, ref)
+    ladder = primary_constraints(martinet, ref)
+    ladder_step(ladder, martinet)
     level1 = ladder.levels[1]
     names = [g.name for g in level1.generators]
     assert names == ["[X1,X2]"]
@@ -64,9 +84,8 @@ def test_ladder_step_martinet_off_line(martinet):
 
 
 def test_ladder_step_heisenberg(heisenberg, heisenberg_reference):
-    ladder = primary_constraints(heisenberg)
-    pca._attach_samples(ladder, heisenberg_reference, None)
-    ladder_step(ladder, heisenberg, heisenberg_reference)
+    ladder = primary_constraints(heisenberg, heisenberg_reference)
+    ladder_step(ladder, heisenberg)
     gens = ladder.levels[1].generators
     assert [g.name for g in gens] == ["[X1,X2]"]
     assert gens[0].rendered() == ["0", "0", "1"]
@@ -120,7 +139,8 @@ def test_run_algorithm_flat_connection_chain():
 
 def test_annihilator_with_empty_ladder():
     sys = build_control_affine(("x", "y"), ["x", "y"], [], [])
-    ladder = primary_constraints(sys)
+    ref = integrate_trajectory(sys, [0.0, 0.0], piecewise_schedule([0.0], [[]]), (0.0, 1.0), 1e-2)
+    ladder = primary_constraints(sys, ref)
     basis = annihilator_at(as_point([0.0, 0.0]), ladder)
     assert len(basis) == 2
     assert np.allclose(np.stack([b.components for b in basis]), np.eye(2))
@@ -154,7 +174,7 @@ def test_level0_generators_are_needle_directions(martinet, martinet_reference):
     # every input field shows up among the sampled order-1 needle vectors
     from geocon.variations import sample_perturbation_set
 
-    ladder = primary_constraints(martinet)
+    ladder = primary_constraints(martinet, martinet_reference)
     t0 = 0.5
     x = martinet_reference.point_at(t0)
     needles = [

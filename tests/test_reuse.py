@@ -9,15 +9,26 @@ built per call and kept nowhere.  Reuse must not change a single result bit.
 import gc
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from geocon import fields
-from geocon.cone import assemble_cone
+from geocon.cli import load_scenario
+from geocon.cone import assemble_cone, find_supporting_covector
 from geocon.fields import is_zero_field, lie_bracket, negate_field
-from geocon.ocp import build_control_affine, extend_system, integrate_trajectory, piecewise_schedule
-from geocon.pca import run_algorithm
+from geocon.mech import generator_families
+from geocon.ocp import (
+    audit_necessary_conditions,
+    build_control_affine,
+    extend_system,
+    integrate_biextremal,
+    integrate_trajectory,
+    piecewise_schedule,
+    search_normal_lift,
+)
+from geocon.pca import run_algorithm, sample_annihilators
 from geocon.variations import JetFragilityError, _jets, estimate_jets, sample_perturbation_set
 from tests.conftest import random_control_affine
 
@@ -104,6 +115,48 @@ def test_brackets_form_no_reference_cycles():
     try:
         del system, ref, ladder, a, b
         assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
+
+
+def _analysis_case(name):
+    """(system, extended system, x0, schedule, interval, sample times, mechanics?) of a
+    fixture, or of the benchmark's m = 6 sweep system for "sweep"."""
+    if name == "sweep":
+        rng = np.random.default_rng([0, 6])
+        system = random_control_affine(rng, m=6, k=2)
+        values = np.round(rng.uniform(-1.0, 1.0, size=(2, 2)), 3).tolist()
+        x0 = np.round(rng.uniform(-0.2, 0.2, size=6), 3)
+        sched = piecewise_schedule([0.0, 0.4], values)
+        return system, extend_system(system, "0.5*(u1^2 + u2^2)"), x0, sched, (0.0, 1.0), [0.25, 0.5, 0.75, 1.0], False
+    scenario = load_scenario(str(Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json"))
+    return (scenario.system, scenario.extended, scenario.initial, scenario.schedule, scenario.interval,
+            scenario.analysis["sample_times"], scenario.connection is not None)
+
+
+@pytest.mark.parametrize("name", ["martinet", "heisenberg", "polar_connection", "sweep"])
+def test_an_analysis_leaves_no_cyclic_garbage(name):
+    # generated code keeps the shared code namespace as its globals and a
+    # failed LP certificate keeps its reason as text, so every stage frees
+    # what it made by reference counting alone, and so does `del system`
+    system, extended, x0, sched, interval, times, mechanics = _analysis_case(name)
+    gc.collect()
+    gc.disable()
+    try:
+        ref = integrate_trajectory(system, x0, sched, interval)
+        sample_annihilators(run_algorithm(system, ref))
+        cone = assemble_cone(system, ref, interval[1], times, per_time_budget=16)
+        find_supporting_covector(cone)
+        bx = integrate_biextremal(system, x0, np.ones(system.m), sched, interval, "reduced")
+        audit_necessary_conditions(bx, cone, system, hamiltonian_grid_check=True)
+        if extended is not None:
+            search_normal_lift(extended, ref)
+        if mechanics:
+            generator_families(system, ref, 0.5 * (interval[0] + interval[1]))
+        assert gc.collect() == 0
+        segment = weakref.ref(system.__dict__["_flow_forms"][True][0])
+        del system, extended, ref, cone, bx
+        assert segment() is None
     finally:
         gc.enable()
 
