@@ -27,7 +27,6 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 
-MAX_JET_DEPTH = 4  # nested forward-mode carriers supported up to 4th order
 MAX_DEPTH = 100  # parsed expressions nest no deeper (see _Parser): the tree walks recurse
 
 
@@ -580,9 +579,6 @@ class Dual:
     def __neg__(self):
         return Dual(-self.re, -self.du)
 
-    def __pos__(self):
-        return self
-
     def __pow__(self, n):
         return _ipow(self, n)
 
@@ -621,8 +617,6 @@ def all_finite(values) -> bool:
 
 def jet_seed(x0: float, depth: int):
     """A scalar carrying unit derivative seeds at `depth` nested levels."""
-    if depth > MAX_JET_DEPTH:
-        raise ExprError(f"jet depth {depth} exceeds the supported maximum {MAX_JET_DEPTH}")
     v = float(x0)
     for _ in range(depth):
         v = Dual(v, 1.0)

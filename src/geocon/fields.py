@@ -56,24 +56,11 @@ class DivergenceError(FieldError):
         self.time = time
 
 
-def _as_scalar_list(values) -> list:
-    return [float(v) if isinstance(v, (int, float, np.floating, np.integer)) else v for v in values]
-
-
 @dataclass(frozen=True, eq=False)
 class Point:
-    coords: np.ndarray
+    coords: np.ndarray  # float64, or object when it carries Duals
 
     def __post_init__(self):
-        arr = self.coords
-        if not isinstance(arr, np.ndarray):
-            try:
-                arr = np.asarray(arr, dtype=float)
-            except (TypeError, ValueError):
-                arr = np.asarray(arr, dtype=object)
-            object.__setattr__(self, "coords", arr)
-        elif arr.dtype != object and arr.dtype != np.float64:
-            object.__setattr__(self, "coords", arr.astype(float))
         if not _finite(self.coords):
             raise FieldError(f"point has non-finite coordinates: {self.coords!r}")
 
@@ -191,11 +178,12 @@ def combine_fields(base: VectorField, addends: Sequence[VectorField], coefficien
     return VectorField(base.variables, tuple(comps))
 
 
-def eval_vector_field(vf: VectorField, x: Point) -> TangentVector:
-    if x.dim != vf.dim:
-        raise FieldError(f"point dimension {x.dim} does not match field dimension {vf.dim}")
-    values = vf(_as_scalar_list(x.coords))
-    return TangentVector(x, np.asarray(values, dtype=float))
+def eval_vector_field(vf: VectorField, x) -> np.ndarray:
+    """The float array of `vf` at x, a Point or its coordinate array."""
+    coords = x.coords if isinstance(x, Point) else x
+    if len(coords) != vf.dim:
+        raise FieldError(f"point dimension {len(coords)} does not match field dimension {vf.dim}")
+    return np.asarray(vf(coords.tolist()), dtype=float)
 
 
 def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
@@ -301,7 +289,7 @@ def composite_flow(
     and raises on a non-finite state); one Point is built at the end."""
     if len(seq) != len(times):
         raise FieldError(f"{len(seq)} fields but {len(times)} durations")
-    x = _as_scalar_list(x0.coords)
+    x = x0.coords.tolist()
     for vf, t in zip(seq, times):
         x = rk4_path(linearized_rhs(vf), x, 0.0, t, step)
     return Point(np.asarray(x, dtype=object) if any(not isinstance(v, float) for v in x) else np.asarray(x, dtype=float))

@@ -10,7 +10,6 @@ to variation templates are verified numerically here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -125,13 +124,11 @@ def vertical_lift(y: VectorField, conn: ConnectionSpec) -> VectorField:
 def build_acc_system(
     conn: ConnectionSpec,
     inputs: Sequence[VectorField],
-    control_box: Sequence[Sequence[float]] | None = None,
+    control_box: Sequence[Sequence[float]],
     control_names: Sequence[str] | None = None,
 ) -> ControlAffineSystem:
     """Control-affine system on the tangent-bundle chart: spray + lifts."""
     lifts = [vertical_lift(y, conn) for y in inputs]
-    if control_box is None:
-        control_box = [(-math.inf, math.inf)] * len(lifts)
     return build_control_affine(
         conn.chart, spray_from_christoffel(conn), lifts, control_box, control_names
     )
@@ -193,8 +190,8 @@ def generator_families(
         ei[i] = 1.0
         plus = system.slice_field(np.asarray(u0) + ei)
         minus = system.slice_field(np.asarray(u0) - ei)
-        y_val = np.asarray(eval_vector_field(yv, x).components, dtype=float)
-        b_val = np.asarray(eval_vector_field(z1[i], x).components, dtype=float)
+        y_val = eval_vector_field(yv, x)
+        b_val = eval_vector_field(z1[i], x)
         y_vals.append(y_val)
         b_vals.append(b_val)
         # (name, legs of variations.variation_curve, jet order, target)
@@ -211,11 +208,11 @@ def generator_families(
             checks.append(_check(name, i, estimate_jets(curve, order)[order - 1], target))
 
     # annihilators of the lifts cannot see the control part of the bracket
-    annihilators = null_space(y_vals)
+    annihilators = null_space(y_vals) if y_vals else []
     reduction_err = 0.0
     if annihilators:
         gaps = [
-            b_val - np.asarray(eval_vector_field(lie_bracket(system.drift, yv), x).components, dtype=float)
+            b_val - eval_vector_field(lie_bracket(system.drift, yv), x)
             for yv, b_val in zip(lifts, b_vals)
         ]
         for lam in annihilators:

@@ -172,10 +172,6 @@ class Trajectory:
         if not np.all(np.isfinite(xs)):
             raise OcpError("trajectory contains non-finite states")
 
-    @property
-    def dim(self) -> int:
-        return self.xs.shape[1]
-
     def point_at(self, t: float) -> Point:
         return as_point(self.state_at(t))
 
@@ -607,7 +603,6 @@ class Classification:
     kind: str  # "normal" | "abnormal"
     label: str
     lambda0: float
-    search: NormalLiftSearch | None = None
 
 
 def classify_extremal(bx: Biextremal, normal_lift_search: NormalLiftSearch | None = None) -> Classification:
@@ -622,21 +617,19 @@ def classify_extremal(bx: Biextremal, normal_lift_search: NormalLiftSearch | Non
     if lam0 > 1e-12:
         raise InvariantViolationError(f"cost multiplier {lam0} violates lambda0 <= 0")
     if lam0 < -1e-12:
-        return Classification("normal", "normal", lam0, normal_lift_search)
+        return Classification("normal", "normal", lam0)
     if normal_lift_search is None:
-        return Classification("abnormal", "abnormal", lam0, None)
+        return Classification("abnormal", "abnormal", lam0)
     if normal_lift_search.found is not None:
         return Classification(
             "abnormal",
             "abnormal (a normal lift exists: not strictly abnormal)",
             lam0,
-            normal_lift_search,
         )
     return Classification(
         "abnormal",
         "abnormal; normal lift not found (inconclusive)",
         lam0,
-        normal_lift_search,
     )
 
 

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .expr import render
-from .fields import Covector, VectorField, as_point, is_zero_field, lie_bracket
+from .fields import Covector, VectorField, as_point, eval_vector_field, is_zero_field, lie_bracket
 from .ocp import Biextremal, Trajectory
 
 RANK_REL_TOL = 1e-9
@@ -90,10 +90,6 @@ def null_space(rows) -> list[np.ndarray]:
     return [-row if row[int(np.argmax(np.abs(row)))] < 0 else row for row in vt[_rank_of(s):]]
 
 
-def _value(vf: VectorField, x) -> np.ndarray:
-    return np.asarray(vf(x.tolist()), dtype=float)
-
-
 def primary_constraints(system, reference: Trajectory, sample_times: Sequence[float] | None = None) -> ConstraintLadder:
     """Level 0: the input fields, whose pairings with the momentum vanish,
     evaluated on the reference at `sample_times`, by default at the
@@ -114,7 +110,7 @@ def primary_constraints(system, reference: Trajectory, sample_times: Sequence[fl
     base = system.base
     gens = [GeneratorRecord(name=f"X{c + 1}", level=0, field=vf) for c, vf in enumerate(base.inputs)]
     points = tuple(reference.state_at(t) for t in times)
-    rows = [[_value(g.field, p) for g in gens] for p in points]
+    rows = [[eval_vector_field(g.field, p) for g in gens] for p in points]
     level0 = LadderLevel(0, gens, {t: _rank(r) for t, r in zip(times, rows)}, False)
     return ConstraintLadder(times, points, [level0], 0 if base.k == 0 else None, rows)
 
@@ -144,7 +140,7 @@ def ladder_step(ladder: ConstraintLadder, system) -> ConstraintLadder:
             break
         if is_zero_field(vf):
             continue
-        values = [_value(vf, p) for p in ladder.sample_points]
+        values = [eval_vector_field(vf, p) for p in ladder.sample_points]
         grown = {t: _rank(rows + [v]) for t, rows, v in zip(ladder.sample_times, ladder.rows, values)}
         if all(grown[t] <= ranks[t] for t in ladder.sample_times):
             continue
@@ -186,7 +182,7 @@ def annihilator_at(x, ladder: ConstraintLadder) -> list[Covector]:
     Basis vectors are sign-fixed so their largest entry is positive.
     """
     point = as_point(x)
-    return _annihilator(ladder, point, (_value(g.field, point.coords) for g in ladder.all_generators()))
+    return _annihilator(ladder, point, (eval_vector_field(g.field, point) for g in ladder.all_generators()))
 
 
 def sample_annihilators(ladder: ConstraintLadder) -> list[list[Covector]]:
@@ -213,7 +209,7 @@ def ladder_pairings(ladder: ConstraintLadder, bx: Biextremal) -> dict:
         for t in ladder.sample_times:
             lam = bx.covector_at(t)
             x = bx.trajectory.state_at(t)
-            worst = max(worst, abs(float(np.dot(lam.components, _value(g.field, x)))))
+            worst = max(worst, abs(float(np.dot(lam.components, eval_vector_field(g.field, x)))))
         out[g.name] = worst
     return out
 

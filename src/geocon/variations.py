@@ -243,9 +243,8 @@ def needle_variation(
                 )
     xi0 = system.slice_field(u_ref)
     xi1 = system.slice_field(u1)
-    v0 = np.asarray(eval_vector_field(xi0, x).components, dtype=float)
-    v1 = np.asarray(eval_vector_field(xi1, x).components, dtype=float)
-    closed = l1 * (v1 - v0)
+    v0 = eval_vector_field(xi0, x)
+    closed = l1 * (eval_vector_field(xi1, x) - v0)
     if float(np.linalg.norm(closed)) <= zero_threshold(x):
         return None
     descriptor = f"needle u1={list(map(float, u1))} l1={l1}"
@@ -273,7 +272,7 @@ def bracket_variation(
     (the curve is flat to second order there).
     """
     bracket = lie_bracket(xi0, zj)
-    b = np.asarray(eval_vector_field(bracket, x).components, dtype=float)
+    b = eval_vector_field(bracket, x)
     if float(np.linalg.norm(b)) <= zero_threshold(x):
         return None
     legs = ((xi0, -1.0), (negate_field(zj), 1.0), (xi0, 1.0), (zj, 1.0))

@@ -205,6 +205,58 @@ def test_main_mech_check(tmp_path):
     assert report["results"]["bracket_generators"] == [["-1", "0", "0", "0"]]
 
 
+def test_mech_check_without_inputs_is_vacuous(tmp_path, capsys):
+    # no lifts: no null space is taken and no identity is checked
+    data = json.loads((SCENARIOS / "flat_connection.json").read_text())
+    data["controls"] = []
+    data["mechanics"]["inputs"] = []
+    data["mechanics"]["control_box"] = []
+    data["reference"]["controls"]["values"] = [[]]
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(data))
+    assert main(["mech-check", str(p)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"] == {
+        "passed": True,
+        "lift_generators": [],
+        "bracket_generators": [],
+        "reduction_max_error": 0,
+        "identities": [],
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["variation", "martinet.json", "--template", "needle"], "the needle template needs --u1"),
+        (["variation", "martinet.json", "--template", "needle", "--u1", "1"], "--u1 needs 2 values"),
+        (["variation", "martinet.json", "--input", "3"], "--input must be in 1..2"),
+        (["extremal", "martinet.json"], "extremal needs --covector"),
+        (["audit", "martinet.json"], "audit needs --covector"),
+        (["extremal", "martinet.json", "--covector", "1,2"], "covector needs 3 (reduced) or 4 (extended) components"),
+        (["extremal", "flat_connection.json", "--covector", "0,0,0,0,1"], "extended covector given but the scenario has no cost"),
+        (["mech-check", "martinet.json"], "mech-check needs a mechanics scenario"),
+    ],
+)
+def test_a_command_refuses_arguments_it_cannot_use(capsys, argv, message):
+    command, scenario, *options = argv
+    assert main([command, str(SCENARIOS / scenario), *options]) == 1
+    assert capsys.readouterr().err == f"geocon: error: {message}\n"
+
+
+@pytest.mark.parametrize("covector, code, excess", [("-1,0,1,0", 0, 0), ("-1,0,-1,0", 2, 2)])
+def test_extended_audit_checks_the_control_grid(tmp_path, capsys, covector, code, excess):
+    data = json.loads((SCENARIOS / "martinet.json").read_text())
+    data["analysis"]["hamiltonian_grid_check"] = True
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(data))
+    assert main(["audit", str(p), f"--covector={covector}"]) == code
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["mode"] == "extended"
+    grid = next(c for c in results["conditions"] if c["id"] == "grid-maximum")
+    assert grid["passed"] is (code == 0)
+    assert grid["detail"]["max_excess"] == excess
+
+
 @pytest.mark.parametrize(
     "drift, input1, components",
     [

@@ -18,11 +18,11 @@ from geocon.fields import (
     TangentVector,
     as_point,
     composite_flow,
+    eval_vector_field,
     linearized_rhs,
     rk4_path,
     vector_field,
 )
-from geocon import pca
 from geocon.ocp import (
     OcpError,
     build_control_affine,
@@ -164,7 +164,7 @@ def test_audit_and_ladder_point_values_fault_as_the_field_does():
         lambda: hamiltonian(lam, x, [0.5], system),
         lambda: hamiltonian_control_gradient(lam, x, [0.5], system),
         lambda: hamiltonian_control_gradient(lam_ext, x_ext, [0.5], extended),
-        lambda: pca._value(system.inputs[0], x),
+        lambda: eval_vector_field(system.inputs[0], x),
     ]
     for call in faults:
         with pytest.raises(ZeroDivisionError):

@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from geocon import pca
 from geocon.cone import Cone, ConeError, GeneratorProvenance
 from geocon.expr import Dual, differentiate, evaluate
-from geocon.fields import Point, TangentVector, lie_bracket, linearized_rhs, rk4_path
+from geocon.fields import Point, TangentVector, eval_vector_field, lie_bracket, linearized_rhs, rk4_path
 from geocon.ocp import extend_system, hamiltonian, hamiltonian_control_gradient
 from geocon.variations import PARALLEL_COS_TOL, keep_new_direction, zero_threshold
 from tests.conftest import random_control_affine
@@ -129,7 +128,7 @@ def test_ladder_point_values_match_the_float64_path(seed, m):
     for _ in range(3):
         x = rng.normal(size=m)
         for vf in fields:
-            assert pca._value(vf, x).tobytes() == np.asarray(vf(list(x)), dtype=float).tobytes()
+            assert eval_vector_field(vf, x).tobytes() == np.asarray(vf(list(x)), dtype=float).tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -52,18 +52,18 @@ def bracket_fd_oracle(a, b, x, h=1e-6):
 def test_eval_constant_field():
     vf = vector_field(("x", "y"), ["1", "0"])
     out = eval_vector_field(vf, as_point([5.0, 5.0]))
-    assert np.allclose(out.components, [1.0, 0.0])
+    assert np.allclose(out, [1.0, 0.0])
 
 
 def test_eval_martinet_input():
     out = eval_vector_field(MARTINET_X2, as_point([2.0, 0.0, 0.0]))
-    assert np.allclose(out.components, [0.0, 1.0, 4.0])
+    assert np.allclose(out, [0.0, 1.0, 4.0])
 
 
 def test_eval_spray_chart():
     spray = vector_field(("x", "v"), ["v", "0"])
     out = eval_vector_field(spray, as_point([0.0, 3.0]))
-    assert np.allclose(out.components, [3.0, 0.0])
+    assert np.allclose(out, [3.0, 0.0])
 
 
 def test_dimension_mismatch_rejected():
@@ -80,17 +80,17 @@ def test_bracket_constant_fields_commute():
 def test_bracket_martinet():
     br = lie_bracket(MARTINET_X1, MARTINET_X2)
     out = eval_vector_field(br, as_point([1.0, 0.0, 0.0]))
-    assert np.allclose(out.components, [0.0, 0.0, 2.0])
+    assert np.allclose(out, [0.0, 0.0, 2.0])
     fd = bracket_fd_oracle(MARTINET_X1, MARTINET_X2, [1.0, 0.0, 0.0])
-    assert np.max(np.abs(out.components - fd)) <= 1e-6
+    assert np.max(np.abs(out - fd)) <= 1e-6
 
 
 def test_bracket_heisenberg():
     br = lie_bracket(HEIS_X1, HEIS_X2)
     out = eval_vector_field(br, as_point([0.3, -0.7, 0.2]))
-    assert np.allclose(out.components, [0.0, 0.0, 1.0])
+    assert np.allclose(out, [0.0, 0.0, 1.0])
     fd = bracket_fd_oracle(HEIS_X1, HEIS_X2, [0.3, -0.7, 0.2])
-    assert np.max(np.abs(out.components - fd)) <= 1e-6
+    assert np.max(np.abs(out - fd)) <= 1e-6
 
 
 def test_bracket_antisymmetry_exact():
@@ -241,13 +241,13 @@ def test_pushforward_naturality_with_bracket():
     dt = 0.1
     x0 = as_point([0.4, 0.2])
     push = linearized_rhs(xi, tangents=1)
-    bracket = eval_vector_field(lie_bracket(a, b), x0).components
+    bracket = eval_vector_field(lie_bracket(a, b), x0)
     lhs = np.asarray(rk4_path(push, x0.coords.tolist() + bracket.tolist(), 0.0, dt, 1e-3)[2:])
     y0 = composite_flow([xi], [dt], x0, 1e-3).coords
 
     def pushed(vf, y):
         back = composite_flow([xi], [-dt], as_point(y), 1e-3)
-        vec = eval_vector_field(vf, back).components
+        vec = eval_vector_field(vf, back)
         return np.asarray(rk4_path(push, back.coords.tolist() + vec.tolist(), 0.0, dt, 1e-3)[2:])
 
     m = 2

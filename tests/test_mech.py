@@ -37,21 +37,21 @@ def test_flat_spray():
     conn = connection_spec(("x1", "x2"), ("v1", "v2"), [[["0", "0"], ["0", "0"]]] * 2)
     Z = spray_from_christoffel(conn)
     out = eval_vector_field(Z, as_point([0.3, -0.2, 1.5, 0.5]))
-    assert np.allclose(out.components, [1.5, 0.5, 0.0, 0.0])
+    assert np.allclose(out, [1.5, 0.5, 0.0, 0.0])
 
 
 def test_one_dimensional_spray():
     conn = connection_spec(("x",), ("v",), [[["0"]]])
     Z = spray_from_christoffel(conn)
     out = eval_vector_field(Z, as_point([0.0, 3.0]))
-    assert np.allclose(out.components, [3.0, 0.0])
+    assert np.allclose(out, [3.0, 0.0])
 
 
 def test_polar_spray_components(polar):
     Z = spray_from_christoffel(polar)
     out = eval_vector_field(Z, as_point([2.0, 0.0, 0.5, 0.3]))
     # (v1, v2, x1 v2^2, -2 v1 v2 / x1)
-    assert np.allclose(out.components, [0.5, 0.3, 2.0 * 0.09, -2.0 * 0.5 * 0.3 / 2.0])
+    assert np.allclose(out, [0.5, 0.3, 2.0 * 0.09, -2.0 * 0.5 * 0.3 / 2.0])
 
 
 def test_polar_geodesics_are_straight_lines(polar):
@@ -94,14 +94,14 @@ def test_vertical_lift_basic():
     conn = connection_spec(("x1", "x2"), ("v1", "v2"), [[["0", "0"], ["0", "0"]]] * 2)
     y = vector_field(("x1", "x2"), ["1", "0"])
     out = eval_vector_field(vertical_lift(y, conn), as_point([0.0, 0.0, 0.0, 0.0]))
-    assert np.allclose(out.components, [0.0, 0.0, 1.0, 0.0])
+    assert np.allclose(out, [0.0, 0.0, 1.0, 0.0])
 
 
 def test_vertical_lift_carries_coefficients():
     conn = connection_spec(("x1", "x2"), ("v1", "v2"), [[["0", "0"], ["0", "0"]]] * 2)
     y = vector_field(("x1", "x2"), ["x2", "0"])
     out = eval_vector_field(vertical_lift(y, conn), as_point([0.0, 2.5, 0.0, 0.0]))
-    assert np.allclose(out.components, [0.0, 0.0, 2.5, 0.0])
+    assert np.allclose(out, [0.0, 0.0, 2.5, 0.0])
 
 
 def test_flat_drift_bracket_with_lift():
@@ -110,7 +110,7 @@ def test_flat_drift_bracket_with_lift():
     lift = vertical_lift(vector_field(("x1", "x2"), ["1", "0"]), conn)
     br = lie_bracket(Z, lift)
     out = eval_vector_field(br, as_point([0.1, 0.2, 0.3, 0.4]))
-    assert np.allclose(out.components, [-1.0, 0.0, 0.0, 0.0])
+    assert np.allclose(out, [-1.0, 0.0, 0.0, 0.0])
 
 
 def test_vertical_lifts_commute_symbolically():
@@ -141,8 +141,8 @@ def test_generator_families_flat_connection_identities():
     ref = integrate_trajectory(sys, [0.0, 0.0, 1.0, 0.0], sched, (0.0, 1.0), 1e-2)
     report = generator_families(sys, ref, 0.5)
     assert report.passed
-    z0 = eval_vector_field(report.z0[0], ref.point_at(0.5)).components
-    z1 = eval_vector_field(report.z1[0], ref.point_at(0.5)).components
+    z0 = eval_vector_field(report.z0[0], ref.point_at(0.5))
+    z1 = eval_vector_field(report.z1[0], ref.point_at(0.5))
     assert np.allclose(z0, [0.0, 0.0, 1.0, 0.0])
     assert np.allclose(z1, [-1.0, 0.0, 0.0, 0.0])
     assert report.reduction_max_error <= 1e-9
@@ -164,7 +164,7 @@ def test_annihilator_pairing_on_flat_families():
     conn = connection_spec(("x1", "x2"), ("v1", "v2"), [[["0", "0"], ["0", "0"]]] * 2)
     sys = build_acc_system(conn, [vector_field(("x1", "x2"), ["1", "0"])], [(-2.0, 2.0)])
     x = as_point([0.0, 0.0, 1.0, 0.0])
-    lift_val = eval_vector_field(sys.inputs[0], x).components
+    lift_val = eval_vector_field(sys.inputs[0], x)
     lam_good = np.array([0.0, 1.0, 0.0, 0.0])  # annihilates lift and bracket
     lam_bad = np.array([0.0, 0.0, 1.0, 0.0])  # pairs with the lift
     assert abs(np.dot(lam_good, lift_val)) == 0.0

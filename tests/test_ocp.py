@@ -9,6 +9,7 @@ from geocon.ocp import (
     Biextremal,
     DegenerateMomentumError,
     InvariantViolationError,
+    NormalLiftSearch,
     OcpError,
     Trajectory,
     audit_necessary_conditions,
@@ -40,13 +41,13 @@ def test_extend_time_optimal(martinet):
     ext = extend_system(martinet, "1")
     vf = ext.slice_field((0.0, 1.0))
     out = eval_vector_field(vf, as_point([0.0, 0.0, 0.0, 0.0]))
-    assert out.components[0] == 1.0
+    assert out[0] == 1.0
 
 
 def test_extended_field_ignores_cost_coordinate(martinet_extended):
     vf = martinet_extended.slice_field((1.0, 1.0))
-    a = eval_vector_field(vf, as_point([5.0, 0.1, 0.2, 0.3])).components
-    b = eval_vector_field(vf, as_point([0.0, 0.1, 0.2, 0.3])).components
+    a = eval_vector_field(vf, as_point([5.0, 0.1, 0.2, 0.3]))
+    b = eval_vector_field(vf, as_point([0.0, 0.1, 0.2, 0.3]))
     assert np.array_equal(a, b)
 
 
@@ -208,6 +209,14 @@ def test_classify_abnormal_inconclusive(martinet_extended, martinet_reference):
     cls = classify_extremal(bx, search)
     assert cls.kind == "abnormal"
     assert "inconclusive" in cls.label
+
+
+def test_classify_abnormal_with_a_normal_lift():
+    # a lift that was found keeps the kind abnormal but withdraws strictness
+    search = NormalLiftSearch(np.array([-1.0, 0.0]), 1, 1e-8, 0.0, "one candidate")
+    cls = classify_extremal(_fake_extended_biextremal(lambda0=0.0), search)
+    assert cls.kind == "abnormal"
+    assert cls.label == "abnormal (a normal lift exists: not strictly abnormal)"
 
 
 def test_classify_rejects_positive_multiplier():
