@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .cone import ConeError, assemble_cone, find_supporting_covector
 from .expr import ExprError, parse_expression, render
-from .fields import DivergenceError, FieldError, TangentVector, VectorField, is_zero_field, lie_bracket
+from .fields import DEFAULT_STEP, DivergenceError, FieldError, TangentVector, VectorField, is_zero_field, lie_bracket
 from .mech import ConnectionSpec, MechError, build_acc_system, connection_spec, generator_families
 from .ocp import (
     ControlSchedule,
@@ -179,7 +179,7 @@ def load_scenario(path: str) -> Scenario:
     extended = _at("/cost", extend_system, system, data["cost"]) if "cost" in data else None
 
     initial = interval = schedule = None
-    step = 1e-3
+    step = DEFAULT_STEP
     if "reference" in data:
         ref, ctrl = data["reference"], data["reference"]["controls"]
         initial = np.asarray(ref["initial"], dtype=float)
@@ -403,7 +403,7 @@ def cmd_pca(scenario: Scenario, args) -> tuple[int, dict]:
         "stabilized_at": ladder.stabilized_at,
         "levels": levels,
         "sample_times": list(ladder.sample_times),
-        "annihilators": {
+        "annihilators": None if ladder.stabilized_at is None else {
             str(t): [b.components for b in basis]
             for t, basis in zip(ladder.sample_times, sample_annihilators(ladder))
         },

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import Covector, Point, TangentVector
+from .fields import DEFAULT_STEP, Covector, Point, TangentVector
 from .variations import keep_new_direction, sample_perturbation_set
 
 log = logging.getLogger(__name__)
@@ -89,7 +89,7 @@ def assemble_cone(
     t: float,
     sample_times: Sequence[float],
     per_time_budget: int = 16,
-    step: float = 1e-3,
+    step: float = DEFAULT_STEP,
 ) -> Cone:
     """Sampled perturbation vectors from each time, transported to gamma(t).
 

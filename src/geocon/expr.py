@@ -462,7 +462,8 @@ def free_variables(e: Expr) -> frozenset[str]:
 
 
 def substitute(e: Expr, mapping: Mapping[str, "Expr | float"]) -> Expr:
-    """Replace variables by expressions or numbers, folding as it goes."""
+    """Replace variables by expressions or numbers, folding as it goes; a
+    subtree that reads none of them comes back as the same object."""
     if isinstance(e, Var):
         if e.name in mapping:
             rep = mapping[e.name]
@@ -470,13 +471,14 @@ def substitute(e: Expr, mapping: Mapping[str, "Expr | float"]) -> Expr:
         return e
     if isinstance(e, Const):
         return e
-    if isinstance(e, Call):
-        return call(e.fn, substitute(e.arg, mapping))
-    if isinstance(e, Neg):
-        return neg(substitute(e.arg, mapping))
+    if isinstance(e, (Call, Neg)):
+        arg = substitute(e.arg, mapping)
+        return e if arg is e.arg else neg(arg) if isinstance(e, Neg) else call(e.fn, arg)
     if isinstance(e, Pow):
-        return pow_(substitute(e.base, mapping), e.exponent)
-    return _BINARY[type(e)].fold(substitute(e.left, mapping), substitute(e.right, mapping))
+        base = substitute(e.base, mapping)
+        return e if base is e.base else pow_(base, e.exponent)
+    left, right = substitute(e.left, mapping), substitute(e.right, mapping)
+    return e if left is e.left and right is e.right else _BINARY[type(e)].fold(left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -485,30 +487,38 @@ def substitute(e: Expr, mapping: Mapping[str, "Expr | float"]) -> Expr:
 
 
 def differentiate(e: Expr, name: str) -> Expr:
+    return _derivative(e, name, {})
+
+
+def jacobian(components: Sequence[Expr], variables: Sequence[str]) -> tuple[tuple[Expr, ...], ...]:
+    """Rows d(components[i])/d(variables[j]).  One memo per variable spans
+    every component, so a subtree they share is differentiated once."""
+    memos = [{} for _ in variables]
+    return tuple(tuple(_derivative(e, v, memo) for v, memo in zip(variables, memos)) for e in components)
+
+
+def _derivative(e: Expr, name: str, memo: dict) -> Expr:
+    """d e / d name, memoised by node identity; `memo` holds each node it
+    keys, so no id is reused while the memo lives."""
     if isinstance(e, Const):
         return Const(0.0)
     if isinstance(e, Var):
         return Const(1.0) if e.name == name else Const(0.0)
+    if id(e) in memo:
+        return memo[id(e)][1]
     if isinstance(e, Neg):
-        return neg(differentiate(e.arg, name))
-    if isinstance(e, (Add, Sub)):
-        return _BINARY[type(e)].fold(differentiate(e.left, name), differentiate(e.right, name))
-    if isinstance(e, Mul):
-        return add(
-            mul(differentiate(e.left, name), e.right),
-            mul(e.left, differentiate(e.right, name)),
-        )
-    if isinstance(e, Div):
-        num = sub(
-            mul(differentiate(e.left, name), e.right),
-            mul(e.left, differentiate(e.right, name)),
-        )
-        return div(num, pow_(e.right, 2))
-    if isinstance(e, Pow):
-        inner = differentiate(e.base, name)
-        return mul(mul(Const(float(e.exponent)), pow_(e.base, e.exponent - 1)), inner)
-    if isinstance(e, Call):
-        inner = differentiate(e.arg, name)
+        out = neg(_derivative(e.arg, name, memo))
+    elif isinstance(e, (Add, Sub)):
+        out = _BINARY[type(e)].fold(_derivative(e.left, name, memo), _derivative(e.right, name, memo))
+    elif isinstance(e, Mul):
+        out = add(mul(_derivative(e.left, name, memo), e.right), mul(e.left, _derivative(e.right, name, memo)))
+    elif isinstance(e, Div):
+        num = sub(mul(_derivative(e.left, name, memo), e.right), mul(e.left, _derivative(e.right, name, memo)))
+        out = div(num, pow_(e.right, 2))
+    elif isinstance(e, Pow):
+        out = mul(mul(Const(float(e.exponent)), pow_(e.base, e.exponent - 1)), _derivative(e.base, name, memo))
+    elif isinstance(e, Call):
+        inner = _derivative(e.arg, name, memo)
         if e.fn == "sin":
             outer: Expr = call("cos", e.arg)
         elif e.fn == "cos":
@@ -519,8 +529,11 @@ def differentiate(e: Expr, name: str) -> Expr:
             outer = div(Const(1.0), e.arg)
         else:  # sqrt
             outer = div(Const(0.5), call("sqrt", e.arg))
-        return mul(outer, inner)
-    raise TypeError(f"not an expression node: {e!r}")  # pragma: no cover
+        out = mul(outer, inner)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")  # pragma: no cover
+    memo[id(e)] = (e, out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,9 @@ from .expr import (
     compile_flow,
     compile_segment,
     const,
-    differentiate,
     evaluate,
-    expr_sum,
     is_zero,
+    jacobian,
     mul,
     neg,
     parse_expression,
@@ -130,8 +129,7 @@ class VectorField:
 
     def jacobian(self) -> tuple[tuple[Expr, ...], ...]:
         """Symbolic Jacobian rows d(component_i)/d(variable_j)."""
-        return cached_on(self, "_jacobian", lambda: tuple(
-            tuple(differentiate(c, v) for v in self.variables) for c in self.components))
+        return cached_on(self, "_jacobian", lambda: jacobian(self.components, self.variables))
 
     def flow_components(self):  # for linearized_rhs: components, control names
         return self.components, ()
@@ -163,19 +161,6 @@ def is_zero_field(vf: VectorField) -> bool:
 def negate_field(vf: VectorField) -> VectorField:
     """-vf, built once and kept on `vf`."""
     return cached_on(vf, "_negation", lambda: VectorField(vf.variables, tuple(map(neg, vf.components))))
-
-
-def combine_fields(base: VectorField, addends: Sequence[VectorField], coefficients) -> VectorField:
-    """base + sum_c coefficients[c] * addends[c], folded symbolically."""
-    comps = []
-    for i in range(base.dim):
-        terms = [base.components[i]]
-        for coeff, vf in zip(coefficients, addends):
-            if vf.variables != base.variables:
-                raise FieldError("cannot combine fields on different charts")
-            terms.append(mul(const(float(coeff)), vf.components[i]))
-        comps.append(expr_sum(terms))
-    return VectorField(base.variables, tuple(comps))
 
 
 def eval_vector_field(vf: VectorField, x) -> np.ndarray:
@@ -329,7 +314,7 @@ def _flow_code(segment: bool, owner, blocks):
     code, has_jacobian = owner.__dict__.setdefault("_flow_forms", {}).get(segment, (None, False))
     if code is None or (blocks and not has_jacobian):
         comps, control_names = owner.flow_components()
-        jac = [[differentiate(e, v) for v in owner.variables] for e in comps] if blocks else None
+        jac = jacobian(comps, owner.variables) if blocks else None
         code = (compile_segment if segment else compile_flow)(comps, owner.variables, control_names, jac)
         owner.__dict__["_flow_forms"][segment] = (code, bool(blocks))
     return code

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -24,10 +25,10 @@ from .expr import (
     Expr,
     add as expr_add,
     compile_expression,
-    differentiate,
     evaluate,
     free_variables,
     is_zero,
+    jacobian,
     mul as expr_mul,
     parse_expression,
     substitute,
@@ -42,7 +43,6 @@ from .fields import (
     VectorField,
     as_point,
     cached_on,
-    combine_fields,
     linearized_rhs,
     rk4_path,
     vector_field,
@@ -225,33 +225,35 @@ class ControlAffineSystem:
 
     def slice_field(self, u: Sequence[float]) -> VectorField:
         """The ordinary field drift + sum_c u^c X_c (:func:`_held_slice`)."""
-        u = tuple(float(v) for v in u)
-        if len(u) != self.k:
-            raise OcpError(f"{len(u)} control values for {self.k} inputs")
-        return _held_slice(self, u, lambda: (combine_fields(self.drift, self.inputs, u).components, True))
+        return _held_slice(self, u, True)
 
     def flow_components(self):
         """f(x, u) over chart + controls for :func:`fields.linearized_rhs`:
-        drift^i + sum_c u_c X_c^i per chart coordinate, symbolically."""
-        comps = []
-        for i in range(self.m):
-            e = self.drift.components[i]
-            for name, vf in zip(self.control_names, self.inputs):
-                e = expr_add(e, expr_mul(expr_var(name), vf.components[i]))
-            comps.append(e)
-        return comps, self.control_names
+        drift^i + sum_c u_c X_c^i per chart coordinate, folded left to right,
+        built once and kept on the system."""
+        def build():
+            rows = zip(self.drift.components, *(vf.components for vf in self.inputs))
+            controls = tuple(map(expr_var, self.control_names))
+            return tuple(reduce(expr_add, map(expr_mul, controls, terms), e) for e, *terms in rows), self.control_names
+
+        return cached_on(self, "_flow_components", build)
 
 
-def _held_slice(system, u: tuple[float, ...], build) -> VectorField:
-    """The slice (components, routable) = build() on `system`'s chart, kept on
+def _held_slice(system, u: Sequence[float], routable: bool) -> VectorField:
+    """`system`'s flow form with the controls substituted by u, kept on
     `system` per control tuple (hex keys keep -0.0 apart from 0.0).  With
     every u^c nonzero, a routable slice (its trees are the system's with u^c
     constant) records (system, controls holding u) and runs the system's code
     bit for bit (:func:`fields.linearized_rhs`).  A zero u^c folds u^c X_c
     away where the system's 0.0 * X_c may divide by zero: it keeps its own."""
+    u = tuple(float(v) for v in u)
+    if len(u) != system.k:
+        raise OcpError(f"{len(u)} control values for {system.k} inputs")
+
     def make():
-        components, routable = build()
-        vf = VectorField(system.variables, components)
+        components, control_names = system.flow_components()
+        held = dict(zip(control_names, u))
+        vf = VectorField(system.variables, tuple(substitute(e, held) for e in components))
         if routable and all(u):  # -0.0 is false as well
             vf.__dict__["_held"] = (weakref.ref(system), list(u))
         return vf
@@ -337,31 +339,25 @@ class ExtendedSystem:
         return self.base.control_names
 
     def slice_field(self, u: Sequence[float]) -> VectorField:
-        """The base slice under the cost with u substituted (:func:`_held_slice`).
-        Routable when the cost reads no chart variable and its derivatives by
-        them fold to zero (``1/u`` leaves ``0/u^2``): it then folds to what the
-        system's code computes.  A cost that reads x keeps its own code, since
-        identity folds (``0*e``, ``e-e``) can change a zero's sign."""
-        u = tuple(float(v) for v in u)
-
-        def build():
-            cost = substitute(self.cost, dict(zip(self.base.control_names, u)))
-            chart = self.base.variables
-            routable = not free_variables(self.cost) & set(chart) and all(
-                is_zero(differentiate(self.cost, x)) for x in chart)
-            return (cost,) + self.base.slice_field(u).components, routable
-
-        return _held_slice(self, u, build)
+        """The flow form with u substituted (:func:`_held_slice`).  Routable
+        when the cost reads no chart variable and its derivatives by them fold
+        to zero (``1/u`` leaves ``0/u^2``): it then folds to what the system's
+        code computes.  A cost that reads x keeps its own code, since identity
+        folds (``0*e``, ``e-e``) can change a zero's sign."""
+        chart = self.base.variables
+        routable = cached_on(self, "_routable", lambda: not free_variables(self.cost) & set(chart)
+                             and all(map(is_zero, jacobian((self.cost,), chart)[0])))
+        return _held_slice(self, u, routable)
 
     def flow_components(self):
         """As the base system's, with the running cost prepended."""
         comps, control_names = self.base.flow_components()
-        return [self.cost] + comps, control_names
+        return (self.cost, *comps), control_names
 
     def control_vectors(self, x, u) -> list[list[float]]:
         """df/du^c = [dL/du^c, *X_c(x)] per control at the base state x (a list)
         and control u, walked with the generated code's arithmetic."""
-        grads = cached_on(self, "_dcost_du", lambda: [differentiate(self.cost, c) for c in self.base.control_names])
+        (grads,) = cached_on(self, "_dcost_du", lambda: jacobian((self.cost,), self.base.control_names))
         env = dict(zip(self.base.variables + self.base.control_names, [*x, *u]))
         dcost = [evaluate(g, env, False) for g in grads]
         return [[g, *vf(x)] for g, vf in zip(dcost, self.base.inputs)]

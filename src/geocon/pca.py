@@ -18,6 +18,7 @@ reduction check shares).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -121,7 +122,8 @@ def ladder_step(ladder: ConstraintLadder, system) -> ConstraintLadder:
     Each bracket [X_d, Z] of a partner field (drift first, then each input)
     with a generator Z of the last level that is not symbolically zero and
     raises the sampled rank at some sample point becomes a new generator,
-    until the span is full at every sample point.
+    until the span is full at every sample point.  A bracket is built when
+    the loop or the branch flag first asks for it, and at most once.
     """
     if ladder.stabilized_at is not None:
         raise PcaError("ladder already stabilized")
@@ -129,15 +131,15 @@ def ladder_step(ladder: ConstraintLadder, system) -> ConstraintLadder:
     parents = ladder.levels[-1].generators
     level_index = len(ladder.levels)
     partners = (base.drift, *base.inputs)
-    brackets = [[lie_bracket(x, g.field) for x in partners] for g in parents]
-    branch = any(not is_zero_field(vf) for row in brackets for vf in row[1:])
+    bracket = functools.cache(lambda d, i: lie_bracket(partners[d], parents[i].field))  # [X_d, Z_i]
 
     ranks = ladder.levels[-1].span_dims
     adopted: list[GeneratorRecord] = []
     # drift brackets first, then each input in order, over all parents, until the span is full
-    for d, g, vf in ((d, g, row[d]) for d in range(len(partners)) for g, row in zip(parents, brackets)):
+    for d, i, g in ((d, i, g) for d in range(len(partners)) for i, g in enumerate(parents)):
         if min(ranks.values()) >= base.m:
             break
+        vf = bracket(d, i)
         if is_zero_field(vf):
             continue
         values = [eval_vector_field(vf, p) for p in ladder.sample_points]
@@ -149,6 +151,7 @@ def ladder_step(ladder: ConstraintLadder, system) -> ConstraintLadder:
             rows.append(v)
         ranks = grown
 
+    branch = any(not is_zero_field(bracket(d, i)) for d in range(1, len(partners)) for i in range(len(parents)))
     ladder.levels.append(LadderLevel(level_index, adopted, dict(ranks), branch))
     return ladder
 

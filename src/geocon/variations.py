@@ -25,6 +25,7 @@ import numpy as np
 
 from .expr import jet_coefficient, jet_seed, real_part
 from .fields import (
+    DEFAULT_STEP,
     Point,
     TangentVector,
     VectorField,
@@ -77,7 +78,7 @@ class PerturbationVector:
             raise VariationError("perturbation vector must be nonzero")
 
 
-def variation_curve(legs: Sequence[tuple[VectorField, float]], x: Point, s, step: float = 1e-3) -> Point:
+def variation_curve(legs: Sequence[tuple[VectorField, float]], x: Point, s, step: float = DEFAULT_STEP) -> Point:
     """The curve at parameter value `s` (may carry duals): each leg
     (field, rate) flows its field for rate * s, the first leg first.
 

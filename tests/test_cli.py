@@ -107,6 +107,35 @@ def test_main_pca_heisenberg(tmp_path):
     assert "no abnormal biextremal" in report["results"]["verdict"]
 
 
+def test_pca_reports_a_ladder_that_did_not_stabilize(tmp_path, capsys):
+    # the chained form at m = 6 needs more than one bracket level
+    chart = [f"x{i}" for i in range(1, 7)]
+    scenario = {
+        "name": "chained",
+        "chart": chart,
+        "controls": ["u1", "u2"],
+        "system": {
+            "drift": ["0"] * 6,
+            "inputs": [["1", "0", "x2", "x3", "x4", "x5"], ["0", "1", "0", "0", "0", "0"]],
+            "control_box": [[-2.0, 2.0], [-2.0, 2.0]],
+        },
+        "reference": {
+            "initial": [0.0] * 6,
+            "interval": [0.0, 1.0],
+            "controls": {"type": "piecewise", "breaks": [0.0], "values": [[1.0, 0.5]]},
+        },
+        "analysis": {"max_levels": 1},
+    }
+    p = tmp_path / "chained.json"
+    p.write_text(json.dumps(scenario))
+    assert main(["pca", str(p)]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["stabilized_at"] is None
+    assert results["annihilators"] is None
+    assert results["verdict"] == "not stabilized within the level budget"
+    assert [len(lvl["generators"]) for lvl in results["levels"]] == [2, 1]
+
+
 def test_main_audit_pass_and_fail(tmp_path):
     out = tmp_path / "report.json"
     code = main(

@@ -25,6 +25,7 @@ from geocon.expr import (
     differentiate,
     evaluate,
     free_variables,
+    jacobian,
     jet_coefficient,
     jet_seed,
     mul,
@@ -138,6 +139,51 @@ def test_differentiate_product_rule_matches_finite_differences():
     assert abs(evaluate(df, {"x": x0}) - fd) <= 1e-8
 
 
+def test_jacobian_differentiates_each_shared_node_once_per_variable(monkeypatch):
+    # a level-2 ladder bracket shares subtrees across and within its
+    # components; one memo per variable differentiates each distinct node once
+    import numpy as np
+
+    from geocon import expr
+    from geocon.fields import lie_bracket
+    from tests.conftest import random_control_affine
+
+    system = random_control_affine(np.random.default_rng([0, 6]), m=6, k=2)
+    bracket = lie_bracket(system.drift, lie_bracket(system.drift, system.inputs[0]))
+
+    def children(e):
+        return [getattr(e, f) for f in ("left", "right", "arg", "base") if hasattr(e, f)]
+
+    distinct, stack, sizes = {}, list(bracket.components), {}
+    while stack:
+        e = stack.pop()
+        if not isinstance(e, (Const, Var)) and id(e) not in distinct:
+            distinct[id(e)] = e
+            stack += children(e)
+
+    def size(e):  # nodes counted with repetition, as a walk without a memo visits them
+        if id(e) not in sizes:
+            sizes[id(e)] = 1 + sum(map(size, children(e)))
+        return sizes[id(e)]
+
+    assert sum(map(size, bracket.components)) > 2 * len(distinct)  # the subtrees are shared
+
+    counts = {}
+    plain = expr._derivative
+
+    def counted(e, name, memo):
+        if not isinstance(e, (Const, Var)) and id(e) not in memo:
+            counts[id(e), name] = counts.get((id(e), name), 0) + 1
+        return plain(e, name, memo)
+
+    monkeypatch.setattr(expr, "_derivative", counted)
+    rows = jacobian(bracket.components, bracket.variables)
+    assert set(counts.values()) == {1}
+    assert set(counts) == {(k, v) for k in distinct for v in bracket.variables}
+    monkeypatch.undo()
+    assert rows == tuple(tuple(differentiate(c, v) for v in bracket.variables) for c in bracket.components)
+
+
 def test_evaluate_basics():
     assert evaluate(parse_expression("x+y"), {"x": 1.0, "y": 2.0}) == 3.0
 
@@ -202,6 +248,15 @@ def test_substitute_controls():
     f = parse_expression("u1*x + u2", variables=["x", "u1", "u2"])
     g = substitute(f, {"u1": 2.0, "u2": 0.0})
     assert g == Mul(Const(2.0), Var("x"))
+
+
+def test_substitute_returns_untouched_subtrees_as_they_are():
+    # a slice shares its drift and input trees with its system
+    f = parse_expression("sin(x)*y + u1*x^2", variables=["x", "y", "u1"])
+    g = substitute(f, {"u1": 2.0})
+    assert g == parse_expression("sin(x)*y + 2*x^2")
+    assert g.left is f.left and g.right.right is f.right.right
+    assert substitute(f, {"u2": 2.0}) is f
 
 
 def test_compiled_matches_recursive():

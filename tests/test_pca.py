@@ -449,6 +449,34 @@ def test_ladder_evaluates_each_field_once_per_sample_time(monkeypatch):
     assert counts == [9, 12, 15, 21]
 
 
+def test_ladder_builds_each_bracket_when_the_loop_needs_it(monkeypatch):
+    # probe systems of the sweep panel: a step builds [X_d, Z] in the
+    # adoption loop's order and stops once the span is full, and the branch
+    # flag reads the brackets already built; building every bracket of every
+    # step ahead of its loop took 15 at each of these sizes
+    from tests.conftest import random_control_affine
+
+    built = []
+
+    def counted(a, b):
+        built.append((id(a), id(b)))
+        return lie_bracket(a, b)
+
+    counts = []
+    for m in (6, 8, 10):
+        rng = np.random.default_rng([0, m])
+        system = random_control_affine(rng, m=m, k=2)
+        sched = piecewise_schedule([0.0, 0.4], np.round(rng.uniform(-1.0, 1.0, size=(2, 2)), 3).tolist())
+        ref = integrate_trajectory(system, np.round(rng.uniform(-0.2, 0.2, size=m), 3), sched, (0.0, 1.0))
+        built.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(pca, "lie_bracket", counted)
+            run_algorithm(system, ref)
+        assert len(set(built)) == len(built)  # no bracket built twice
+        counts.append(len(built))
+    assert counts == [8, 10, 11]
+
+
 def _annihilator_case(case):
     """A fixture scenario by name, or a random system by seed (odd seeds
     rest on a hyperplane first), with its reference."""

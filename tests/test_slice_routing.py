@@ -3,12 +3,12 @@
 `ControlAffineSystem.slice_field(u)` records (system, u) when no u^c is
 zero, and `fields.linearized_rhs` then runs the system's right-hand side
 and segment with u held.  The slice's trees are the system's with u^c as a
-constant, so the reference is the same slice built by `combine_fields`,
-which records nothing and runs its own code: both must give the same
-bits, record the same samples and fail the same way.  A point value
-`slice(x)` walks the trees, so it must give the routed right-hand side's
-bits as well.  Slices of a cost-extended system are routed the same way
-when the cost, with u substituted, folds to a constant.
+constant, so the reference is the same slice built term by term by the
+local `combine_fields`, which records nothing and runs its own code: both
+must give the same bits, record the same samples and fail the same way.  A
+point value `slice(x)` walks the trees, so it must give the routed
+right-hand side's bits as well.  Slices of a cost-extended system are
+routed the same way when the cost, with u substituted, folds to a constant.
 """
 
 import gc
@@ -21,8 +21,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geocon import fields
-from geocon.expr import jet_seed, substitute
-from geocon.fields import VectorField, as_point, combine_fields, composite_flow, eval_vector_field, linearized_rhs
+from geocon.expr import const, expr_sum, jet_seed, mul, substitute
+from geocon.fields import VectorField, as_point, composite_flow, eval_vector_field, linearized_rhs
 from geocon.ocp import build_control_affine, extend_system
 from geocon.variations import needle_variation
 
@@ -31,6 +31,14 @@ from tests.test_generated_rhs import draw_state
 from tests.test_segment import bits, run
 
 NONZERO = st.sampled_from([1.0, -1.0, 0.5, -1.5, 2.0]) | st.floats(-2.0, 2.0, allow_subnormal=False).filter(bool)
+
+
+def combine_fields(base, addends, coefficients):
+    """base + sum_c coefficients[c] * addends[c], folded term by term: an
+    oracle built apart from the substituted flow form of `slice_field`."""
+    comps = [expr_sum([e, *(mul(const(float(c)), vf.components[i]) for c, vf in zip(coefficients, addends))])
+             for i, e in enumerate(base.components)]
+    return VectorField(base.variables, tuple(comps))
 
 
 def routed_and_own(system, u):
@@ -140,6 +148,17 @@ def test_a_slice_with_a_zero_control_keeps_its_own_code(zero):
     assert [bits(v) for v in linearized_rhs(system, controls=lambda _t: [0.0])(0.0, [0.0])] == [bits(0.0)]
     mixed = build_control_affine(("x1",), ["-x1"], [["1"], ["x1"]], [(-2.0, 2.0)] * 2).slice_field([1.0, zero])
     assert linearized_rhs(mixed).args[0] is mixed
+
+
+@pytest.mark.parametrize("drift, inputs, u", [(["-0"], [], []), (["0"], [["1"]], [-0.0]), (["0"], [["-1"]], [0.0])])
+def test_a_constant_zero_component_keeps_the_sign_of_the_systems_code(drift, inputs, u):
+    # substituting u into the flow form folds the system's own arithmetic;
+    # the term-by-term sum starts at +0.0 and loses the sign of a zero
+    system = build_control_affine(("x1",), drift, inputs, [(-2.0, 2.0)] * len(inputs))
+    vf = system.slice_field(u)
+    assert [bits(v) for v in vf([0.5])] == [bits(-0.0)]
+    assert [bits(v) for v in linearized_rhs(system, controls=u)(0.0, [0.5])] == [bits(-0.0)]
+    assert [bits(v) for v in combine_fields(system.drift, system.inputs, u)([0.5])] == [bits(0.0)]
 
 
 def test_a_needle_grid_compiles_only_its_system_code(monkeypatch):
