@@ -13,7 +13,7 @@ Evaluation is generic over the scalar type.  Plain floats work, and so do
 and jets of flow maps are obtained elsewhere in the package.  Flows run on
 generated code: a right-hand side (:func:`compile_flow`) and a loop of RK4
 steps with the same arithmetic (:func:`compile_segment`).  Point values
-walk the tree (:func:`evaluate`), with the same arithmetic unless checked.
+walk the tree (:func:`evaluate`), with the same arithmetic.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 import operator
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
@@ -48,79 +48,60 @@ class UnknownIdentifierError(ExprError):
         self.column = column
 
 
-class DomainEvalError(ExprError):
-    """Evaluation hit a singular point (log of nonpositive, division by zero...)."""
-
-    def __init__(self, message: str, column: int | None = None):
-        where = f" (at column {column})" if column is not None else ""
-        super().__init__(f"{message}{where}")
-        self.column = column
-
-
 # ---------------------------------------------------------------------------
-# AST nodes.  `pos` is the 0-based source column when the node came from the
-# parser; it never takes part in equality so rebuilt trees compare equal.
+# AST nodes.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Const:
     value: float
-    pos: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Var:
     name: str
-    pos: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Call:
     fn: str
     arg: "Expr"
-    pos: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Neg:
     arg: "Expr"
-    pos: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Add:
     left: "Expr"
     right: "Expr"
-    pos: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Sub:
     left: "Expr"
     right: "Expr"
-    pos: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Mul:
     left: "Expr"
     right: "Expr"
-    pos: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Div:
     left: "Expr"
     right: "Expr"
-    pos: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Pow:
     base: "Expr"
     exponent: int
-    pos: int | None = field(default=None, compare=False, repr=False)
 
 
 Expr = Union[Const, Var, Call, Neg, Add, Sub, Mul, Div, Pow]
@@ -216,7 +197,7 @@ def call(fn: str, arg: Expr) -> Expr:
         try:
             return Const(_FUNCTIONS[fn](arg.value))
         except (ValueError, OverflowError):
-            pass  # keep the node; evaluation reports the domain error
+            pass  # keep the node; evaluation raises the domain error
     return Call(fn, arg)
 
 
@@ -333,10 +314,7 @@ class _Parser:
         while (op := _INFIX.get(tok[0])) and op.prec >= prec:
             self.i += 1
             rhs, rhs_depth = self.binary(op.prec + 1)
-            out = op.fold(e, rhs)
-            if getattr(out, "right", None) is rhs and out.left is e:  # not folded away: the operator's column
-                out = type(out)(e, rhs, pos=tok[2])
-            e, depth = out, self.deeper(max(depth, rhs_depth) + 1, tok)
+            e, depth = op.fold(e, rhs), self.deeper(max(depth, rhs_depth) + 1, tok)
             tok = self.tokens[self.i]
         return e, depth
 
@@ -344,15 +322,13 @@ class _Parser:
         """A negated operand, or an atom with an optional ``^`` suffix."""
         if tok := self.take("-"):
             inner, depth = self.nested(tok, self.unary)
-            out = neg(inner)
-            return (Neg(out.arg, pos=tok[2]) if isinstance(out, Neg) else out), depth
+            return neg(inner), depth
         base, depth = self.atom()
         if not (tok := self.take("^")):
             return base, depth
         n = self.exponent()
         depth = self.deeper(depth + max(abs(n), 1), tok)  # before folding a huge power
-        out = pow_(base, n)
-        return (Pow(base, n, pos=tok[2]) if isinstance(out, Pow) and out.base is base else out), depth
+        return pow_(base, n), depth
 
     def exponent(self) -> int:
         opened = 0
@@ -368,7 +344,7 @@ class _Parser:
 
     def atom(self):
         if tok := self.take("num"):
-            return Const(float(tok[1]), pos=tok[2]), 1
+            return Const(float(tok[1])), 1
         if tok := self.take("("):
             e = self.nested(tok, self.binary)
             self.take(")", "')'")
@@ -379,13 +355,12 @@ class _Parser:
                 raise ExprSyntaxError(f"unknown function '{name}'", pos + 1)
             arg, depth = self.nested(tok, self.binary)
             self.take(")", "')'")
-            out = call(name, arg)
-            return (Call(out.fn, out.arg, pos=pos) if isinstance(out, Call) else out), depth
+            return call(name, arg), depth
         if name in FUNCTIONS:
             raise ExprSyntaxError(f"function '{name}' needs an argument list", pos + 1)
         if self.variables is not None and name not in self.variables:
             raise UnknownIdentifierError(name, pos + 1)
-        return Var(name, pos=pos), 1
+        return Var(name), 1
 
 
 def parse_expression(src: str, variables: Iterable[str] | None = None) -> Expr:
@@ -399,9 +374,9 @@ def parse_expression(src: str, variables: Iterable[str] | None = None) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Rendering.  The output reparses to an equal tree (positions ignored), except
-# where a constant is not finite: it renders as ``inf``, ``-inf`` or ``nan``,
-# which do not reparse.
+# Rendering.  The output reparses to an equal tree, except where a constant
+# is not finite: it renders as ``inf``, ``-inf`` or ``nan``, which do not
+# reparse.
 # ---------------------------------------------------------------------------
 
 
@@ -682,25 +657,17 @@ def _ipow(v, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Evaluation.  The recursive walker computes operands left to right, as the
-# generated code (below) does; checked, it reports domain errors with the
-# source column of the offending node.
+# Evaluation.  The recursive walker computes operands left to right with the
+# operators and functions of the generated code (below).
 # ---------------------------------------------------------------------------
 
 
-def _column(e: Expr) -> int | None:
-    return None if e.pos is None else e.pos + 1
-
-
-def evaluate(e: Expr, env: Mapping[str, object], checked: bool = True, memo: dict | None = None):
-    """The value of `e` with the variables of `env`.
-
-    Checked (the default), a domain fault raises :class:`DomainEvalError`
-    with the column of the offending node.  With ``checked=False`` the plain
-    operators and functions run, so every value is the generated code's bit
-    for bit and a fault raises what that code raises (ZeroDivisionError,
-    ValueError, OverflowError).  `memo`, keyed by node identity, may be
-    shared by trees that share nodes: each such node is computed once.
+def evaluate(e: Expr, env: Mapping[str, object], memo: dict | None = None):
+    """The value of `e` with the variables of `env`: the generated code's bit
+    for bit, and a domain fault raises what that code raises
+    (ZeroDivisionError, ValueError, OverflowError).  `memo`, keyed by node
+    identity, may be shared by trees that share nodes: each such node is
+    computed once.
     """
     t = type(e)
     if t is Const:
@@ -709,30 +676,19 @@ def evaluate(e: Expr, env: Mapping[str, object], checked: bool = True, memo: dic
         try:
             return env[e.name]
         except KeyError:
-            raise UnknownIdentifierError(e.name, _column(e)) from None
+            raise UnknownIdentifierError(e.name) from None
     if memo is None:
         memo = {}
     elif id(e) in memo:
         return memo[id(e)]
     if t in _BINARY:
-        a, b = evaluate(e.left, env, checked, memo), evaluate(e.right, env, checked, memo)
-        if checked and t is Div and real_part(b) == 0.0:
-            raise DomainEvalError("division by zero", _column(e))
-        v = _BINARY[t].apply(a, b)
+        v = _BINARY[t].apply(evaluate(e.left, env, memo), evaluate(e.right, env, memo))
     elif t is Neg:
-        v = -evaluate(e.arg, env, checked, memo)
+        v = -evaluate(e.arg, env, memo)
     elif t is Pow:
-        v = evaluate(e.base, env, checked, memo)
-        if checked and e.exponent < 0 and real_part(v) == 0.0:
-            raise DomainEvalError("zero raised to a negative power", _column(e))
-        v = _ipow(v, e.exponent)
+        v = _ipow(evaluate(e.base, env, memo), e.exponent)
     elif t is Call:
-        v = evaluate(e.arg, env, checked, memo)
-        if checked and e.fn == "log" and real_part(v) <= 0.0:
-            raise DomainEvalError("log of a non-positive value", _column(e))
-        if checked and e.fn == "sqrt" and real_part(v) < 0.0:
-            raise DomainEvalError("sqrt of a negative value", _column(e))
-        v = _FUNCTIONS[e.fn](v)
+        v = _FUNCTIONS[e.fn](evaluate(e.arg, env, memo))
     else:
         raise TypeError(f"not an expression node: {e!r}")  # pragma: no cover
     memo[id(e)] = v
@@ -844,9 +800,9 @@ class _Emitter:
 def compile_expression(e: Expr, variables: Sequence[str]) -> Callable:
     """Compile to `f(values) -> scalar` with `values` ordered like `variables`,
     for an expression evaluated many times (a schedule entry at every RK4
-    stage).  A few evaluations cost less by ``evaluate(e, env, checked=False)``,
-    which gives the same bits and raises the same bare ZeroDivisionError or
-    ValueError on a domain fault; the checked :func:`evaluate` reports its column.
+    stage).  A few evaluations cost less by :func:`evaluate`, which gives the
+    same bits and raises the same ZeroDivisionError or ValueError on a domain
+    fault.
     """
     rhs = compile_flow([e], variables)
     return lambda values: rhs(None, 0, 0, 0.0, values)[0]

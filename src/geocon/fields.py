@@ -135,10 +135,9 @@ class VectorField:
         return self.components, ()
 
     def __call__(self, values: Sequence) -> list:
-        """f(values), walked with one memo shared across the components and
-        the generated code's arithmetic (``evaluate(..., checked=False)``)."""
+        """f(values), walked with one memo shared across the components."""
         env, memo = dict(zip(self.variables, values)), {}
-        return [evaluate(c, env, False, memo) for c in self.components]
+        return [evaluate(c, env, memo) for c in self.components]
 
     def __repr__(self):
         comps = ", ".join(render(c) for c in self.components)

@@ -66,7 +66,13 @@ class ConnectionSpec:
                             name: float(rng.uniform(0.5, 1.5))
                             for name in self.coordinates
                         }
-                        if abs(evaluate(a, env) - evaluate(b, env)) > 1e-10:
+                        try:
+                            apart = abs(evaluate(a, env) - evaluate(b, env)) > 1e-10
+                        except (ArithmeticError, ValueError) as exc:
+                            raise MechError(
+                                f"Gamma[{i}][{j}][{k}] or Gamma[{i}][{k}][{j}] faults at a sample point: {exc}"
+                            ) from None
+                        if apart:
                             raise MechError(
                                 f"Gamma[{i}][{j}][{k}] is not symmetric in its lower indices"
                             )

@@ -359,7 +359,7 @@ class ExtendedSystem:
         and control u, walked with the generated code's arithmetic."""
         (grads,) = cached_on(self, "_dcost_du", lambda: jacobian((self.cost,), self.base.control_names))
         env = dict(zip(self.base.variables + self.base.control_names, [*x, *u]))
-        dcost = [evaluate(g, env, False) for g in grads]
+        dcost = [evaluate(g, env) for g in grads]
         return [[g, *vf(x)] for g, vf in zip(dcost, self.base.inputs)]
 
 
@@ -419,6 +419,8 @@ def _recorded_flow(system, schedule, interval, state: list, step: float, covecto
     The trailing partial step can land a rounding residue behind the last
     full step; the landing point is authoritative, so it replaces that one.
     """
+    if not all(map(math.isfinite, state)):
+        raise OcpError("the initial state must be finite")
     a, b = interval
     ts, states = [a], [list(state)]
 

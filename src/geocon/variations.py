@@ -235,6 +235,8 @@ def needle_variation(
     """
     if not 0.0 < l1 < math.inf:
         raise VariationError(f"needle duration rate l1 must be positive and finite, got {l1}")
+    if len(u_ref) != system.k or len(u1) != system.k:
+        raise VariationError(f"u_ref and u1 need {system.k} values each, got {len(u_ref)} and {len(u1)}")
     for label, u in (("u_ref", u_ref), ("u1", u1)):
         for c, v in enumerate(u):
             lo, hi = system.control_box[c]

@@ -1,7 +1,8 @@
 """The expression parser as it stood before the one-regex tokenizer and the
 precedence-climbing loop: a character-by-character tokenizer and a
 recursive-descent parser with one method per precedence level.  Kept
-verbatim as the oracle of the differential tests in ``test_expr.py``.
+verbatim, but for the source columns that nodes no longer carry, as the
+oracle of the differential tests in ``test_expr.py``.
 """
 
 from __future__ import annotations
@@ -11,10 +12,8 @@ import math
 from geocon.expr import (
     FUNCTIONS,
     MAX_DEPTH,
-    Call,
     Const,
     ExprSyntaxError,
-    Neg,
     UnknownIdentifierError,
     Var,
     add,
@@ -140,10 +139,7 @@ class _Parser:
         if self.peek()[0] == "-":
             tok = self.advance()
             inner, depth = self.nested(tok, self.unary)
-            out = neg(inner)
-            if isinstance(out, Neg):
-                out = Neg(out.arg, pos=tok[2])
-            return out, depth
+            return neg(inner), depth
         return self.power()
 
     def power(self):
@@ -181,7 +177,7 @@ class _Parser:
         tok = self.advance()
         kind, text, pos = tok
         if kind == "num":
-            return Const(float(text), pos=pos), 1
+            return Const(float(text)), 1
         if kind == "ident":
             if self.peek()[0] == "(":
                 if text not in FUNCTIONS:
@@ -189,15 +185,12 @@ class _Parser:
                 self.advance()
                 arg, depth = self.nested(tok, self.expr)
                 self.expect(")")
-                out = call(text, arg)
-                if isinstance(out, Call):
-                    out = Call(out.fn, out.arg, pos=pos)
-                return out, depth
+                return call(text, arg), depth
             if text in FUNCTIONS:
                 raise ExprSyntaxError(f"function '{text}' needs an argument list", pos + 1)
             if self.variables is not None and text not in self.variables:
                 raise UnknownIdentifierError(text, pos + 1)
-            return Var(text, pos=pos), 1
+            return Var(text), 1
         if kind == "(":
             e = self.nested(tok, self.expr)
             self.expect(")")

@@ -253,6 +253,18 @@ def test_mech_check_without_inputs_is_vacuous(tmp_path, capsys):
     }
 
 
+def test_mech_check_names_both_cells_of_a_faulting_christoffel_symbol(tmp_path, capsys):
+    # the symmetry check samples x1 in [0.5, 1.5], where log(x1 - 2) has no value
+    data = json.loads((SCENARIOS / "flat_connection.json").read_text())
+    data["mechanics"]["christoffel"][0][0][1] = "log(x1 - 2)"
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(data))
+    assert main(["mech-check", str(p)]) == 1
+    assert capsys.readouterr().err == (
+        "geocon: error: /mechanics: Gamma[0][0][1] or Gamma[0][1][0] faults at a sample point: math domain error\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

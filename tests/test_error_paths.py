@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from geocon.cone import Cone, ConeError, GeneratorProvenance, is_supporting
-from geocon.expr import DomainEvalError, Dual, evaluate, mul, parse_expression, var
+from geocon.expr import Dual, evaluate, mul, parse_expression, var
 from geocon.fields import (
     Covector,
     FieldError,
@@ -39,12 +39,12 @@ FIXTURES = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def test_sqrt_of_negative_reports_domain_error():
-    with pytest.raises(DomainEvalError):
+    with pytest.raises(ValueError):
         evaluate(parse_expression("sqrt(x)"), {"x": -4.0})
 
 
 def test_zero_to_negative_power_reports_domain_error():
-    with pytest.raises(DomainEvalError):
+    with pytest.raises(ZeroDivisionError):
         evaluate(parse_expression("x^-2"), {"x": 0.0})
 
 
@@ -366,6 +366,29 @@ def test_needle_rejects_a_rate_that_is_not_positive_and_finite(martinet, martine
     x = martinet_reference.point_at(0.5)
     with pytest.raises(VariationError, match="l1 must be positive and finite"):
         needle_variation(martinet, [0.0, 0.0], [0.5, 0.5], l1, x)
+
+
+@pytest.mark.parametrize("u_ref, u1", [([0.0, 0.0], [0.5, 0.5, 0.5]), ([0.0, 0.0], [5.0]), ([0.0], [0.5, 0.5])],
+                         ids=["long-u1", "short-u1", "short-u_ref"])
+def test_needle_rejects_control_values_of_the_wrong_length(martinet, martinet_reference, u_ref, u1):
+    # checked before the control box: a long u1 would index past it, a short one
+    # (out of the box here) would be refused for its value
+    from geocon.variations import needle_variation
+
+    x = martinet_reference.point_at(0.5)
+    with pytest.raises(VariationError, match="need 2 values each"):
+        needle_variation(martinet, u_ref, u1, 1.0, x)
+
+
+@pytest.mark.parametrize("x0, lam0", [([math.nan, 0.0, 0.0], None), ([0.0, math.inf, 0.0], None),
+                                      ([0.0, 0.0, 0.0], [1.0, math.nan, 0.0])], ids=["nan-x0", "inf-x0", "nan-lam0"])
+def test_a_non_finite_start_is_refused_not_reported_as_divergence(martinet, x0, lam0):
+    sched = piecewise_schedule([0.0], [[0.0, 1.0]])
+    with pytest.raises(OcpError, match="initial state must be finite"):
+        if lam0 is None:
+            integrate_trajectory(martinet, x0, sched, (0.0, 1.0), 1e-3)
+        else:
+            integrate_biextremal(martinet, x0, lam0, sched, (0.0, 1.0))
 
 
 def test_reference_interpolation_rejects_nan(martinet_reference):

@@ -93,7 +93,7 @@ def control_gradient_as_before(lam, x, u, system):
     p0, p, xbase = lam[0], lam[1:], xv[1:]
     base = system.base
     env = dict(zip(base.variables + base.control_names, [*xbase, *[float(v) for v in u]]))
-    grads = [evaluate(differentiate(system.cost, c), env, False) for c in base.control_names]
+    grads = [evaluate(differentiate(system.cost, c), env) for c in base.control_names]
     return np.asarray([
         float(p0 * grads[c] + np.dot(p, np.asarray(vf(list(xbase)), dtype=float)))
         for c, vf in enumerate(system.base.inputs)
