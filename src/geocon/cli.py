@@ -17,6 +17,7 @@ import json
 import logging
 import math
 import os
+import re
 import reprlib
 import sys
 from collections.abc import Callable
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -64,14 +64,75 @@ class ScenarioError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def load_schema() -> dict:
-    with resources.files("geocon").joinpath("schema.json").open("rb") as fh:
-        return json.load(fh)
+_KEYWORDS = {"type", "properties", "required", "additionalProperties", "items", "minItems", "maxItems", "minLength",
+             "pattern", "enum", "const", "minimum", "exclusiveMinimum", "$ref", "allOf", "if", "then"}
+_ANNOTATIONS = {"$schema", "$comment", "title", "description", "default", "examples", "$defs"}  # check nothing
+_KINDS = {"array": {list}, "boolean": {bool}, "integer": {int}, "null": {type(None)}, "number": {int, float},
+          "object": {dict}, "string": {str}}  # as json.loads builds them; a float like 2.0 is an integer too
 
 
 @functools.cache
-def _validator() -> jsonschema.Draft202012Validator:
-    return jsonschema.Draft202012Validator(load_schema())
+def load_schema() -> dict:
+    """schema.json, read once (do not change it) and refused if `_walkable` refuses it."""
+    with resources.files("geocon").joinpath("schema.json").open("rb") as fh:
+        return _walkable(json.load(fh))
+
+
+def _walkable(schema: dict) -> dict:
+    """`schema`, refused unless each schema in it is an object of annotations and keywords that `_violations`
+    checks, each `additionalProperties` is a bool, each `const` and `enum` value a string, and each `$ref`
+    names one of its `$defs`."""
+    subs, refs = [schema], {f"#/$defs/{name}" for name in schema.get("$defs", ())}
+    for sub in subs:  # grows by the schemas nested in each
+        odd = sorted(sub.keys() - _KEYWORDS - _ANNOTATIONS) if isinstance(sub, dict) else [sub]
+        odd = odd or [value for value in [sub.get("const", ""), *sub.get("enum", ())] if not isinstance(value, str)]
+        if odd or sub.get("$ref") not in refs | {None} or type(sub.get("additionalProperties", False)) is not bool:
+            raise ValueError(f"the scenario schema checker does not implement {odd or sub}")
+        subs += [*sub.get("properties", {}).values(), *sub.get("$defs", {}).values(), *sub.get("allOf", ()),
+                 *(sub[key] for key in ("items", "if", "then") if key in sub)]
+    return schema
+
+
+def _violations(value, schema: dict, path: tuple = ()):
+    """(path, message, value) of each place where `value`, as json.loads builds it, breaks `schema`, whose
+    `$ref`s name schema.json's `$defs`: jsonschema 4.x's Draft 2020-12 `iter_errors` messages, in its order."""
+    for key, rule in schema.items():
+        if key == "type":
+            kinds = [rule] if isinstance(rule, str) else rule
+            if not any(type(value) in _KINDS[kind] or kind == "integer" and type(value) is float and value.is_integer()
+                       for kind in kinds):
+                yield path, f"{value!r} is not of type {', '.join(map(repr, kinds))}", value
+        elif key == "$ref":
+            yield from _violations(value, load_schema()["$defs"][rule.removeprefix("#/$defs/")], path)
+        elif key == "allOf":
+            yield from (error for sub in rule for error in _violations(value, sub, path))
+        elif key == "if" and "then" in schema and next(_violations(value, rule), None) is None:
+            yield from _violations(value, schema["then"], path)
+        elif key in ("const", "enum") and value not in ([rule] if key == "const" else rule):
+            yield path, f"{rule!r} was expected" if key == "const" else f"{value!r} is not one of {rule!r}", value
+        elif key == "properties" and type(value) is dict:
+            for name, sub in rule.items():
+                if name in value:
+                    yield from _violations(value[name], sub, path + (name,))
+        elif key == "required" and type(value) is dict:
+            yield from ((path, f"{name!r} is a required property", value) for name in rule if name not in value)
+        elif key == "additionalProperties" and type(value) is dict and not rule:
+            extras = sorted(name for name in value if name not in schema.get("properties", {}))
+            if extras:
+                listed = f"{', '.join(map(repr, extras))} {'was' if len(extras) == 1 else 'were'}"
+                yield path, f"Additional properties are not allowed ({listed} unexpected)", value
+        elif key == "items" and type(value) is list:
+            yield from (error for i, item in enumerate(value) for error in _violations(item, rule, path + (i,)))
+        elif (key, type(value)) in (("minItems", list), ("minLength", str)) and len(value) < rule:
+            yield path, f"{value!r} {'should be non-empty' if rule == 1 else 'is too short'}", value
+        elif key == "maxItems" and type(value) is list and len(value) > rule:
+            yield path, f"{value!r} {'is expected to be empty' if rule == 0 else 'is too long'}", value
+        elif key == "pattern" and type(value) is str and not re.search(rule, value):
+            yield path, f"{value!r} does not match {rule!r}", value
+        elif key == "minimum" and type(value) in (int, float) and value < rule:
+            yield path, f"{value!r} is less than the minimum of {rule!r}", value
+        elif key == "exclusiveMinimum" and type(value) in (int, float) and value <= rule:
+            yield path, f"{value!r} is less than or equal to the minimum of {rule!r}", value
 
 
 _ECHO = reprlib.Repr()  # a value a schema violation refuses, one level deep: at most 6 items or 4 keys
@@ -145,11 +206,12 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
     for where, value in _non_finite(data) if constants else ():
         raise ScenarioError(f"{where or '/'}: {json.dumps(value)} is not a finite number")
-    error = min(_validator().iter_errors(data), key=lambda e: list(e.absolute_path), default=None)
+    error = min(_violations(data, load_schema()), key=lambda e: e[0], default=None)
     if error is not None:  # a long refused value is echoed by _ECHO, and the message cut to 240 characters
-        text = repr(error.instance)
-        message = error.message.replace(text, _ECHO.repr(error.instance)) if len(text) > 80 else error.message
-        raise ScenarioError(f"schema violation at /{'/'.join(map(str, error.absolute_path))}: {message[:240]}")
+        where, message, value = error
+        text = repr(value)
+        message = message.replace(text, _ECHO.repr(value)) if len(text) > 80 else message
+        raise ScenarioError(f"schema violation at /{'/'.join(map(str, where))}: {message[:240]}")
 
     if ("system" in data) == ("mechanics" in data):
         raise ScenarioError("exactly one of /system or /mechanics must be present")

@@ -67,7 +67,7 @@ class ConnectionSpec:
                             for name in self.coordinates
                         }
                         try:
-                            apart = abs(evaluate(a, env) - evaluate(b, env)) > 1e-10
+                            apart = not abs(evaluate(a, env) - evaluate(b, env)) <= 1e-10  # NaN is apart
                         except (ArithmeticError, ValueError) as exc:
                             raise MechError(
                                 f"Gamma[{i}][{j}][{k}] or Gamma[{i}][{k}][{j}] faults at a sample point: {exc}"

@@ -1,16 +1,21 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from geocon import cli
 from geocon.cli import ScenarioError, load_scenario, load_schema, main, render_json
 from geocon.cone import assemble_cone
 from geocon.ocp import integrate_trajectory
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
 
 
 def test_load_martinet_fixture():
@@ -265,6 +270,16 @@ def test_mech_check_names_both_cells_of_a_faulting_christoffel_symbol(tmp_path, 
     )
 
 
+def test_mech_check_refuses_a_christoffel_pair_that_differs_by_nan(tmp_path, capsys):
+    # inf - inf at every sample point: a NaN difference is not symmetric
+    data = json.loads((SCENARIOS / "flat_connection.json").read_text())
+    data["mechanics"]["christoffel"][0][0][1] = "(1e200*x1)*(1e200*x1) - (1e200*x2)*(1e200*x2)"
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(data))
+    assert main(["mech-check", str(p)]) == 1
+    assert capsys.readouterr().err == "geocon: error: /mechanics: Gamma[0][0][1] is not symmetric in its lower indices\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -368,6 +383,49 @@ def test_packaged_schema_validates_every_fixture():
     assert len(fixtures) == 4
     for path in fixtures:
         validator.validate(json.loads(path.read_text()))
+
+
+def test_the_schema_uses_each_keyword_the_walker_checks():
+    text = (ROOT / "src" / "geocon" / "schema.json").read_text()
+    assert len(cli._KEYWORDS) == 17 and all(f'"{keyword}":' in text for keyword in cli._KEYWORDS)
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "object", "else": {}},
+    {"properties": {"name": {"type": "string", "maxLength": 8}}},
+    {"$defs": {"box": {"items": {"allOf": [{"format": "uri"}]}}}},
+    {"if": {"not": {}}, "then": {}},
+    {"items": True},
+    {"additionalProperties": {"type": "string"}},
+    {"$defs": {"box": {}}, "$ref": "#/$defs/bin"},
+    {"$ref": "https://json-schema.org/draft/2020-12/schema"},
+    {"properties": {"flag": {"const": True}}},
+    {"enum": ["a", 1]},
+], ids=["else", "maxLength", "format", "not", "boolean schema", "schema of extras", "missing $defs entry", "remote $ref",
+        "bool const", "number in enum"])
+def test_a_schema_the_walker_cannot_check_is_refused(schema):
+    with pytest.raises(ValueError, match="^the scenario schema checker does not implement "):
+        cli._walkable(schema)
+
+
+def test_the_command_line_runs_without_jsonschema(tmp_path):
+    refused = json.loads((SCENARIOS / "martinet.json").read_text())
+    refused["chart"] = []
+    (tmp_path / "refused.json").write_text(json.dumps(refused))
+    blocked = "import sys; sys.modules['jsonschema'] = None; from geocon.cli import main; sys.exit(main(sys.argv[1:]))"
+
+    def run(*code):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        return subprocess.run([sys.executable, "-c", *code], env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
+
+    done = run(blocked, "bracket", "scenarios/martinet.json")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (ROOT / "perfbench" / "refs" / "martinet.bracket.out").read_text()
+    done = run(blocked, "bracket", str(tmp_path / "refused.json"))
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "geocon: error: schema violation at /chart: [] should be non-empty\n"
+    done = run("import sys, geocon.cli; print(sorted(name for name in sys.modules if name.startswith('jsonschema')))")
+    assert (done.returncode, done.stdout) == (0, "[]\n")
 
 
 def test_every_fixture_runs_its_commands(tmp_path):

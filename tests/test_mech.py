@@ -90,6 +90,16 @@ def test_asymmetric_christoffel_rejected():
         connection_spec(("x1", "x2"), ("v1", "v2"), bad)
 
 
+def test_a_christoffel_pair_that_differs_by_nan_is_not_symmetric():
+    # (1e200*x1)^2 - (1e200*x2)^2 is inf - inf, a NaN at every sample point: no difference within 1e-10
+    gamma = [
+        [["0", "(1e200*x1)*(1e200*x1) - (1e200*x2)*(1e200*x2)"], ["0", "0"]],
+        [["0", "0"], ["0", "0"]],
+    ]
+    with pytest.raises(MechError, match=r"^Gamma\[0\]\[0\]\[1\] is not symmetric in its lower indices$"):
+        connection_spec(("x1", "x2"), ("v1", "v2"), gamma)
+
+
 def test_vertical_lift_basic():
     conn = connection_spec(("x1", "x2"), ("v1", "v2"), [[["0", "0"], ["0", "0"]]] * 2)
     y = vector_field(("x1", "x2"), ["1", "0"])
