@@ -28,7 +28,7 @@ def main():
     legs = ((X1, -1.0), (negate_field(X2), 1.0), (X1, 1.0), (X2, 1.0))
 
     def curve(s):
-        return variation_curve(legs, x, s, step=1e-2)
+        return variation_curve(legs, x, s)
 
     exact = _taylor_jets(curve, 2)
     print("s0,fd_error_j1,fd_error_j2")

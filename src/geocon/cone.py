@@ -371,6 +371,8 @@ def find_supporting_covector(cone: Cone, decrease_direction: TangentVector | Non
     margin = None
     extra = []
     if decrease_direction is not None:
+        if decrease_direction.base.dim != m:
+            raise ConeError("decrease direction dimension does not match the cone")
         d = [F(float(c)) for c in decrease_direction.components]
         margin_frac = _lambda_lp(gens, m, d)
         margin = float(margin_frac)

@@ -25,8 +25,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
-
 MAX_DEPTH = 100  # parsed expressions nest no deeper (see _Parser): the tree walks recurse
 
 
@@ -570,23 +568,6 @@ class Dual:
     def __pow__(self, n):
         return _ipow(self, n)
 
-    def sin(self):
-        return Dual(_sin(self.re), _cos(self.re) * self.du)
-
-    def cos(self):
-        return Dual(_cos(self.re), -_sin(self.re) * self.du)
-
-    def exp(self):
-        e = _exp(self.re)
-        return Dual(e, e * self.du)
-
-    def log(self):
-        return Dual(_log(self.re), self.du / self.re)
-
-    def sqrt(self):
-        r = _sqrt(self.re)
-        return Dual(r, self.du / (2.0 * r))
-
 
 def real_part(x) -> float:
     """Strip all derivative carriers from a scalar."""
@@ -621,27 +602,28 @@ def jet_coefficient(value, order: int, depth: int) -> float:
     return float(v)
 
 
-def _sin(x):
-    return x.sin() if isinstance(x, Dual) else math.sin(x)
+def _sin(x):  # each elementary function: its float case and its Dual case (the chain rule)
+    return Dual(_sin(x.re), _cos(x.re) * x.du) if isinstance(x, Dual) else math.sin(x)
 
 
 def _cos(x):
-    return x.cos() if isinstance(x, Dual) else math.cos(x)
+    return Dual(_cos(x.re), -_sin(x.re) * x.du) if isinstance(x, Dual) else math.cos(x)
 
 
 def _exp(x):
-    return x.exp() if isinstance(x, Dual) else math.exp(x)
+    return Dual(e := _exp(x.re), e * x.du) if isinstance(x, Dual) else math.exp(x)
 
 
 def _log(x):
-    return x.log() if isinstance(x, Dual) else math.log(x)
+    return Dual(_log(x.re), x.du / x.re) if isinstance(x, Dual) else math.log(x)
 
 
 def _sqrt(x):
-    return x.sqrt() if isinstance(x, Dual) else math.sqrt(x)
+    return Dual(r := _sqrt(x.re), x.du / (2.0 * r)) if isinstance(x, Dual) else math.sqrt(x)
 
 
 _FUNCTIONS = {"sin": _sin, "cos": _cos, "exp": _exp, "log": _log, "sqrt": _sqrt}
+FUNCTIONS = tuple(_FUNCTIONS)
 
 
 def _ipow(v, n: int):

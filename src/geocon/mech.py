@@ -11,6 +11,7 @@ to variation templates are verified numerically here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -19,7 +20,7 @@ from .expr import Expr, const, evaluate, expr_sum, free_variables, mul, neg, par
 from .fields import VectorField, eval_vector_field, lie_bracket
 from .ocp import ControlAffineSystem, Trajectory, build_control_affine
 from .pca import null_space
-from .variations import JET_STEP, KAPPA, estimate_jets, variation_curve
+from .variations import KAPPA, estimate_jets, variation_curve
 
 
 class MechError(Exception):
@@ -207,11 +208,7 @@ def generator_families(
             ("j2 commutator", ((xi0, -1.0), (minus, 1.0), (plus, 1.0), (xi0, -1.0)), 2, KAPPA * b_val),
             ("j2 commutator swapped", ((xi0, -1.0), (plus, 1.0), (minus, 1.0), (xi0, -1.0)), 2, -KAPPA * b_val),
         ):
-
-            def curve(s, legs=legs):
-                return variation_curve(legs, x, s, JET_STEP)
-
-            checks.append(_check(name, i, estimate_jets(curve, order)[order - 1], target))
+            checks.append(_check(name, i, estimate_jets(partial(variation_curve, legs, x), order)[order - 1], target))
 
     # annihilators of the lifts cannot see the control part of the bracket
     annihilators = null_space(y_vals) if y_vals else []

@@ -84,10 +84,12 @@ class ControlSchedule:
         if self.breaks is not None:
             if len(self.breaks) != len(self.values) or not self.breaks:
                 raise OcpError("breaks and values must align and be nonempty")
-            if any(b >= a for a, b in zip(self.breaks[1:], self.breaks[:-1])):
+            if any(b >= a for a, b in zip(self.breaks[1:], self.breaks[:-1])) or any(map(math.isnan, self.breaks)):
                 raise OcpError("breakpoints must increase strictly")
             if len(set(map(len, self.values))) != 1:
                 raise OcpError("every control row must hold the same number of values")
+            if not all(math.isfinite(v) for row in self.values for v in row):
+                raise OcpError("control values must be finite")
 
     @property
     def k(self) -> int:
@@ -357,6 +359,8 @@ class ExtendedSystem:
     def control_vectors(self, x, u) -> list[list[float]]:
         """df/du^c = [dL/du^c, *X_c(x)] per control at the base state x (a list)
         and control u, walked with the generated code's arithmetic."""
+        if len(x) != self.base.m or len(u) != self.k:
+            raise OcpError(f"df/du takes {self.base.m} state and {self.k} control values, got {len(x)} and {len(u)}")
         (grads,) = cached_on(self, "_dcost_du", lambda: jacobian((self.cost,), self.base.control_names))
         env = dict(zip(self.base.variables + self.base.control_names, [*x, *u]))
         dcost = [evaluate(g, env) for g in grads]
@@ -458,25 +462,34 @@ def integrate_trajectory(
 # ---------------------------------------------------------------------------
 
 
-def hamiltonian(lam, x, u, system) -> float:
-    """<lambda, f(x, u)>; the p0 * cost term participates for an ExtendedSystem."""
+def _phase_args(lam, x, u, system) -> tuple[list, list, list]:
+    """(lambda, x, u) as float lists, refused unless lambda and x hold one
+    value per chart variable of `system` and u one per input."""
     lam = np.asarray(lam.components if isinstance(lam, Covector) else lam, dtype=float).tolist()
     xv = np.asarray(x.coords if isinstance(x, Point) else x, dtype=float).tolist()
     if len(lam) != len(system.variables) or len(xv) != len(system.variables):
         raise OcpError("covector/state dimension does not match the system")
-    f = linearized_rhs(system, controls=[float(v) for v in u])(0.0, xv)
+    u = [float(v) for v in u]
+    if len(u) != system.k:
+        raise OcpError(f"{len(u)} control values for {system.k} inputs")
+    return lam, xv, u
+
+
+def hamiltonian(lam, x, u, system) -> float:
+    """<lambda, f(x, u)>; the p0 * cost term participates for an ExtendedSystem."""
+    lam, xv, u = _phase_args(lam, x, u, system)
+    f = linearized_rhs(system, controls=u)(0.0, xv)
     return float(sum(li * fi for li, fi in zip(lam, f)))
 
 
 def hamiltonian_control_gradient(lam, x, u, system) -> np.ndarray:
     """dH/du per control: <lambda, X_c(x)>, or <(p0, p), df/du^c> for an
     ExtendedSystem (:meth:`ExtendedSystem.control_vectors`)."""
-    lam = np.asarray(lam.components if isinstance(lam, Covector) else lam, dtype=float)
-    xv = np.asarray(x.coords if isinstance(x, Point) else x, dtype=float).tolist()
+    lam, xv, u = _phase_args(lam, x, u, system)
     if system is system.base:
         return np.asarray([float(np.dot(lam, np.asarray(vf(xv), dtype=float))) for vf in system.inputs])
     p0, p = lam[0], lam[1:]
-    vectors = system.control_vectors(xv[1:], [float(v) for v in u])
+    vectors = system.control_vectors(xv[1:], u)
     return np.asarray([float(p0 * v[0] + np.dot(p, np.asarray(v[1:], dtype=float))) for v in vectors])
 
 

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .expr import jet_coefficient, jet_seed, real_part
 from .fields import (
-    DEFAULT_STEP,
     Point,
     TangentVector,
     VectorField,
@@ -44,7 +44,7 @@ MAX_ORDER = 4
 KAPPA = 2.0
 
 DEFAULT_S0 = 0.1  # coarsest finite-difference step of the jet estimator
-JET_STEP = 1e-2  # integrator step of the templates' variation curves
+JET_STEP = 1e-2  # integrator step of every variation curve
 RICHARDSON_LEVELS = 3
 AGREEMENT_REL_TOL = 1e-3  # the jet cross-check, relative to the larger norm
 PARALLEL_COS_TOL = 1e-12
@@ -78,16 +78,16 @@ class PerturbationVector:
             raise VariationError("perturbation vector must be nonzero")
 
 
-def variation_curve(legs: Sequence[tuple[VectorField, float]], x: Point, s, step: float = DEFAULT_STEP) -> Point:
+def variation_curve(legs: Sequence[tuple[VectorField, float]], x: Point, s) -> Point:
     """The curve at parameter value `s` (may carry duals): each leg
-    (field, rate) flows its field for rate * s, the first leg first.
+    (field, rate) flows its field for rate * s at step JET_STEP, first leg first.
 
     Write no zero-rate leg: 0.0 times a Dual is a Dual, never equal to 0.0,
     so the leg would integrate a step instead of being skipped.
     """
     if real_part(s) < 0.0:
         raise VariationError("variation parameter must be nonnegative")
-    return composite_flow([vf for vf, _ in legs], [rate * s for _, rate in legs], x, step)
+    return composite_flow([vf for vf, _ in legs], [rate * s for _, rate in legs], x, JET_STEP)
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +195,7 @@ def order_and_vector(
     Returns None when every jet up to `l_max` stays below the threshold
     (order infinity: the curve is flat to the tested order).
     """
-
-    def curve(s):
-        return variation_curve(legs, x, s, JET_STEP)
-
+    curve = partial(variation_curve, legs, x)
     jets, order = _jets(curve, l_max, x)
     if order is None:
         return None

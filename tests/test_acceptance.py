@@ -99,7 +99,7 @@ def test_criterion_2_bracket_variation_identity():
         legs = ((a, -1.0), (negate_field(b), 1.0), (a, 1.0), (b, 1.0))
 
         def curve(s, _legs=legs, _x=x):
-            return variation_curve(_legs, _x, s, step=1e-2)
+            return variation_curve(_legs, _x, s)
 
         j2 = estimate_jets(curve, 2)[1]
         cos = float(np.dot(j2, br) / (np.linalg.norm(j2) * np.linalg.norm(br)))

@@ -212,6 +212,15 @@ def test_decrease_direction_on_cone_edge_margin_zero():
     assert float(np.dot(report.covector.components, [1.0, 0.0])) == 0.0
 
 
+@pytest.mark.parametrize("dim", [3, 5])
+def test_a_decrease_direction_of_the_wrong_dimension_is_refused(dim):
+    # was numpy's "could not broadcast" ValueError, which the CLI reports as a domain fault
+    cone = make_cone([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 1]])
+    d = TangentVector(as_point(np.zeros(dim)), np.ones(dim))
+    with pytest.raises(ConeError, match="decrease direction dimension does not match the cone"):
+        find_supporting_covector(cone, d)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_lp_never_misses_a_brute_force_direction(seed):

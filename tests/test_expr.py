@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from geocon.expr import (
+    FUNCTIONS,
+    _FUNCTIONS,
     Add,
     Const,
     Dual,
@@ -190,6 +192,32 @@ def test_evaluate_dual_first_order():
     out = evaluate(ast, {"x": Dual(3.0, 1.0)})
     assert out.re == 9.0
     assert out.du == 6.0
+
+
+# the derivative part of each function's Dual case, written as that case computes it
+DUAL_RULES = {
+    "sin": lambda re, du: math.cos(re) * du,
+    "cos": lambda re, du: -math.sin(re) * du,
+    "exp": lambda re, du: math.exp(re) * du,
+    "log": lambda re, du: du / re,
+    "sqrt": lambda re, du: du / (2.0 * math.sqrt(re)),
+}
+
+
+def test_the_function_names_are_the_dispatchers_keys():
+    assert FUNCTIONS == tuple(_FUNCTIONS) == ("sin", "cos", "exp", "log", "sqrt")
+
+
+@pytest.mark.parametrize("name", FUNCTIONS)
+def test_one_dispatcher_per_function_serves_floats_and_duals(name):
+    # a Dual carries no elementary functions of its own: its case lives in the dispatcher
+    assert not hasattr(Dual, name)
+    fn, exact = _FUNCTIONS[name], getattr(math, name)
+    assert fn(0.7) == exact(0.7)
+    out = fn(Dual(0.7, -1.5))
+    assert (out.re, out.du) == (exact(0.7), DUAL_RULES[name](0.7, -1.5))
+    nested = fn(Dual(Dual(0.7, 1.0), 0.0))  # the chain rule recurses through nested carriers
+    assert (nested.re.re, nested.re.du) == (exact(0.7), DUAL_RULES[name](0.7, 1.0))
 
 
 def test_evaluate_division_by_zero():

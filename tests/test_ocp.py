@@ -18,6 +18,7 @@ from geocon.ocp import (
     expression_schedule,
     extend_system,
     hamiltonian,
+    hamiltonian_control_gradient,
     integrate_biextremal,
     integrate_trajectory,
     piecewise_schedule,
@@ -63,6 +64,18 @@ def test_build_rejects_repeated_control_names():
         build_control_affine(("x", "y"), ["0", "0"], [["1", "0"], ["0", "1"]], [(-1, 1)] * 2, ("u", "u"))
 
 
+@pytest.mark.parametrize("breaks, values, message", [
+    ([0.0], [[math.nan]], "control values must be finite"),  # was a DivergenceError near t = 0.001
+    ([0.0], [[math.inf]], "control values must be finite"),
+    ([0.0, 0.5], [[0.0], [-math.inf]], "control values must be finite"),
+    ([math.nan, 0.5], [[0.0], [1.0]], "breakpoints must increase strictly"),
+    ([math.nan], [[0.0]], "breakpoints must increase strictly"),
+])
+def test_a_schedule_refuses_a_nan_break_and_non_finite_controls(breaks, values, message):
+    with pytest.raises(OcpError, match=message):
+        piecewise_schedule(breaks, values)
+
+
 def test_piecewise_rows_must_match_each_other_and_the_system():
     sys = build_control_affine(("x", "y"), ["0", "0"], [["1", "0"], ["0", "1"]], [(-1, 1)] * 2)
     with pytest.raises(OcpError, match="same number of values"):
@@ -90,6 +103,30 @@ def test_hamiltonian_extended_cost_term(martinet_extended):
         [-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], (1.0, 0.0), martinet_extended
     )
     assert abs(H - (-0.5)) <= 1e-15
+
+
+@pytest.mark.parametrize("lam, x, u, message", [
+    ([0, 0, 1], [0.1, 0.2, 0.3], [0.5, 1, 99], "3 control values for 2 inputs"),  # the third control was ignored
+    ([0, 0, 1], [0.1, 0.2, 0.3], [0.5], "1 control values for 2 inputs"),  # a bare IndexError
+    ([0, 0, 1], [0.1, 0.2, 0.3, 5, 6], [0.5, 1], "covector/state dimension"),
+    ([0, 0, 1, 0], [0.1, 0.2, 0.3], [0.5, 1], "covector/state dimension"),
+])
+def test_the_hamiltonian_helpers_refuse_inputs_of_the_wrong_length(martinet, lam, x, u, message):
+    for helper in (hamiltonian, hamiltonian_control_gradient):
+        with pytest.raises(OcpError, match=message):
+            helper(lam, x, u, martinet)
+
+
+@pytest.mark.parametrize("x, u, message", [
+    ([0, 0.1, 0.2, 0.3, 9.9], [0.5, 1, 3], "covector/state dimension"),  # 9.9 was read as u1
+    ([0, 0.1, 0.2, 0.3], [0.5], "1 control values for 2 inputs"),  # unknown identifier 'u2'
+])
+def test_the_extended_hamiltonian_helpers_refuse_inputs_of_the_wrong_length(martinet_extended, x, u, message):
+    for helper in (hamiltonian, hamiltonian_control_gradient):
+        with pytest.raises(OcpError, match=message):
+            helper([-1, 0, 0, 1], x, u, martinet_extended)
+    with pytest.raises(OcpError, match="df/du takes 3 state and 2 control values"):
+        martinet_extended.control_vectors(x[1:], u)
 
 
 def test_hamilton_rhs_constant_drift():

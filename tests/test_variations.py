@@ -67,7 +67,7 @@ def test_estimate_jets_heisenberg_commutator():
     x = as_point([0.0, 0.0, 0.0])
 
     def curve(s):
-        return variation_curve(HEIS_COMMUTATOR, x, s, step=1e-2)
+        return variation_curve(HEIS_COMMUTATOR, x, s)
 
     jets = estimate_jets(curve, 2)
     assert np.linalg.norm(jets[0]) <= 1e-6
@@ -312,6 +312,7 @@ def test_sampled_cone_lies_in_the_plane_dz_zero(martinet, martinet_reference):
 PARAMETERS = {
     "cone.assemble_cone": ["system", "reference", "t", "sample_times", "per_time_budget", "step"],
     "variations.sample_perturbation_set": ["system", "reference", "t0", "budget"],
+    "variations.variation_curve": ["legs", "x", "s"],
     "variations.needle_variation": ["system", "u_ref", "u1", "l1", "x", "t0"],
     "variations.bracket_variation": ["xi0", "zj", "x", "t0", "descriptor"],
     "variations.order_and_vector": ["legs", "x", "t0", "l_max", "descriptor"],
