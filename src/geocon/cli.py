@@ -366,22 +366,21 @@ def cmd_flow(scenario: Scenario, args) -> tuple[int, str]:
 
 def cmd_variation(scenario: Scenario, args) -> tuple[int, str]:
     traj = _reference(scenario, args.step)
-    t0 = args.time
-    x = traj.point_at(t0)
-    u_ref = traj.control_at(t0)
+    x = traj.point_at(args.time)
+    u_ref = traj.control_at(args.time)
     if args.template == "needle":
         if args.u1 is None:
             raise ScenarioError("the needle template needs --u1")
         u1 = _parse_covector(args.u1, "--u1")
         if len(u1) != scenario.system.k:
             raise ScenarioError(f"--u1 needs {scenario.system.k} values")
-        pv = needle_variation(scenario.system, u_ref, u1, args.l1, x, t0=t0)
+        pv = needle_variation(scenario.system, u_ref, u1, args.l1, x)
     else:
         c = args.input - 1
         if not 0 <= c < scenario.system.k:
             raise ScenarioError(f"--input must be in 1..{scenario.system.k}")
         xi0 = scenario.system.slice_field(u_ref)
-        pv = bracket_variation(xi0, scenario.system.inputs[c], x, t0=t0)
+        pv = bracket_variation(xi0, scenario.system.inputs[c], x)
     if pv is None:
         return 2, "degenerate variation: the template produces no perturbation vector\n"
     svals = np.linspace(0.0, args.s_max, args.samples)

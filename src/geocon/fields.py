@@ -89,6 +89,8 @@ class _BasedArray:
             raise FieldError(
                 f"component dimension {comp.shape} does not match base dimension {self.base.dim}"
             )
+        if not _finite(comp):
+            raise FieldError(f"non-finite components: {comp!r}")
 
     @property
     def norm(self) -> float:

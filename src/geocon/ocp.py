@@ -103,7 +103,10 @@ class ControlSchedule:
             i = max(i, 0)
             return np.asarray(self.values[i], dtype=float)
         fns = cached_on(self, "_compiled", lambda: tuple(compile_expression(e, ("t",)) for e in self.exprs))
-        return np.asarray([fn([t]) for fn in fns], dtype=float)
+        values = [fn([t]) for fn in fns]
+        if not all(map(math.isfinite, values)):
+            raise OcpError(f"control expressions give non-finite values {values} at t = {t:g}")
+        return np.asarray(values, dtype=float)
 
     def interior_breakpoints(self, interval: tuple[float, float]) -> tuple[float, ...]:
         if self.breaks is None:
@@ -230,9 +233,9 @@ class ControlAffineSystem:
         return _held_slice(self, u, True)
 
     def flow_components(self):
-        """f(x, u) over chart + controls for :func:`fields.linearized_rhs`:
-        drift^i + sum_c u_c X_c^i per chart coordinate, folded left to right,
-        built once and kept on the system."""
+        """f(x, u) over chart + controls for :func:`fields.linearized_rhs` and
+        :func:`hamiltonian`: drift^i + sum_c u_c X_c^i per chart coordinate,
+        folded left to right, built once and kept on the system."""
         def build():
             rows = zip(self.drift.components, *(vf.components for vf in self.inputs))
             controls = tuple(map(expr_var, self.control_names))
@@ -476,10 +479,12 @@ def _phase_args(lam, x, u, system) -> tuple[list, list, list]:
 
 
 def hamiltonian(lam, x, u, system) -> float:
-    """<lambda, f(x, u)>; the p0 * cost term participates for an ExtendedSystem."""
+    """<lambda, f(x, u)>, the flow form walked with one memo (the generated
+    code's bits); the p0 * cost term participates for an ExtendedSystem."""
     lam, xv, u = _phase_args(lam, x, u, system)
-    f = linearized_rhs(system, controls=u)(0.0, xv)
-    return float(sum(li * fi for li, fi in zip(lam, f)))
+    components, control_names = system.flow_components()
+    env, memo = dict(zip(system.variables + control_names, xv + u)), {}
+    return float(sum(li * evaluate(fi, env, memo) for li, fi in zip(lam, components)))
 
 
 def hamiltonian_control_gradient(lam, x, u, system) -> np.ndarray:
@@ -758,10 +763,11 @@ class AuditReport:
         return all(c.passed for c in self.conditions)
 
 
-def _decimate(ts: np.ndarray, max_points: int = 201) -> np.ndarray:
-    if len(ts) <= max_points:
+def _decimate(ts: np.ndarray) -> np.ndarray:
+    """Indices of `ts`: all of them up to 201, else every (len(ts) // 201)-th and the last."""
+    if len(ts) <= 201:
         return np.arange(len(ts))
-    stride = max(1, len(ts) // max_points)
+    stride = len(ts) // 201
     idx = np.arange(0, len(ts), stride)
     if idx[-1] != len(ts) - 1:
         idx = np.append(idx, len(ts) - 1)

@@ -38,7 +38,6 @@ class PcaError(Exception):
 @dataclass(frozen=True)
 class GeneratorRecord:
     name: str
-    level: int
     field: VectorField
     parent: str | None = None  # level-0 generators have no parent
     bracket_with: str | None = None
@@ -109,7 +108,7 @@ def primary_constraints(system, reference: Trajectory, sample_times: Sequence[fl
         if reference.schedule.on_switch(t, reference.interval):
             raise PcaError(f"sample time {t} sits on a control switch")
     base = system.base
-    gens = [GeneratorRecord(name=f"X{c + 1}", level=0, field=vf) for c, vf in enumerate(base.inputs)]
+    gens = [GeneratorRecord(name=f"X{c + 1}", field=vf) for c, vf in enumerate(base.inputs)]
     points = tuple(reference.state_at(t) for t in times)
     rows = [[eval_vector_field(g.field, p) for g in gens] for p in points]
     level0 = LadderLevel(0, gens, {t: _rank(r) for t, r in zip(times, rows)}, False)
@@ -146,7 +145,7 @@ def ladder_step(ladder: ConstraintLadder, system) -> ConstraintLadder:
         grown = {t: _rank(rows + [v]) for t, rows, v in zip(ladder.sample_times, ladder.rows, values)}
         if all(grown[t] <= ranks[t] for t in ladder.sample_times):
             continue
-        adopted.append(GeneratorRecord(f"[X{d},{g.name}]", level_index, vf, g.name, f"X{d}"))
+        adopted.append(GeneratorRecord(f"[X{d},{g.name}]", vf, g.name, f"X{d}"))
         for rows, v in zip(ladder.rows, values):
             rows.append(v)
         ranks = grown

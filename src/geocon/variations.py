@@ -48,6 +48,7 @@ JET_STEP = 1e-2  # integrator step of every variation curve
 RICHARDSON_LEVELS = 3
 AGREEMENT_REL_TOL = 1e-3  # the jet cross-check, relative to the larger norm
 PARALLEL_COS_TOL = 1e-12
+SLOPE_SVALS = (0.1, 0.05, 0.025)  # curve parameters of the residual-slope fit
 
 
 class VariationError(Exception):
@@ -64,8 +65,6 @@ class ConventionError(VariationError):
 
 @dataclass(frozen=True, eq=False)
 class PerturbationVector:
-    base: Point
-    time: float
     order: int
     vector: TangentVector
     recipe: str
@@ -185,7 +184,6 @@ def estimate_jets(curve: Callable, l_max: int) -> list[np.ndarray]:
 def order_and_vector(
     legs: Sequence[tuple[VectorField, float]],
     x: Point,
-    t0: float = 0.0,
     l_max: int = MAX_ORDER,
     descriptor: str = "custom",
 ) -> PerturbationVector | None:
@@ -200,8 +198,6 @@ def order_and_vector(
     if order is None:
         return None
     return PerturbationVector(
-        base=x,
-        time=t0,
         order=order,
         vector=TangentVector(x, jets[order - 1]),
         recipe=descriptor,
@@ -220,7 +216,6 @@ def needle_variation(
     u1: Sequence[float],
     l1: float,
     x: Point,
-    t0: float = 0.0,
 ) -> PerturbationVector | None:
     """Pontryagin-style needle: flow back along the reference for l1*s, then
     along the u1-slice for l1*s.  Closed form l1 * (xi_u1 - xi_uref)(x); the
@@ -248,7 +243,7 @@ def needle_variation(
     if float(np.linalg.norm(closed)) <= zero_threshold(x):
         return None
     descriptor = f"needle u1={list(map(float, u1))} l1={l1}"
-    pv = order_and_vector(((xi0, -l1), (xi1, l1)), x, t0, 1, descriptor)
+    pv = order_and_vector(((xi0, -l1), (xi1, l1)), x, 1, descriptor)
     j1 = np.zeros_like(closed) if pv is None else pv.vector.components
     if float(np.linalg.norm(j1 - closed)) > 1e-6 * max(1.0, float(np.linalg.norm(closed))):
         raise ConventionError(
@@ -261,7 +256,6 @@ def bracket_variation(
     xi0: VectorField,
     zj: VectorField,
     x: Point,
-    t0: float = 0.0,
     descriptor: str | None = None,
 ) -> PerturbationVector | None:
     """Order-2 commutator recipe whose jet is KAPPA * [xi0, zj](x), within
@@ -276,7 +270,7 @@ def bracket_variation(
     if float(np.linalg.norm(b)) <= zero_threshold(x):
         return None
     legs = ((xi0, -1.0), (negate_field(zj), 1.0), (xi0, 1.0), (zj, 1.0))
-    pv = order_and_vector(legs, x, t0=t0, l_max=2, descriptor=descriptor or "commutator")
+    pv = order_and_vector(legs, x, l_max=2, descriptor=descriptor or "commutator")
     if pv is None or pv.order != 2:
         got = "infinity" if pv is None else str(pv.order)
         raise ConventionError(
@@ -360,7 +354,7 @@ def sample_perturbation_set(
     for u1 in grid:
         if np.array_equal(u1, u_ref):
             continue
-        push(needle_variation(system, u_ref, u1, 1.0, x, t0=t0))
+        push(needle_variation(system, u_ref, u1, 1.0, x))
         if len(out) >= budget:
             return out[:budget]
 
@@ -374,7 +368,7 @@ def sample_perturbation_set(
     else:
         partners = [(vf, f"commutator input {c + 1}") for c, vf in enumerate(system.inputs)]
     for zj, descr in partners:
-        push(bracket_variation(xi0, zj, x, t0=t0, descriptor=descr))
+        push(bracket_variation(xi0, zj, x, descriptor=descr))
         if len(out) >= budget:
             break
     return out[:budget]
@@ -385,22 +379,20 @@ def sample_perturbation_set(
 # ---------------------------------------------------------------------------
 
 
-def residual_slope(
-    pv: PerturbationVector, svals: Sequence[float] = (0.1, 0.05, 0.025)
-) -> float:
-    """Log-log slope of the residual against s; infinite for exact curves."""
-    x0 = np.vectorize(real_part)(pv.base.coords).astype(float)
+def residual_slope(pv: PerturbationVector) -> float:
+    """Log-log slope of the residual against s in SLOPE_SVALS; infinite for exact curves."""
+    x0 = np.vectorize(real_part)(pv.vector.base.coords).astype(float)
     V = pv.vector.components
     l = pv.order
     fact = math.factorial(l)
     scale = 1.0 + float(np.linalg.norm(x0))
     rs = []
-    for s in svals:
+    for s in SLOPE_SVALS:
         nu = np.asarray(_point_array(pv.curve(float(s))), dtype=float)
         rs.append(float(np.linalg.norm(nu - x0 - V * s**l / fact)))
     if max(rs) <= 1e-13 * scale:
         return math.inf
     logs = np.log([max(r, 1e-16) for r in rs])
-    logh = np.log(np.asarray(svals, dtype=float))
+    logh = np.log(SLOPE_SVALS)
     slope, _ = np.polyfit(logh, logs, 1)
     return float(slope)

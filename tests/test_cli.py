@@ -571,6 +571,35 @@ def test_audit_builds_its_cone_along_the_biextremal(tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_audit_compiles_no_right_hand_side(tmp_path, monkeypatch):
+    # the Hamiltonian walks the flow form: the fixtures-cone audits compile
+    # RK4 segments only, never a right-hand side
+    from geocon import fields
+
+    calls = []
+    compile_flow = fields.compile_flow
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return compile_flow(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "compile_flow", counted)
+    for name, covector, code in [("martinet", "0,0,1", 0), ("martinet", "-1,0,1,0", 0), ("heisenberg", "0,0,1", 2)]:
+        out = tmp_path / f"{name}{covector}.json"
+        assert main(["audit", str(SCENARIOS / f"{name}.json"), f"--covector={covector}", "--out", str(out)]) == code
+        assert json.loads(out.read_text())["results"]["conditions"]
+    assert calls == []
+
+
+def test_a_non_finite_expression_control_is_a_tool_error(tmp_path, capsys):
+    data = json.loads((SCENARIOS / "martinet.json").read_text())
+    data["reference"]["controls"] = {"type": "expressions", "exprs": ["1e308*(t+10)", "0"]}
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(data))
+    assert main(["flow", str(p)]) == 1  # was exit 2, "verdict: flow diverged"
+    assert capsys.readouterr().err == "geocon: error: control expressions give non-finite values [inf, 0.0] at t = 0\n"
+
+
 def test_pca_evaluates_no_field_after_the_ladder(tmp_path, monkeypatch):
     # the annihilators come from the generator values the ladder keeps
     from geocon import cli

@@ -108,6 +108,26 @@ def test_is_supporting_dimension_mismatch():
         is_supporting(lam2, cone)
 
 
+def test_a_non_finite_vector_is_a_caller_error_not_a_verdict(martinet, martinet_reference):
+    # transport of a NaN vector used to end in DivergenceError (a verdict); a
+    # NaN or inf generator or decrease direction reached the exact LP as a
+    # ValueError or OverflowError, and a NaN covector answered "not supported"
+    from geocon.cone import find_supporting_covector
+    from geocon.ocp import transport_vector
+
+    x = martinet_reference.point_at(0.5)
+    with pytest.raises(FieldError, match="non-finite components"):
+        transport_vector(martinet, martinet_reference, 0.5, 1.0, [TangentVector(x, [math.nan, 0.0, 0.0])])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(FieldError, match="non-finite components"):
+            Cone(x, 0.5, (TangentVector(x, [1.0, bad, 0.0]),), (GeneratorProvenance(0.5, 1, "t"),))
+    cone = Cone(x, 0.5, (TangentVector(x, [1.0, 0.0, 0.0]),), (GeneratorProvenance(0.5, 1, "t"),))
+    with pytest.raises(FieldError, match="non-finite components"):
+        find_supporting_covector(cone, TangentVector(x, [0.0, 0.0, -math.inf]))
+    with pytest.raises(FieldError, match="non-finite components"):
+        is_supporting(Covector(x, [0.0, 0.0, math.nan]), cone)
+
+
 def test_cone_rejects_mismatched_generator_base():
     base = as_point([0.0, 0.0])
     other = as_point([1.0, 0.0])

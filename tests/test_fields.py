@@ -6,9 +6,11 @@ import pytest
 from geocon.expr import Dual, real_part
 from geocon.fields import (
     DEFAULT_STEP,
+    Covector,
     DivergenceError,
     FieldError,
     Point,
+    TangentVector,
     as_point,
     composite_flow,
     eval_vector_field,
@@ -267,3 +269,11 @@ def test_pushforward_naturality_with_bracket():
 def test_point_rejects_non_finite():
     with pytest.raises(FieldError):
         Point(np.array([1.0, float("nan")]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", [TangentVector, Covector])
+def test_vectors_and_covectors_reject_non_finite_components(kind, bad):
+    # the rule of Point, for the components based at one
+    with pytest.raises(FieldError, match="non-finite components"):
+        kind(Point(np.array([0.0, 1.0])), [1.0, bad])

@@ -76,6 +76,16 @@ def test_a_schedule_refuses_a_nan_break_and_non_finite_controls(breaks, values, 
         piecewise_schedule(breaks, values)
 
 
+@pytest.mark.parametrize("exprs, shown", [
+    (["1e308*(t+10)", "0"], r"\[inf, 0.0\]"),  # was a DivergenceError near t = 0.001
+    (["t", "1e308*(t+10) - 1e308*(t+11)"], r"\[0.0, nan\]"),
+])
+def test_an_expression_schedule_refuses_non_finite_controls(exprs, shown):
+    sys = build_control_affine(("x", "y"), ["0", "0"], [["1", "0"], ["0", "1"]], [(-1, 1)] * 2)
+    with pytest.raises(OcpError, match=f"control expressions give non-finite values {shown} at t = 0$"):
+        integrate_trajectory(sys, [0.0, 0.0], expression_schedule(exprs), (0.0, 1.0))
+
+
 def test_piecewise_rows_must_match_each_other_and_the_system():
     sys = build_control_affine(("x", "y"), ["0", "0"], [["1", "0"], ["0", "1"]], [(-1, 1)] * 2)
     with pytest.raises(OcpError, match="same number of values"):

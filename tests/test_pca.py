@@ -160,7 +160,7 @@ def test_level1_generators_parallel_to_bracket_variations(martinet):
     sched = piecewise_schedule([0.0], [[0.0, 1.0]])
     ref = integrate_trajectory(martinet, [0.5, 0.0, 0.0], sched, (0.0, 1.0), 1e-2)
     ladder = run_algorithm(martinet, ref)
-    gen = next(g for g in ladder.all_generators() if g.level == 1)
+    gen = ladder.levels[1].generators[0]
     x = ref.point_at(0.5)
     xi0 = martinet.slice_field(ref.control_at(0.5))
     pv = bracket_variation(xi0, martinet.inputs[0], x)

@@ -294,7 +294,7 @@ def test_sampled_cone_lies_in_the_plane_dz_zero(martinet, martinet_reference):
     from geocon.fields import Covector, TangentVector
 
     pvs = sample_perturbation_set(martinet, martinet_reference, 0.5, budget=12)
-    base = pvs[0].base
+    base = pvs[0].vector.base
     cone = Cone(
         base,
         0.5,
@@ -313,13 +313,15 @@ PARAMETERS = {
     "cone.assemble_cone": ["system", "reference", "t", "sample_times", "per_time_budget", "step"],
     "variations.sample_perturbation_set": ["system", "reference", "t0", "budget"],
     "variations.variation_curve": ["legs", "x", "s"],
-    "variations.needle_variation": ["system", "u_ref", "u1", "l1", "x", "t0"],
-    "variations.bracket_variation": ["xi0", "zj", "x", "t0", "descriptor"],
-    "variations.order_and_vector": ["legs", "x", "t0", "l_max", "descriptor"],
+    "variations.needle_variation": ["system", "u_ref", "u1", "l1", "x"],
+    "variations.bracket_variation": ["xi0", "zj", "x", "descriptor"],
+    "variations.order_and_vector": ["legs", "x", "l_max", "descriptor"],
+    "variations.residual_slope": ["pv"],
     "variations.estimate_jets": ["curve", "l_max"],
     "variations._jets": ["curve", "l_max", "x"],
     "variations._fd_jets": ["curve", "l_max", "s0"],
     "mech.generator_families": ["system", "reference", "sample_time"],
+    "ocp._decimate": ["ts"],
 }
 
 
